@@ -11,7 +11,10 @@
 #      schema versions plus limits, assess_risk_batch returns per-item
 #      envelopes with the default-params item bit-identical to the CLI
 #      report, and a second session under --tenant-rate/--tenant-burst
-#      refuses the request that overruns its burst with quota_exceeded.
+#      refuses the request that overruns its burst with quota_exceeded,
+#   5. an out-of-range number (`"threads":1e12`) is answered with
+#      invalid_params and the same server then answers a normal request
+#      and exits cleanly.
 #
 # Usage:
 #   scripts/check_serve.sh [path/to/anonsafe]
@@ -170,4 +173,26 @@ sed -n '3p' "$quota_responses" | grep -q '"code":"quota_exceeded"' \
 sed -n '4p' "$quota_responses" | grep -q '"drained":true' \
   || fail "quota session shutdown missing drained:true"
 
-echo "check_serve: OK (key=$key; reports bit-identical at 1 and 8 threads; caches hit; debug verb live; server_info + batch + quotas probed; drained)"
+# 8. Out-of-range numbers: a thread count no server could allocate is
+#    invalid_params — the process neither aborts nor drops the session —
+#    and the next request on the same server is answered normally.
+range_session="$workdir/range_session.jsonl"
+cat > "$range_session" <<EOF
+{"schema_version":2,"id":1,"verb":"load_dataset","params":{"path":"$data"}}
+{"schema_version":2,"id":2,"verb":"assess_risk","params":{"dataset":"$key","threads":1e12}}
+{"schema_version":2,"id":3,"verb":"assess_risk","params":{"dataset":"$key"}}
+{"schema_version":2,"id":4,"verb":"shutdown"}
+EOF
+range_responses="$workdir/range_responses.jsonl"
+timeout 120 "$CLI" serve < "$range_session" > "$range_responses" \
+  || fail "out-of-range session did not exit cleanly"
+[[ "$(wc -l < "$range_responses")" -eq 4 ]] \
+  || fail "expected 4 out-of-range-session responses, got $(wc -l < "$range_responses")"
+sed -n '2p' "$range_responses" | grep -q '"code":"invalid_params"' \
+  || fail "threads=1e12 was not refused with invalid_params: $(sed -n '2p' "$range_responses")"
+sed -n '3p' "$range_responses" | grep -q '"id":3,"ok":true' \
+  || fail "request after the out-of-range one was not answered ok"
+sed -n '4p' "$range_responses" | grep -q '"drained":true' \
+  || fail "out-of-range session shutdown missing drained:true"
+
+echo "check_serve: OK (key=$key; reports bit-identical at 1 and 8 threads; caches hit; debug verb live; server_info + batch + quotas probed; out-of-range params refused; drained)"

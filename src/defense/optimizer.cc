@@ -125,7 +125,8 @@ Result<DefenseFrontier> RecommendDefense(const Database& db,
                                          exec::ExecContext* ctx) {
   obs::ScopedTimer timer("defense.recommend");
   ANONSAFE_RETURN_IF_ERROR(ValidatePlannerOptions(options.planner));
-  const uint64_t seed = ctx != nullptr ? ctx->seed() : options.seed;
+  const uint64_t seed =
+      ctx != nullptr ? ctx->seed() : exec::ExecOptions{}.seed;
 
   ANONSAFE_ASSIGN_OR_RETURN(FrequencyTable before,
                             FrequencyTable::Compute(db));

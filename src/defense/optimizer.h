@@ -22,9 +22,6 @@ struct OptimizerOptions {
   /// seed inside is overridden per candidate (SplitSeed stream 2i+3) so
   /// fallback estimates are independent of evaluation order.
   PlannerOptions planner;
-  /// Master seed for the per-candidate Apply RNG and the sampler
-  /// streams. Superseded by `ctx->seed()` when a context is passed.
-  uint64_t seed = 7;
 };
 
 /// \brief One scored point of the sweep: a scheme at one parameter
@@ -91,8 +88,10 @@ struct DefenseFrontier {
 /// plans + applies + scores each candidate (expected cracks via the
 /// estimator planner, information loss via `ComputeUtilityLoss`), and
 /// extracts the Pareto frontier. Candidates evaluate in parallel on
-/// `ctx`; the frontier is bit-identical at any thread count. Returns
-/// Cancelled when `ctx` is cancelled mid-sweep.
+/// `ctx`, whose seed is the sweep's master seed (a null context means
+/// `exec::ExecOptions{}`: sequential, default seed); the frontier is
+/// bit-identical at any thread count. Returns Cancelled when `ctx` is
+/// cancelled mid-sweep.
 Result<DefenseFrontier> RecommendDefense(const Database& db,
                                          const OptimizerOptions& options = {},
                                          exec::ExecContext* ctx = nullptr);

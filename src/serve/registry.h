@@ -3,30 +3,97 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "core/oestimate.h"
+#include "core/risk_report.h"
+#include "core/similarity.h"
+#include "defense/optimizer.h"
+#include "exec/exec.h"
 #include "serve/protocol.h"
 #include "util/json.h"
 #include "util/result.h"
 
 namespace anonsafe {
-namespace exec {
-class ExecContext;
-}  // namespace exec
 namespace serve {
 
-/// \brief One declared parameter of a verb: its name, the JSON type it
-/// must have when present, and whether the request must carry it.
-/// Undeclared params are ignored (the additive-change policy: clients
-/// may send fields this server predates), but a declared param with the
-/// wrong type is an `invalid_params` error generated uniformly by the
-/// registry — handlers never see ill-typed declared input.
+/// \brief One declared parameter of a verb. The same entry is the serve
+/// param `ryser_cutoff` and the CLI flag `--ryser-cutoff`. Defaults are
+/// not part of the table: they are the initializers of the options
+/// struct the verb's binder fills.
 struct ParamSpec {
   const char* name;
   json::Value::Type type;
   bool required = false;
+  /// Integer params: the value must be a whole number in [0, max_int],
+  /// so a binder's cast to an integer type is always defined. 0 marks a
+  /// param that is not an integer.
+  uint64_t max_int = 0;
 };
+
+using ParamTable = std::vector<ParamSpec>;
+
+/// \brief "string", "number", "bool", "array", "object" or "null".
+const char* JsonTypeName(json::Value::Type type);
+
+/// \brief The one validator: required params present, declared params
+/// of the declared type, integers whole and in range. Undeclared keys
+/// are ignored (the protocol's additive-change policy) unless `strict`
+/// names the object ("batch item"). InvalidArgument (→ `invalid_params`)
+/// otherwise.
+Status CheckParams(const ParamTable& table, const json::Value& params,
+                   const char* strict = nullptr);
+
+/// \brief The entry of `table` named `name`; null when undeclared.
+const ParamSpec* FindParam(const ParamTable& table, const std::string& name);
+
+/// \brief One param table per verb. The serve verbs add a required
+/// `dataset` handle; the CLI commands take a file path instead.
+struct ParamTables {
+  /// Every compute verb: `seed`, `runs`, `threads`, `deadline_ms`,
+  /// `trace` — the request's execution context.
+  ParamTable generic;
+  ParamTable assess_risk;  ///< also each batch item and CLI `report`
+  ParamTable recipe;  ///< CLI `assess`: assess_risk minus the curve flag
+  ParamTable recommend_defense;
+  ParamTable similarity;
+  ParamTable oestimate;
+  /// CLI `plan`: oestimate's `delta`, recommend_defense's planner knobs
+  /// and assess_risk's `adversary`, each read by that verb's binder.
+  ParamTable plan;
+};
+const ParamTables& VerbParams();
+
+/// \name Binders: each checks `params` against its table, then reads the
+/// params present into the verb's options; absent ones keep the defaults.
+/// @{
+struct RequestParams {
+  exec::ExecOptions exec;
+  std::optional<uint64_t> deadline_ms;  ///< absent: the server default
+  bool trace = false;
+};
+Result<RequestParams> BindRequestParams(const json::Value& params);
+
+Result<RiskReportOptions> BindAssessRisk(const json::Value& params);
+
+struct DefenseRequest {
+  defense::OptimizerOptions optimizer;
+  exec::ExecOptions exec;
+};
+Result<DefenseRequest> BindRecommendDefense(const json::Value& params);
+
+Result<SimilarityOptions> BindSimilarity(const json::Value& params);
+
+/// `delta` stays empty when absent: its default, the dataset's δ_med, is
+/// known only once the data is.
+struct OEstimateRequest {
+  std::optional<double> delta;
+  OEstimateOptions oestimate;
+};
+Result<OEstimateRequest> BindOEstimate(const json::Value& params);
+/// @}
 
 /// \name Verb behaviour flags.
 /// @{
@@ -53,7 +120,7 @@ struct Request;
 /// control verbs, which never execute work worth cancelling.
 struct VerbSpec {
   std::string name;
-  std::vector<ParamSpec> params;
+  ParamTable params;
   uint32_t flags = 0;
   std::function<Result<json::Value>(const Request&, exec::ExecContext*)>
       handler;
@@ -76,34 +143,12 @@ class HandlerRegistry {
   /// \brief Lookup by name; null when the verb does not exist.
   const VerbSpec* Find(const std::string& verb) const;
 
-  /// \brief Validates `params` against the verb's schema plus the
-  /// generic params every compute verb understands (`seed`, `runs`,
-  /// `threads`, `deadline_ms`, `trace`): required params must be
-  /// present, declared params must have the declared type.
-  /// InvalidArgument (→ `invalid_params`) otherwise.
-  Status ValidateParams(const VerbSpec& spec,
-                        const json::Value& params) const;
-
   /// \brief Registration order listing, for `server_info`.
   const std::vector<VerbSpec>& verbs() const { return verbs_; }
-
-  /// \brief The generic params accepted by every non-control verb.
-  static const std::vector<ParamSpec>& GenericParams();
 
  private:
   std::vector<VerbSpec> verbs_;
 };
-
-/// \brief Human name of a JSON type for error messages ("string",
-/// "number", "bool", "array", "object", "null").
-const char* JsonTypeName(json::Value::Type type);
-
-/// \brief Validates `params` against one spec list (required presence,
-/// declared types). The building block `ValidateParams` composes; also
-/// used standalone for `assess_risk_batch` item objects, which have
-/// their own schema.
-Status CheckParams(const std::vector<ParamSpec>& specs,
-                   const json::Value& params);
 
 }  // namespace serve
 }  // namespace anonsafe

@@ -12,7 +12,6 @@
 #include "core/risk_report.h"
 #include "core/similarity.h"
 #include "defense/optimizer.h"
-#include "estimator/estimator.h"
 #include "graph/simd_kernels.h"
 #include "obs/export.h"
 #include "obs/log.h"
@@ -21,28 +20,6 @@
 namespace anonsafe {
 namespace serve {
 namespace {
-
-/// Reads the generic execution params every compute verb understands.
-/// Defaults match the one-shot CLI (`RecipeOptions{}.exec`), so a request
-/// carrying only a dataset handle reproduces the CLI's output exactly.
-Result<exec::ExecOptions> ExecOptionsFromParams(const json::Value& params) {
-  exec::ExecOptions eo;
-  ANONSAFE_ASSIGN_OR_RETURN(
-      double seed, params.GetNumberOr("seed", static_cast<double>(eo.seed)));
-  ANONSAFE_ASSIGN_OR_RETURN(
-      double runs, params.GetNumberOr("runs", static_cast<double>(eo.runs)));
-  ANONSAFE_ASSIGN_OR_RETURN(
-      double threads,
-      params.GetNumberOr("threads", static_cast<double>(eo.threads)));
-  if (seed < 0 || runs < 0 || threads < 0) {
-    return Status::InvalidArgument(
-        "seed/runs/threads must be non-negative integers");
-  }
-  eo.seed = static_cast<uint64_t>(seed);
-  eo.runs = static_cast<size_t>(runs);
-  eo.threads = static_cast<size_t>(threads);
-  return eo;
-}
 
 /// The outcome code a response line reduces to: "ok", or the protocol
 /// error code. Drives the access log, the flight recorder and the
@@ -75,88 +52,29 @@ json::Value SimilarityPointToJson(const SimilarityPoint& p) {
   return point;
 }
 
-/// The assess_risk core shared between the single verb and batch items:
-/// recipe options from `params`, report built against the cached
-/// dataset's shared artifacts. The param read order is fixed — it is
-/// what makes a batch item bit-identical to the single request carrying
-/// the same params.
-Result<json::Value> AssessReportFromParams(const CachedDataset& ds,
-                                           const json::Value& params,
-                                           const exec::ExecOptions& exec_opts,
-                                           exec::ExecContext* ctx) {
-  RiskReportOptions options;
-  ANONSAFE_ASSIGN_OR_RETURN(
-      options.recipe.tolerance,
-      params.GetNumberOr("tolerance", options.recipe.tolerance));
-  ANONSAFE_ASSIGN_OR_RETURN(
-      options.include_similarity_curve,
-      params.GetBoolOr("include_similarity_curve", true));
-  // Optional estimator choice for the interval risk check; an unknown
-  // name surfaces as invalid_params. The report JSON carries the per-
-  // block provenance back under recipe.interval_blocks.
-  ANONSAFE_ASSIGN_OR_RETURN(
-      std::string estimator_name,
-      params.GetStringOr("estimator",
-                         EstimatorKindName(options.recipe.estimator)));
-  ANONSAFE_ASSIGN_OR_RETURN(options.recipe.estimator,
-                            ParseEstimatorKind(estimator_name));
-  // Optional adversary spec ("name" or "name:k=v,..."); unknown names or
-  // bad params surface as invalid_params. Provenance comes back under
-  // recipe.adversary / recipe.adversary_params.
-  ANONSAFE_ASSIGN_OR_RETURN(std::string adversary_spec,
-                            params.GetStringOr("adversary", ""));
-  if (!adversary_spec.empty()) {
-    ANONSAFE_ASSIGN_OR_RETURN(adversary::AdversarySpec spec,
-                              adversary::ParseAdversarySpec(adversary_spec));
-    options.recipe.adversary = std::move(spec.name);
-    options.recipe.adversary_params = std::move(spec.params);
-  }
-  options.recipe.exec = exec_opts;
-  ANONSAFE_ASSIGN_OR_RETURN(
-      RiskReport report,
-      BuildRiskReport(ds.data.database, options, ctx, ds.artifacts.get()));
-  return report.ToJson();
+/// A dataset verb's table: the required `dataset`, then its own params.
+ParamTable WithDataset(const ParamTable& params) {
+  ParamTable table{{"dataset", json::Value::Type::kString, true}};
+  table.insert(table.end(), params.begin(), params.end());
+  return table;
 }
 
-/// The params one `assess_risk_batch` item may carry: the assess_risk
-/// knobs plus per-item exec params. Batch items are self-contained —
-/// an item without `seed` gets the CLI default, exactly like a single
-/// request without `seed`. `deadline_ms`/`trace`/`tenant` exist only at
-/// the request level; an item carrying them is a schema error.
-const std::vector<ParamSpec>& BatchItemParams() {
-  static const std::vector<ParamSpec>* kParams = new std::vector<ParamSpec>{
-      {"tolerance", json::Value::Type::kNumber},
-      {"include_similarity_curve", json::Value::Type::kBool},
-      {"estimator", json::Value::Type::kString},
-      {"adversary", json::Value::Type::kString},
-      {"seed", json::Value::Type::kNumber},
-      {"runs", json::Value::Type::kNumber},
-      {"threads", json::Value::Type::kNumber},
-  };
-  return *kParams;
-}
-
+/// One `assess_risk_batch` item: bound and run exactly like a single
+/// assess_risk carrying its params, which must all be declared — the
+/// request-level `deadline_ms`/`trace`/`tenant` in an item are errors.
 Result<json::Value> RunOneBatchItem(const CachedDataset& ds,
                                     const json::Value& item,
                                     exec::ExecContext* ctx) {
   if (!item.is_object()) {
     return Status::InvalidArgument("batch item must be an object");
   }
-  ANONSAFE_RETURN_IF_ERROR(CheckParams(BatchItemParams(), item));
-  for (const auto& [key, value] : item.members()) {
-    (void)value;
-    bool declared = false;
-    for (const ParamSpec& spec : BatchItemParams()) {
-      if (key == spec.name) declared = true;
-    }
-    if (!declared) {
-      return Status::InvalidArgument("unknown batch item param '" + key +
-                                     "'");
-    }
-  }
-  ANONSAFE_ASSIGN_OR_RETURN(exec::ExecOptions exec_opts,
-                            ExecOptionsFromParams(item));
-  return AssessReportFromParams(ds, item, exec_opts, ctx);
+  ANONSAFE_RETURN_IF_ERROR(
+      CheckParams(VerbParams().assess_risk, item, "batch item"));
+  ANONSAFE_ASSIGN_OR_RETURN(RiskReportOptions options, BindAssessRisk(item));
+  ANONSAFE_ASSIGN_OR_RETURN(
+      RiskReport report,
+      BuildRiskReport(ds.data.database, options, ctx, ds.artifacts.get()));
+  return report.ToJson();
 }
 
 /// Per-item envelope: `{"ok":true,"report":...}` or
@@ -283,8 +201,11 @@ void Server::HandleLineAsync(const std::string& line, ResponseCallback done) {
   }
   job->spec = spec;
 
-  if (Status valid = registry_.ValidateParams(*spec, request.params);
-      !valid.ok()) {
+  Status valid = CheckParams(spec->params, request.params);
+  if (valid.ok() && !spec->is_control()) {
+    valid = CheckParams(VerbParams().generic, request.params);
+  }
+  if (!valid.ok()) {
     Complete(std::move(job),
              MakeErrorResponse(request.id, kErrInvalidParams, valid.message(),
                                request.schema_version));
@@ -409,48 +330,34 @@ json::Value Server::RunWithContext(Job* job) {
   // tree per request: the scope below installs it on the runner thread,
   // and ExecContext carries it into nested parallel fan-outs.
   std::unique_ptr<obs::TraceContext> trace_context;
-  bool want_trace_field = false;
-  {
-    Result<exec::ExecOptions> exec_options =
-        ExecOptionsFromParams(request.params);
-    Result<bool> trace_param = request.params.GetBoolOr("trace", false);
-    if (!exec_options.ok()) {
-      outcome = exec_options.status();
-    } else if (!trace_param.ok()) {
-      outcome = trace_param.status();
-    } else {
-      want_trace_field = *trace_param;
-      if (want_trace_field || options_.slow_request_ms > 0 ||
-          obs::TracingEnabled()) {
-        trace_context = std::make_unique<obs::TraceContext>(
-            "req-" + std::to_string(record->serial));
-        record->trace_id = trace_context->trace_id();
-      }
-      exec::ExecContext ctx(*exec_options);
-      ctx.set_trace(trace_context.get());
-
-      Result<double> deadline_ms = request.params.GetNumberOr(
-          "deadline_ms", static_cast<double>(options_.default_deadline_ms));
-      if (!deadline_ms.ok()) {
-        outcome = deadline_ms.status();
-      } else {
-        uint64_t deadline_serial = 0;
-        bool has_deadline = *deadline_ms > 0;
-        if (has_deadline) {
-          deadline_serial = RegisterDeadline(
-              &ctx, std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(
-                            static_cast<int64_t>(*deadline_ms)));
-        }
-        obs::Stopwatch exec_watch;
-        {
-          obs::TraceContextScope trace_scope(trace_context.get());
-          outcome = job->spec->handler(request, &ctx);
-        }
-        record->exec_ms = exec_watch.Seconds() * 1e3;
-        if (has_deadline) UnregisterDeadline(deadline_serial);
-      }
+  Result<RequestParams> bound = BindRequestParams(request.params);
+  if (!bound.ok()) {
+    outcome = bound.status();
+  } else {
+    if (bound->trace || options_.slow_request_ms > 0 ||
+        obs::TracingEnabled()) {
+      trace_context = std::make_unique<obs::TraceContext>(
+          "req-" + std::to_string(record->serial));
+      record->trace_id = trace_context->trace_id();
     }
+    exec::ExecContext ctx(bound->exec);
+    ctx.set_trace(trace_context.get());
+
+    const uint64_t deadline_ms =
+        bound->deadline_ms.value_or(options_.default_deadline_ms);
+    uint64_t deadline_serial = 0;
+    if (deadline_ms > 0) {
+      deadline_serial = RegisterDeadline(
+          &ctx, std::chrono::steady_clock::now() +
+                    std::chrono::milliseconds(deadline_ms));
+    }
+    obs::Stopwatch exec_watch;
+    {
+      obs::TraceContextScope trace_scope(trace_context.get());
+      outcome = job->spec->handler(request, &ctx);
+    }
+    record->exec_ms = exec_watch.Seconds() * 1e3;
+    if (deadline_ms > 0) UnregisterDeadline(deadline_serial);
   }
 
   // Provenance for the access log / flight recorder: the dataset key
@@ -516,7 +423,7 @@ json::Value Server::RunWithContext(Job* job) {
   // The opt-in trace rides on the envelope, not inside `result`, so the
   // result document stays bit-identical to the untraced (and one-shot
   // CLI) output.
-  if (want_trace_field && trace_context != nullptr) {
+  if (bound.ok() && bound->trace && trace_context != nullptr) {
     json::Value trace = json::Value::Object();
     trace.Set("trace_id", json::Value(record->trace_id));
     Result<json::Value> spans =
@@ -679,56 +586,29 @@ void Server::BuildRegistry() {
        [this](const Request& req, exec::ExecContext*) {
          return HandleLoadDataset(req.params);
        }});
-  registry_.Register(
-      {"assess_risk",
-       {{"dataset", Type::kString, true},
-        {"tolerance", Type::kNumber},
-        {"include_similarity_curve", Type::kBool},
-        {"estimator", Type::kString},
-        {"adversary", Type::kString}},
-       0,
-       [this](const Request& req, exec::ExecContext* ctx) {
-         return HandleAssessRisk(req.params, ctx);
-       }});
-  registry_.Register(
-      {"assess_risk_batch",
-       {{"dataset", Type::kString, true}, {"items", Type::kArray, true}},
-       kVerbV2Only,
-       [this](const Request& req, exec::ExecContext* ctx) {
-         return HandleAssessRiskBatch(req.params, ctx);
-       }});
-  registry_.Register(
-      {"recommend_defense",
-       {{"dataset", Type::kString, true},
-        {"ryser_cutoff", Type::kNumber},
-        {"prefer_sampler", Type::kBool}},
-       kVerbV2Only,
-       [this](const Request& req, exec::ExecContext* ctx) {
-         return HandleRecommendDefense(req.params, ctx);
-       }});
-  registry_.Register(
-      {"oestimate",
-       {{"dataset", Type::kString, true},
-        {"delta", Type::kNumber},
-        {"propagate", Type::kBool}},
-       0,
-       [this](const Request& req, exec::ExecContext* ctx) {
-         return HandleOEstimate(req.params, ctx);
-       }});
-  registry_.Register(
-      {"similarity",
-       {{"dataset", Type::kString, true},
-        {"samples_per_fraction", Type::kNumber}},
-       0,
-       [this](const Request& req, exec::ExecContext* ctx) {
-         return HandleSimilarity(req.params, ctx);
-       }});
+  // A compute verb's handler reads the request params and runs on `ctx`.
+  auto compute = [this](Result<json::Value> (Server::*handle)(
+                            const json::Value&, exec::ExecContext*)) {
+    return [this, handle](const Request& req, exec::ExecContext* ctx) {
+      return (this->*handle)(req.params, ctx);
+    };
+  };
+  const ParamTables& tables = VerbParams();
+  registry_.Register({"assess_risk", WithDataset(tables.assess_risk), 0,
+                      compute(&Server::HandleAssessRisk)});
+  registry_.Register({"assess_risk_batch",
+                      WithDataset({{"items", Type::kArray, true}}),
+                      kVerbV2Only, compute(&Server::HandleAssessRiskBatch)});
+  registry_.Register({"recommend_defense",
+                      WithDataset(tables.recommend_defense), kVerbV2Only,
+                      compute(&Server::HandleRecommendDefense)});
+  registry_.Register({"oestimate", WithDataset(tables.oestimate), 0,
+                      compute(&Server::HandleOEstimate)});
+  registry_.Register({"similarity", WithDataset(tables.similarity), 0,
+                      compute(&Server::HandleSimilarity)});
   registry_.Register({"sleep",
-                      {{"millis", Type::kNumber, true}},
-                      kVerbTestOnly,
-                      [this](const Request& req, exec::ExecContext* ctx) {
-                        return HandleSleep(req.params, ctx);
-                      }});
+                      {{"millis", Type::kNumber, true, 3'600'000}},  // 1 h
+                      kVerbTestOnly, compute(&Server::HandleSleep)});
   registry_.Register({"metrics",
                       {},
                       kVerbControl | kVerbObserver,
@@ -751,14 +631,22 @@ void Server::BuildRegistry() {
   registry_.Register({"shutdown", {}, kVerbControl, nullptr});
 }
 
+Result<std::shared_ptr<const CachedDataset>> Server::ResidentDataset(
+    const json::Value& params) {
+  ANONSAFE_ASSIGN_OR_RETURN(std::string key, params.GetString("dataset"));
+  std::shared_ptr<const CachedDataset> ds = cache_.Find(key);
+  if (ds == nullptr) {
+    return Status::NotFound("dataset '" + key +
+                            "' is not resident; call load_dataset first");
+  }
+  return ds;
+}
+
 Result<json::Value> Server::HandleLoadDataset(const json::Value& params) {
   obs::ScopedTimer timer("serve.load_dataset");
   std::string content;
   if (const json::Value* inline_content = params.Find("content")) {
-    if (!inline_content->is_string()) {
-      return Status::InvalidArgument("'content' must be a string");
-    }
-    content = inline_content->AsString();
+    content = inline_content->AsString();  // type-checked upstream
   } else {
     ANONSAFE_ASSIGN_OR_RETURN(std::string path, params.GetString("path"));
     std::ifstream in(path, std::ios::binary);
@@ -785,33 +673,25 @@ Result<json::Value> Server::HandleLoadDataset(const json::Value& params) {
 Result<json::Value> Server::HandleAssessRisk(const json::Value& params,
                                              exec::ExecContext* ctx) {
   obs::ScopedTimer timer("serve.assess_risk");
-  ANONSAFE_ASSIGN_OR_RETURN(std::string key, params.GetString("dataset"));
-  std::shared_ptr<const CachedDataset> ds = cache_.Find(key);
-  if (ds == nullptr) {
-    return Status::NotFound("dataset '" + key +
-                            "' is not resident; call load_dataset first");
-  }
-  // The request's exec params feed both the recipe options (seed, runs)
-  // and the live context (threads, cancellation) — identical to the
-  // one-shot CLI constructing them from flags.
+  ANONSAFE_ASSIGN_OR_RETURN(std::shared_ptr<const CachedDataset> ds,
+                            ResidentDataset(params));
+  // The same binder as the one-shot CLI `report`, so the document is
+  // byte-identical to `report --json` with the matching flags.
+  ANONSAFE_ASSIGN_OR_RETURN(RiskReportOptions options, BindAssessRisk(params));
   ANONSAFE_ASSIGN_OR_RETURN(
-      json::Value report,
-      AssessReportFromParams(*ds, params, ctx->options(), ctx));
+      RiskReport report,
+      BuildRiskReport(ds->data.database, options, ctx, ds->artifacts.get()));
   json::Value result = json::Value::Object();
-  result.Set("dataset", json::Value(key));
-  result.Set("report", std::move(report));
+  result.Set("dataset", json::Value(ds->key));
+  result.Set("report", report.ToJson());
   return result;
 }
 
 Result<json::Value> Server::HandleAssessRiskBatch(const json::Value& params,
                                                   exec::ExecContext* ctx) {
   obs::ScopedTimer timer("serve.assess_risk_batch");
-  ANONSAFE_ASSIGN_OR_RETURN(std::string key, params.GetString("dataset"));
-  std::shared_ptr<const CachedDataset> ds = cache_.Find(key);
-  if (ds == nullptr) {
-    return Status::NotFound("dataset '" + key +
-                            "' is not resident; call load_dataset first");
-  }
+  ANONSAFE_ASSIGN_OR_RETURN(std::shared_ptr<const CachedDataset> ds,
+                            ResidentDataset(params));
   const json::Value& items = *params.Find("items");  // type-checked upstream
   const std::vector<json::Value>& list = items.items();
   if (list.empty()) {
@@ -866,7 +746,7 @@ Result<json::Value> Server::HandleAssessRiskBatch(const json::Value& params,
   json::Value out_items = json::Value::Array();
   for (json::Value& slot : slots) out_items.Append(std::move(slot));
   json::Value result = json::Value::Object();
-  result.Set("dataset", json::Value(key));
+  result.Set("dataset", json::Value(ds->key));
   result.Set("items", std::move(out_items));
   return result;
 }
@@ -874,29 +754,19 @@ Result<json::Value> Server::HandleAssessRiskBatch(const json::Value& params,
 Result<json::Value> Server::HandleRecommendDefense(const json::Value& params,
                                                    exec::ExecContext* ctx) {
   obs::ScopedTimer timer("serve.recommend_defense");
-  ANONSAFE_ASSIGN_OR_RETURN(std::string key, params.GetString("dataset"));
-  std::shared_ptr<const CachedDataset> ds = cache_.Find(key);
-  if (ds == nullptr) {
-    return Status::NotFound("dataset '" + key +
-                            "' is not resident; call load_dataset first");
-  }
-  defense::OptimizerOptions options;
-  ANONSAFE_ASSIGN_OR_RETURN(
-      double cutoff,
-      params.GetNumberOr("ryser_cutoff",
-                         static_cast<double>(options.planner.ryser_cutoff)));
-  options.planner.ryser_cutoff = static_cast<size_t>(cutoff);
-  ANONSAFE_ASSIGN_OR_RETURN(options.planner.prefer_sampler,
-                            params.GetBoolOr("prefer_sampler", false));
+  ANONSAFE_ASSIGN_OR_RETURN(std::shared_ptr<const CachedDataset> ds,
+                            ResidentDataset(params));
+  ANONSAFE_ASSIGN_OR_RETURN(DefenseRequest bound,
+                            BindRecommendDefense(params));
   // The sweep itself parallelizes on the request's context (threads,
   // cancellation, deadline) and seeds every candidate from the request
   // seed — so the `frontier` document is byte-identical to the CLI's
   // `recommend-defense --json` at the same seed, for any thread count.
   ANONSAFE_ASSIGN_OR_RETURN(
       defense::DefenseFrontier frontier,
-      defense::RecommendDefense(ds->data.database, options, ctx));
+      defense::RecommendDefense(ds->data.database, bound.optimizer, ctx));
   json::Value result = json::Value::Object();
-  result.Set("dataset", json::Value(key));
+  result.Set("dataset", json::Value(ds->key));
   result.Set("frontier", frontier.ToJson());
   return result;
 }
@@ -904,24 +774,17 @@ Result<json::Value> Server::HandleRecommendDefense(const json::Value& params,
 Result<json::Value> Server::HandleOEstimate(const json::Value& params,
                                             exec::ExecContext* ctx) {
   obs::ScopedTimer timer("serve.oestimate");
-  ANONSAFE_ASSIGN_OR_RETURN(std::string key, params.GetString("dataset"));
-  std::shared_ptr<const CachedDataset> ds = cache_.Find(key);
-  if (ds == nullptr) {
-    return Status::NotFound("dataset '" + key +
-                            "' is not resident; call load_dataset first");
-  }
-  ANONSAFE_ASSIGN_OR_RETURN(
-      double delta, params.GetNumberOr("delta", ds->groups.MedianGap()));
-  OEstimateOptions options;
-  ANONSAFE_ASSIGN_OR_RETURN(options.propagate,
-                            params.GetBoolOr("propagate", true));
+  ANONSAFE_ASSIGN_OR_RETURN(std::shared_ptr<const CachedDataset> ds,
+                            ResidentDataset(params));
+  ANONSAFE_ASSIGN_OR_RETURN(OEstimateRequest bound, BindOEstimate(params));
+  const double delta = bound.delta.value_or(ds->groups.MedianGap());
   ANONSAFE_ASSIGN_OR_RETURN(BeliefFunction belief,
                             MakeCompliantIntervalBelief(ds->table, delta));
   ANONSAFE_ASSIGN_OR_RETURN(
       OEstimateResult oe,
-      ComputeOEstimate(ds->groups, belief, options, ctx));
+      ComputeOEstimate(ds->groups, belief, bound.oestimate, ctx));
   json::Value result = json::Value::Object();
-  result.Set("dataset", json::Value(key));
+  result.Set("dataset", json::Value(ds->key));
   result.Set("delta", json::Value(delta));
   result.Set("expected_cracks", json::Value(oe.expected_cracks));
   result.Set("fraction", json::Value(oe.fraction));
@@ -936,33 +799,16 @@ Result<json::Value> Server::HandleOEstimate(const json::Value& params,
 Result<json::Value> Server::HandleSimilarity(const json::Value& params,
                                              exec::ExecContext* ctx) {
   obs::ScopedTimer timer("serve.similarity");
-  ANONSAFE_ASSIGN_OR_RETURN(std::string key, params.GetString("dataset"));
-  std::shared_ptr<const CachedDataset> ds = cache_.Find(key);
-  if (ds == nullptr) {
-    return Status::NotFound("dataset '" + key +
-                            "' is not resident; call load_dataset first");
-  }
-  SimilarityOptions options;
-  ANONSAFE_ASSIGN_OR_RETURN(
-      double seed, params.GetNumberOr(
-                       "seed", static_cast<double>(options.exec.seed)));
-  if (seed < 0) return Status::InvalidArgument("seed must be non-negative");
-  options.exec.seed = static_cast<uint64_t>(seed);
-  ANONSAFE_ASSIGN_OR_RETURN(
-      double samples,
-      params.GetNumberOr("samples_per_fraction",
-                         static_cast<double>(options.samples_per_fraction)));
-  if (samples < 1) {
-    return Status::InvalidArgument("samples_per_fraction must be positive");
-  }
-  options.samples_per_fraction = static_cast<size_t>(samples);
+  ANONSAFE_ASSIGN_OR_RETURN(std::shared_ptr<const CachedDataset> ds,
+                            ResidentDataset(params));
+  ANONSAFE_ASSIGN_OR_RETURN(SimilarityOptions options, BindSimilarity(params));
   ANONSAFE_ASSIGN_OR_RETURN(
       std::vector<SimilarityPoint> curve,
       SimilarityBySampling(ds->data.database, options, ctx));
   json::Value points = json::Value::Array();
   for (const SimilarityPoint& p : curve) points.Append(SimilarityPointToJson(p));
   json::Value result = json::Value::Object();
-  result.Set("dataset", json::Value(key));
+  result.Set("dataset", json::Value(ds->key));
   result.Set("curve", std::move(points));
   return result;
 }
@@ -971,7 +817,6 @@ Result<json::Value> Server::HandleSleep(const json::Value& params,
                                         exec::ExecContext* ctx) {
   obs::ScopedTimer timer("serve.sleep");
   ANONSAFE_ASSIGN_OR_RETURN(double millis, params.GetNumber("millis"));
-  if (millis < 0) return Status::InvalidArgument("millis must be >= 0");
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(
                             static_cast<int64_t>(millis));
@@ -1038,6 +883,8 @@ json::Value Server::HandleServerInfo() {
     verb.Set("verb", json::Value(spec.name));
     json::Value params = json::Value::Array();
     for (const ParamSpec& p : spec.params) {
+      // Not repeated per verb: the generic params every compute verb takes.
+      if (FindParam(VerbParams().generic, p.name) != nullptr) continue;
       json::Value param = json::Value::Object();
       param.Set("name", json::Value(p.name));
       param.Set("type", json::Value(JsonTypeName(p.type)));

@@ -196,6 +196,9 @@ class Server {
   void StartShutdown(std::unique_ptr<Job> job);
   void CompleteShutdown(std::unique_ptr<Job> job);
 
+  /// The cached dataset named by the `dataset` param, or NotFound.
+  Result<std::shared_ptr<const CachedDataset>> ResidentDataset(
+      const json::Value& params);
   Result<json::Value> HandleLoadDataset(const json::Value& params);
   Result<json::Value> HandleAssessRisk(const json::Value& params,
                                        exec::ExecContext* ctx);

@@ -1,6 +1,7 @@
 #include "tools/cli.h"
 
 #include <algorithm>
+#include <cctype>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -32,6 +33,7 @@
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "serve/registry.h"
 #include "serve/server.h"
 #include "serve/transport.h"
 #include "util/cpu.h"
@@ -53,16 +55,55 @@ Status RequirePositional(const CliInvocation& cli, size_t count) {
   return Status::OK();
 }
 
-/// Applies `--adversary=name[:k=v,...]` to recipe options; absent flag
-/// leaves the default (interval) untouched.
-Status ApplyAdversaryFlag(const CliInvocation& cli, RecipeOptions* options) {
-  auto it = cli.flags.find("adversary");
-  if (it == cli.flags.end()) return Status::OK();
-  ANONSAFE_ASSIGN_OR_RETURN(adversary::AdversarySpec spec,
-                            adversary::ParseAdversarySpec(it->second));
-  options->adversary = std::move(spec.name);
-  options->adversary_params = std::move(spec.params);
-  return Status::OK();
+/// Flags RunCli handles for every command; never a verb's param.
+constexpr const char* kGlobalFlags[] = {"trace",     "trace-format",
+                                        "trace-out", "metrics-out",
+                                        "log-level", "log-file"};
+
+/// The one converter from a command's `--kebab-name=value` flags to the
+/// JSON params its table declares (`--ryser-cutoff=16` is
+/// `"ryser_cutoff":16`): the object a serve request carries, read by the
+/// same binder. Values are JSON literals except for string params.
+/// Global and render flags pass through; any other flag is
+/// InvalidArgument naming the accepted ones.
+Result<json::Value> ParamsFromFlags(
+    const CliInvocation& cli, const serve::ParamTable& table,
+    std::initializer_list<std::string> render_flags = {}) {
+  json::Value params = json::Value::Object();
+  for (const auto& [flag, text] : cli.flags) {
+    if (std::count(std::begin(kGlobalFlags), std::end(kGlobalFlags), flag) +
+            std::count(render_flags.begin(), render_flags.end(), flag) >
+        0) {
+      continue;
+    }
+    std::string name = flag;
+    std::replace(name.begin(), name.end(), '-', '_');
+    const serve::ParamSpec* spec = serve::FindParam(table, name);
+    if (spec == nullptr || flag.find('_') != std::string::npos) {
+      std::string accepted;
+      for (const serve::ParamSpec& entry : table) {
+        std::string kebab = entry.name;
+        std::replace(kebab.begin(), kebab.end(), '_', '-');
+        accepted += " --" + kebab;
+      }
+      for (const std::string& extra : render_flags) accepted += " --" + extra;
+      return Status::InvalidArgument("unknown flag --" + flag + " for '" +
+                                     cli.command + "'; accepted:" + accepted);
+    }
+    Result<json::Value> value = spec->type == json::Value::Type::kString
+                                    ? json::Value(text)
+                                    : json::Value::Parse(text);
+    // An integer must read back as written: 2^53 + 1 would round.
+    if (!value.ok() || (spec->max_int > 0 &&
+                        json::NumberToString(value->AsDouble()) != text)) {
+      const std::string type =
+          spec->max_int > 0 ? "integer" : serve::JsonTypeName(spec->type);
+      return Status::InvalidArgument("flag --" + flag + " expects type " +
+                                     type + ", got '" + text + "'");
+    }
+    params.Set(spec->name, std::move(*value));
+  }
+  return params;
 }
 
 Status RunStats(const CliInvocation& cli, std::ostream& out) {
@@ -92,23 +133,15 @@ Status RunStats(const CliInvocation& cli, std::ostream& out) {
 
 Status RunAssess(const CliInvocation& cli, std::ostream& out) {
   ANONSAFE_RETURN_IF_ERROR(RequirePositional(cli, 1));
-  ANONSAFE_ASSIGN_OR_RETURN(double tolerance,
-                            FlagAsDouble(cli, "tolerance", 0.1));
-  ANONSAFE_ASSIGN_OR_RETURN(uint64_t seed, FlagAsUint64(cli, "seed", 7));
-  ANONSAFE_ASSIGN_OR_RETURN(uint64_t threads, FlagAsUint64(cli, "threads", 1));
+  ANONSAFE_ASSIGN_OR_RETURN(
+      json::Value params, ParamsFromFlags(cli, serve::VerbParams().recipe));
+  ANONSAFE_ASSIGN_OR_RETURN(RiskReportOptions bound,
+                            serve::BindAssessRisk(params));
+  const RecipeOptions& options = bound.recipe;
   ANONSAFE_ASSIGN_OR_RETURN(LabeledDatabase data,
                             ReadFimiFile(cli.positional[0]));
   ANONSAFE_ASSIGN_OR_RETURN(FrequencyTable table,
                             FrequencyTable::Compute(data.database));
-  RecipeOptions options;
-  options.tolerance = tolerance;
-  options.exec.seed = seed;
-  options.exec.threads = static_cast<size_t>(threads);
-  if (auto it = cli.flags.find("estimator"); it != cli.flags.end()) {
-    ANONSAFE_ASSIGN_OR_RETURN(options.estimator,
-                              ParseEstimatorKind(it->second));
-  }
-  ANONSAFE_RETURN_IF_ERROR(ApplyAdversaryFlag(cli, &options));
   ANONSAFE_ASSIGN_OR_RETURN(RecipeResult result, AssessRisk(table, options));
   out << "decision: " << ToString(result.decision) << "\n"
       << result.Summary() << "\n";
@@ -134,36 +167,36 @@ Status RunAssess(const CliInvocation& cli, std::ostream& out) {
 
 Status RunPlan(const CliInvocation& cli, std::ostream& out) {
   ANONSAFE_RETURN_IF_ERROR(RequirePositional(cli, 1));
+  ANONSAFE_ASSIGN_OR_RETURN(
+      json::Value params, ParamsFromFlags(cli, serve::VerbParams().plan));
+  ANONSAFE_ASSIGN_OR_RETURN(serve::OEstimateRequest belief,
+                            serve::BindOEstimate(params));
+  ANONSAFE_ASSIGN_OR_RETURN(serve::DefenseRequest defense,
+                            serve::BindRecommendDefense(params));
+  ANONSAFE_ASSIGN_OR_RETURN(RiskReportOptions report,
+                            serve::BindAssessRisk(params));
+  const PlannerOptions& options = defense.optimizer.planner;
+  const RecipeOptions& recipe = report.recipe;
   ANONSAFE_ASSIGN_OR_RETURN(LabeledDatabase data,
                             ReadFimiFile(cli.positional[0]));
   ANONSAFE_ASSIGN_OR_RETURN(FrequencyTable table,
                             FrequencyTable::Compute(data.database));
   FrequencyGroups groups = FrequencyGroups::Build(table);
-  ANONSAFE_ASSIGN_OR_RETURN(
-      double delta, FlagAsDouble(cli, "delta", groups.MedianGap()));
-  PlannerOptions options;
-  ANONSAFE_ASSIGN_OR_RETURN(
-      uint64_t cutoff,
-      FlagAsUint64(cli, "ryser-cutoff", options.ryser_cutoff));
-  options.ryser_cutoff = static_cast<size_t>(cutoff);
-  options.prefer_sampler = cli.flags.count("prefer-sampler") > 0;
+  const double delta = belief.delta.value_or(groups.MedianGap());
 
-  adversary::AdversarySpec spec;
-  if (auto it = cli.flags.find("adversary"); it != cli.flags.end()) {
-    ANONSAFE_ASSIGN_OR_RETURN(spec,
-                              adversary::ParseAdversarySpec(it->second));
-  }
-  const adversary::Adversary& adv = *adversary::Adversary::Find(spec.name);
+  const adversary::Adversary& adv =
+      *adversary::Adversary::Find(recipe.adversary);
   if (adv.Describe().weighted) {
     return Status::Unimplemented(
-        "adversary '" + spec.name +
+        "adversary '" + recipe.adversary +
         "' produces weighted models, which the planner does not support; "
         "assess it with --estimator=oe instead");
   }
   // The default interval adversary binds exactly the historical
   // MakeCompliantIntervalBelief(table, delta) call.
   ANONSAFE_ASSIGN_OR_RETURN(adversary::AdversaryModel model,
-                            adv.Bind(table, groups, delta, spec.params));
+                            adv.Bind(table, groups, delta,
+                                     recipe.adversary_params));
   ANONSAFE_ASSIGN_OR_RETURN(
       BipartiteGraph graph,
       BipartiteGraph::Build(groups, model.belief, options.max_edges));
@@ -194,19 +227,13 @@ Status RunPlan(const CliInvocation& cli, std::ostream& out) {
 
 Status RunReport(const CliInvocation& cli, std::ostream& out) {
   ANONSAFE_RETURN_IF_ERROR(RequirePositional(cli, 1));
-  ANONSAFE_ASSIGN_OR_RETURN(double tolerance,
-                            FlagAsDouble(cli, "tolerance", 0.1));
-  ANONSAFE_ASSIGN_OR_RETURN(uint64_t threads, FlagAsUint64(cli, "threads", 1));
+  ANONSAFE_ASSIGN_OR_RETURN(
+      json::Value params,
+      ParamsFromFlags(cli, serve::VerbParams().assess_risk, {"json"}));
+  ANONSAFE_ASSIGN_OR_RETURN(RiskReportOptions options,
+                            serve::BindAssessRisk(params));
   ANONSAFE_ASSIGN_OR_RETURN(LabeledDatabase data,
                             ReadFimiFile(cli.positional[0]));
-  RiskReportOptions options;
-  options.recipe.tolerance = tolerance;
-  options.recipe.exec.threads = static_cast<size_t>(threads);
-  if (auto it = cli.flags.find("estimator"); it != cli.flags.end()) {
-    ANONSAFE_ASSIGN_OR_RETURN(options.recipe.estimator,
-                              ParseEstimatorKind(it->second));
-  }
-  ANONSAFE_RETURN_IF_ERROR(ApplyAdversaryFlag(cli, &options.recipe));
   ANONSAFE_ASSIGN_OR_RETURN(RiskReport report,
                             BuildRiskReport(data.database, options));
   if (cli.flags.count("json") > 0) {
@@ -308,11 +335,13 @@ Status RunServe(const CliInvocation& cli, std::ostream& out) {
 
 Status RunSimilarity(const CliInvocation& cli, std::ostream& out) {
   ANONSAFE_RETURN_IF_ERROR(RequirePositional(cli, 1));
-  ANONSAFE_ASSIGN_OR_RETURN(uint64_t seed, FlagAsUint64(cli, "seed", 11));
+  ANONSAFE_ASSIGN_OR_RETURN(
+      json::Value params,
+      ParamsFromFlags(cli, serve::VerbParams().similarity));
+  ANONSAFE_ASSIGN_OR_RETURN(SimilarityOptions options,
+                            serve::BindSimilarity(params));
   ANONSAFE_ASSIGN_OR_RETURN(LabeledDatabase data,
                             ReadFimiFile(cli.positional[0]));
-  SimilarityOptions options;
-  options.exec.seed = seed;
   ANONSAFE_ASSIGN_OR_RETURN(std::vector<SimilarityPoint> curve,
                             SimilarityBySampling(data.database, options));
   TablePrinter t({"sample %", "mean alpha", "stddev", "delta'_med"});
@@ -587,27 +616,18 @@ Status RunDefend(const CliInvocation& cli, std::ostream& out) {
 
 Status RunRecommendDefense(const CliInvocation& cli, std::ostream& out) {
   ANONSAFE_RETURN_IF_ERROR(RequirePositional(cli, 1));
-  ANONSAFE_ASSIGN_OR_RETURN(uint64_t seed, FlagAsUint64(cli, "seed", 7));
-  ANONSAFE_ASSIGN_OR_RETURN(uint64_t threads, FlagAsUint64(cli, "threads", 1));
+  ANONSAFE_ASSIGN_OR_RETURN(
+      json::Value params,
+      ParamsFromFlags(cli, serve::VerbParams().recommend_defense,
+                      {"json", "csv"}));
+  ANONSAFE_ASSIGN_OR_RETURN(serve::DefenseRequest request,
+                            serve::BindRecommendDefense(params));
   ANONSAFE_ASSIGN_OR_RETURN(LabeledDatabase data,
                             ReadFimiFile(cli.positional[0]));
-
-  defense::OptimizerOptions options;
-  ANONSAFE_ASSIGN_OR_RETURN(
-      uint64_t cutoff,
-      FlagAsUint64(cli, "ryser-cutoff", options.planner.ryser_cutoff));
-  options.planner.ryser_cutoff = static_cast<size_t>(cutoff);
-  if (cli.flags.count("prefer-sampler") > 0) {
-    options.planner.prefer_sampler = true;
-  }
-
-  exec::ExecOptions exec_options;
-  exec_options.seed = seed;
-  exec_options.threads = static_cast<size_t>(threads);
-  exec::ExecContext ctx(exec_options);
+  exec::ExecContext ctx(request.exec);
   ANONSAFE_ASSIGN_OR_RETURN(
       defense::DefenseFrontier frontier,
-      defense::RecommendDefense(data.database, options, &ctx));
+      defense::RecommendDefense(data.database, request.optimizer, &ctx));
 
   if (cli.flags.count("json") > 0) {
     out << frontier.ToJson().Dump() << "\n";
@@ -735,7 +755,9 @@ Result<uint64_t> FlagAsUint64(const CliInvocation& cli,
   if (it == cli.flags.end()) return default_value;
   char* end = nullptr;
   unsigned long long v = std::strtoull(it->second.c_str(), &end, 10);
-  if (end == it->second.c_str() || *end != '\0') {
+  // strtoull would wrap a leading '-' around to a huge value.
+  if (!std::isdigit(static_cast<unsigned char>(it->second[0])) ||
+      *end != '\0') {
     return Status::InvalidArgument("flag --" + key +
                                    " expects an integer, got '" +
                                    it->second + "'");
@@ -826,19 +848,17 @@ std::string CliUsage() {
       "usage: anonsafe <command> [args] [--flags]\n"
       "\n"
       "  stats <file.dat>                      dataset statistics\n"
-      "  assess <file.dat> [--tolerance=0.1] [--threads=1]\n"
-      "         [--estimator=oe|auto|exact|sampler]\n"
-      "         [--adversary=interval|probabilistic|exact_support[:k=v,..]]\n"
+      "  assess <file.dat> [--tolerance=] [--estimator=] [--adversary=]\n"
+      "         [--seed=] [--runs=] [--threads=]\n"
       "                                        Fig. 8 Assess-Risk recipe\n"
       "                                        (see docs/ADVERSARIES.md)\n"
-      "  plan <file.dat> [--delta=] [--ryser-cutoff=20] [--prefer-sampler]\n"
-      "       [--adversary=...]\n"
+      "  plan <file.dat> [--delta=] [--ryser-cutoff=] [--prefer-sampler]\n"
+      "       [--adversary=]\n"
       "                                        preview the estimator plan:\n"
       "                                        per-block method and cost\n"
       "                                        (see docs/ESTIMATORS.md)\n"
-      "  report <file.dat> [--tolerance=0.1] [--threads=1] [--json]\n"
-      "         [--estimator=oe|auto|exact|sampler] [--adversary=...]\n"
-      "                                        full risk report\n"
+      "  report <file.dat> [assess flags] [--include-similarity-curve=]\n"
+      "         [--json]                       full risk report\n"
       "  serve [--port=N] [--workers=1] [--queue-capacity=16]\n"
       "        [--deadline-ms=0] [--cache-capacity=8] [--max-line-bytes=]\n"
       "        [--slow-ms=0] [--flight-recorder=64] [--max-batch-items=256]\n"
@@ -847,15 +867,16 @@ std::string CliUsage() {
       "                                        long-running JSON service\n"
       "                                        (stdio without --port;\n"
       "                                        see docs/SERVER.md)\n"
-      "  similarity <file.dat> [--seed=]       Fig. 13 sampling curve\n"
+      "  similarity <file.dat> [--samples-per-fraction=] [--seed=]\n"
+      "                                        Fig. 13 sampling curve\n"
       "  risk <file.dat> [--top=20]             per-item crack ranking\n"
       "  belief <file.dat> <out.belief> [--delta=]  belief-file template\n"
       "  mine <file.dat> [--algorithm=fpgrowth|apriori|eclat]\n"
       "       [--min-support=0.1] [--min-confidence=0] [--top=20]\n"
       "  attack <file.dat> <belief-file> [--top=10] evaluate a hacker model\n"
       "  defend <in.dat> <out.dat> [--tolerance=0.1] [--mode=merge|suppress]\n"
-      "  recommend-defense <file.dat> [--seed=7] [--threads=1] [--json]\n"
-      "        [--csv[=path]] [--ryser-cutoff=22] [--prefer-sampler]\n"
+      "  recommend-defense <file.dat> [--ryser-cutoff=] [--prefer-sampler]\n"
+      "        [--seed=] [--threads=] [--json] [--csv[=path]]\n"
       "                                        sweep every registered\n"
       "                                        defense scheme and print the\n"
       "                                        risk-utility Pareto frontier\n"
@@ -865,9 +886,13 @@ std::string CliUsage() {
       "        BENCHMARK: CONNECT PUMSB ACCIDENTS RETAIL MUSHROOM CHESS\n"
       "  help\n"
       "\n"
+      "Shared flags (assess, plan, report, similarity, recommend-defense)\n"
+      "are the serve params of the same names, --kebab-case here and\n"
+      "snake_case in JSON (--ryser-cutoff=16 is \"ryser_cutoff\":16); see\n"
+      "docs/SERVER.md for each type, default and range. Unknown flags and\n"
+      "out-of-range integers are errors. --threads=0 uses all cores.\n"
+      "\n"
       "Global flags (any command):\n"
-      "  --threads=N           worker threads for parallel phases (0 = all\n"
-      "                        cores); results are identical for any N\n"
       "  --trace               print a per-phase timing tree after the run\n"
       "  --trace-format=<fmt>  trace output format: table (default), json,\n"
       "                        or chrome (Perfetto-loadable trace events);\n"

@@ -29,22 +29,19 @@ Result<CliInvocation> ParseCli(const std::vector<std::string>& args);
 Result<double> FlagAsDouble(const CliInvocation& cli, const std::string& key,
                             double default_value);
 
-/// \brief Reads a uint64 flag with a default; InvalidArgument on garbage.
+/// \brief Reads a uint64 flag with a default; InvalidArgument unless the
+/// value is plain decimal digits (no sign).
 Result<uint64_t> FlagAsUint64(const CliInvocation& cli,
                               const std::string& key,
                               uint64_t default_value);
 
 /// \brief Executes a parsed invocation, writing human-readable output to
-/// `out`. Subcommands:
+/// `out` (see CliUsage for the subcommands).
 ///
-///   stats <file.dat>                    dataset & frequency-group stats
-///   assess <file.dat> [--tolerance=]    the Fig. 8 Assess-Risk recipe
-///   report <file.dat> [--tolerance=]    full risk report (+ Fig. 13 curve)
-///   similarity <file.dat>               the Fig. 13 sampling curve
-///   anonymize <in.dat> <out.dat> [--seed=]   write an anonymized copy
-///   generate <BENCHMARK> <out.dat> [--scale=] [--seed=]
-///                                       synthesize a benchmark stand-in
-///   help                                usage
+/// `assess`, `report`, `plan`, `recommend-defense` and `similarity` bind
+/// their flags through the serve verbs' param tables and binders
+/// (`serve/registry.h`; `--ryser-cutoff` is `ryser_cutoff`), so an
+/// unknown flag on them is InvalidArgument.
 ///
 /// Global flags understood on every subcommand:
 ///

@@ -6,6 +6,7 @@
 
 #include "data/fimi_io.h"
 #include "data/frequency.h"
+#include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "tools/cli.h"
@@ -42,7 +43,7 @@ TEST(CliParseTest, EmptyArgsFail) {
 }
 
 TEST(CliParseTest, FlagAccessors) {
-  auto cli = ParseCli({"x", "--a=1.5", "--b=7", "--bad=zz"});
+  auto cli = ParseCli({"x", "--a=1.5", "--b=7", "--bad=zz", "--neg=-1"});
   ASSERT_TRUE(cli.ok());
   auto d = FlagAsDouble(*cli, "a", 0.0);
   ASSERT_TRUE(d.ok());
@@ -55,6 +56,8 @@ TEST(CliParseTest, FlagAccessors) {
   EXPECT_EQ(*u, 7u);
   EXPECT_TRUE(FlagAsDouble(*cli, "bad", 0.0).status().IsInvalidArgument());
   EXPECT_TRUE(FlagAsUint64(*cli, "bad", 0).status().IsInvalidArgument());
+  // strtoull alone would wrap -1 around to 2^64 - 1.
+  EXPECT_TRUE(FlagAsUint64(*cli, "neg", 0).status().IsInvalidArgument());
 }
 
 // ---------------------------------------------------------------- Commands
@@ -411,6 +414,116 @@ TEST(CliRunTest, ReportJsonCarriesAdversaryProvenance) {
   EXPECT_NE(out.str().find("\"adversary_params\":{\"k\":2}"),
             std::string::npos)
       << out.str();
+}
+
+// ------------------------------------------------------------ Typed flags
+
+Status RunArgs(const std::vector<std::string>& args, std::string* text) {
+  auto cli = ParseCli(args);
+  if (!cli.ok()) return cli.status();
+  std::ostringstream out;
+  Status status = RunCli(*cli, out);
+  if (text != nullptr) *text = out.str();
+  return status;
+}
+
+TEST(CliFlagsTest, NegativeIntegerIsRejected) {
+  const std::string path = TempPath("cli_flags_neg.dat");
+  WriteSampleFile(path);
+  // strtoull would wrap -1 to 2^64-1 threads.
+  Status status = RunArgs({"assess", path, "--threads=-1"}, nullptr);
+  EXPECT_TRUE(status.IsInvalidArgument()) << status;
+  EXPECT_TRUE(RunArgs({"report", path, "--seed=9007199254740993"}, nullptr)
+                  .IsInvalidArgument());
+  EXPECT_TRUE(RunArgs({"report", path, "--seed=2.5"}, nullptr)
+                  .IsInvalidArgument());
+  EXPECT_TRUE(RunArgs({"similarity", path, "--samples-per-fraction=x"},
+                      nullptr)
+                  .IsInvalidArgument());
+}
+
+TEST(CliFlagsTest, BoolFlagsTakeTheirValue) {
+  const std::string path = TempPath("cli_flags_bool.dat");
+  WriteSampleFile(path);
+  // Cutoff 1 sends this fixture's one six-item block to the fallback,
+  // which --prefer-sampler turns from the O-estimate into the sampler.
+  std::string off, bare, on;
+  ASSERT_TRUE(RunArgs({"plan", path, "--ryser-cutoff=1",
+                       "--prefer-sampler=false"},
+                      &off)
+                  .ok());
+  ASSERT_TRUE(RunArgs({"plan", path, "--ryser-cutoff=1", "--prefer-sampler"},
+                      &bare)
+                  .ok());
+  ASSERT_TRUE(RunArgs({"plan", path, "--ryser-cutoff=1",
+                       "--prefer-sampler=true"},
+                      &on)
+                  .ok());
+  EXPECT_EQ(off.find("sampler"), std::string::npos) << off;
+  EXPECT_NE(bare.find("sampler"), std::string::npos) << bare;
+  EXPECT_EQ(bare, on);
+  EXPECT_TRUE(RunArgs({"plan", path, "--prefer-sampler=yes"}, nullptr)
+                  .IsInvalidArgument());
+}
+
+TEST(CliFlagsTest, UnknownFlagNamesTheAcceptedOnes) {
+  const std::string path = TempPath("cli_flags_unknown.dat");
+  WriteSampleFile(path);
+  Status status = RunArgs({"report", path, "--sed=3"}, nullptr);
+  ASSERT_TRUE(status.IsInvalidArgument()) << status;
+  EXPECT_NE(status.message().find("--sed"), std::string::npos);
+  EXPECT_NE(status.message().find("--seed"), std::string::npos);
+  EXPECT_NE(status.message().find("--json"), std::string::npos);
+  // Snake case is the JSON spelling, not a flag.
+  EXPECT_TRUE(RunArgs({"plan", path, "--ryser_cutoff=16"}, nullptr)
+                  .IsInvalidArgument());
+  // A render flag belongs to the verbs that render it.
+  EXPECT_TRUE(RunArgs({"assess", path, "--json"}, nullptr)
+                  .IsInvalidArgument());
+  // --threads is a flag of the verbs that run in parallel only.
+  EXPECT_TRUE(RunArgs({"similarity", path, "--threads=2"}, nullptr)
+                  .IsInvalidArgument());
+}
+
+TEST(CliFlagsTest, GlobalAndRenderFlagsStayAccepted) {
+  ObsSwitchGuard guard;
+  const std::string path = TempPath("cli_flags_global.dat");
+  const std::string csv = TempPath("cli_flags_global.csv");
+  const std::string log = TempPath("cli_flags_global.log");
+  WriteSampleFile(path);
+  const obs::LogLevel level = obs::GetLogLevel();
+  EXPECT_TRUE(RunArgs({"report", path, "--json", "--trace-format=json",
+                       "--metrics-out=" + TempPath("cli_flags_m.json"),
+                       "--log-level=info", "--log-file=" + log},
+                      nullptr)
+                  .ok());
+  obs::SetLogLevel(level);
+  ASSERT_TRUE(obs::SetLogFile("").ok());
+  EXPECT_TRUE(RunArgs({"recommend-defense", path, "--csv=" + csv,
+                       "--trace"},
+                      nullptr)
+                  .ok());
+  EXPECT_TRUE(RunArgs({"recommend-defense", path, "--json"}, nullptr).ok());
+}
+
+TEST(CliFlagsTest, RecipeKnobsReachTheRecipe) {
+  const std::string path = TempPath("cli_flags_runs.dat");
+  WriteSampleFile(path);
+  // Zero α-probe runs is a recipe error, so these fail only if the flag
+  // reached the recipe options.
+  EXPECT_TRUE(RunArgs({"assess", path, "--tolerance=0.05", "--runs=0"},
+                      nullptr)
+                  .IsInvalidArgument());
+  EXPECT_TRUE(RunArgs({"report", path, "--tolerance=0.05", "--runs=0"},
+                      nullptr)
+                  .IsInvalidArgument());
+  std::string with_curve, without_curve;
+  ASSERT_TRUE(RunArgs({"report", path, "--json"}, &with_curve).ok());
+  ASSERT_TRUE(RunArgs({"report", path, "--json",
+                       "--include-similarity-curve=false"},
+                      &without_curve)
+                  .ok());
+  EXPECT_LT(without_curve.size(), with_curve.size());
 }
 
 }  // namespace

@@ -207,11 +207,9 @@ TEST(OptimizerTest, ToJsonDocumentShape) {
 }
 
 TEST(OptimizerTest, WorksWithoutContext) {
-  // Null context: sequential sweep with options.seed.
+  // Null context: sequential sweep at the default exec options (seed 7).
   Database db = FixtureDb();
-  OptimizerOptions options;
-  options.seed = 7;
-  auto a = RecommendDefense(db, options);
+  auto a = RecommendDefense(db, OptimizerOptions{});
   auto b = Sweep(db, 1, 7);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());

@@ -31,8 +31,13 @@ namespace {
 constexpr char kDataset[] =
     "0 1 2\n0 1\n1 2 3\n0 2 3\n1 3\n0 1 3\n2 3\n0 3\n1 2\n0 1 2 3\n";
 
+// One file per test: ctest runs the tests of this binary concurrently,
+// and a shared path could be read while another test rewrites it.
 std::string WriteDatasetFile() {
-  const std::string path = ::testing::TempDir() + "/serve_test.dat";
+  const std::string path =
+      ::testing::TempDir() + "/serve_test_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".dat";
   std::ofstream out(path);
   out << kDataset;
   return path;
@@ -276,6 +281,35 @@ TEST(ServeTest, UnknownEstimatorIsInvalidParams) {
                "\",\"estimator\":\"frobnicate\"}}");
   EXPECT_FALSE(IsOk(response));
   EXPECT_EQ(ErrorCode(response), kErrInvalidParams);
+}
+
+// Integer params carry a range: a number outside it, or not whole, is
+// invalid_params before any cast — never an aborted process (threads,
+// runs), an instantly expired deadline or a silently truncated value —
+// and the server answers the next request normally.
+TEST(ServeTest, OutOfRangeNumbersAreInvalidParams) {
+  Server server;
+  const std::string key = LoadDataset(server);
+  const std::string assess =
+      "{\"schema_version\":1,\"verb\":\"assess_risk\","
+      "\"params\":{\"dataset\":\"" + key + "\"";
+  for (const char* bad :
+       {"\"threads\":1e12", "\"runs\":1e15", "\"deadline_ms\":1e300",
+        "\"seed\":1e30", "\"seed\":2.5", "\"threads\":0.5",
+        "\"threads\":-1"}) {
+    json::Value response = Send(server, assess + "," + bad + "}}");
+    EXPECT_EQ(ErrorCode(response), kErrInvalidParams) << bad;
+    EXPECT_TRUE(IsOk(Send(server, assess + "}}"))) << "after " << bad;
+  }
+  // The bounds admit every value in use: seeds up to 2^53, threads at
+  // nproc and 8.
+  EXPECT_TRUE(IsOk(Send(server, assess + ",\"seed\":9007199254740992}}")));
+  EXPECT_TRUE(IsOk(Send(server, assess + ",\"threads\":8}}")));
+  EXPECT_TRUE(IsOk(Send(
+      server,
+      assess + ",\"threads\":" +
+          std::to_string(std::max(1u, std::thread::hardware_concurrency())) +
+          "}}")));
 }
 
 // The tentpole acceptance criterion: the serve response embeds the exact

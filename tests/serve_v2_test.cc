@@ -140,18 +140,23 @@ TEST(ServeBatchTest, PerItemErrorEnvelopes) {
           "{\"estimator\":\"frobnicator\"},"  // unknown estimator
           "{\"tolerance\":\"loose\"},"        // wrong type
           "42,"                               // not an object
-          "{\"deadline_ms\":5}"               // request-level param
+          "{\"deadline_ms\":5},"              // request-level param
+          "{\"threads\":1e12}"                // out of range
           "]}}");
   ASSERT_TRUE(IsOk(batch));  // the batch itself succeeds
   const json::Value* items = batch.Find("result")->Find("items");
   ASSERT_NE(items, nullptr);
-  ASSERT_EQ(items->items().size(), 5u);
+  ASSERT_EQ(items->items().size(), 6u);
   EXPECT_TRUE(IsOk(items->items()[0]));
-  for (size_t i = 1; i < 5; ++i) {
+  for (size_t i = 1; i < 6; ++i) {
     const json::Value& env = items->items()[i];
     EXPECT_FALSE(IsOk(env)) << "item " << i;
     EXPECT_EQ(ErrorCode(env), kErrInvalidParams) << "item " << i;
   }
+  // The server keeps serving.
+  EXPECT_TRUE(IsOk(Send(server,
+                        "{\"schema_version\":2,\"verb\":\"assess_risk\","
+                        "\"params\":{\"dataset\":\"" + key + "\"}}")));
 }
 
 TEST(ServeBatchTest, BatchVerbRequiresV2Envelope) {
