@@ -59,11 +59,14 @@ int main() {
       return 1;
     }
 
+    const AlphaCompliancySweep::ProbeCache cache =
+        sweep->MakeProbeCache(ds->groups);
+
     TablePrinter table({"alpha", "OE fraction", "sim fraction",
                         "over tau=0.1?"});
     double alpha_max = 0.0;
     for (double alpha : alphas) {
-      auto avg = sweep->AverageOEstimate(ds->groups, alpha);
+      auto avg = sweep->AverageOEstimate(ds->groups, cache, alpha);
       if (!avg.ok()) {
         std::cerr << avg.status() << "\n";
         return 1;

@@ -293,17 +293,6 @@ void BM_MineFPGrowth(benchmark::State& state) {
 }
 BENCHMARK(BM_MineFPGrowth)->Range(512, 4096);
 
-void BM_MineEclat(benchmark::State& state) {
-  Database db = QuestFixture(static_cast<size_t>(state.range(0)));
-  MiningOptions options;
-  options.min_support = 0.05;
-  for (auto _ : state) {
-    auto result = MineEclat(db, options);
-    benchmark::DoNotOptimize(result->size());
-  }
-}
-BENCHMARK(BM_MineEclat)->Range(512, 4096);
-
 }  // namespace
 }  // namespace anonsafe
 

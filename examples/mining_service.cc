@@ -105,7 +105,7 @@ int main() {
   if (!hot.ok()) return Fail(hot.status());
   std::vector<bool> interest(db->num_items(), false);
   for (ItemId x : *hot) interest[x] = true;
-  auto hot_oe = ComputeOEstimateRestricted(groups, *belief, interest);
+  auto hot_oe = ComputeOEstimate(groups, *belief, {}, nullptr, &interest);
   if (!hot_oe.ok()) return Fail(hot_oe.status());
   std::cout << "  ...restricted to the " << hot->size()
             << " best-selling items:              " << hot_oe->expected_cracks

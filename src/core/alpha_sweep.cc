@@ -50,11 +50,6 @@ Result<AlphaCompliantBelief> AlphaCompliancySweep::BeliefAt(
                               " out of range (sweep has " +
                               std::to_string(num_runs()) + " runs)");
   }
-  return BeliefAtImpl(run, alpha);
-}
-
-AlphaCompliantBelief AlphaCompliancySweep::BeliefAtImpl(size_t run,
-                                                        double alpha) const {
   alpha = std::clamp(alpha, 0.0, 1.0);
   const size_t n = num_items();
   const auto num_compliant = static_cast<size_t>(
@@ -119,112 +114,36 @@ Result<double> AlphaCompliancySweep::RunOEstimateFromCache(
     }
   }
   obs::CountIf("anonsafe_stab_cache_hits_total", n);
-  if (weights != nullptr) {
-    ANONSAFE_ASSIGN_OR_RETURN(
-        OEstimateResult oe,
-        ComputeOEstimateFromRangesWeighted(observed, ranges.vec(), mask,
-                                           *weights, options));
-    return oe.expected_cracks;
-  }
   ANONSAFE_ASSIGN_OR_RETURN(
       OEstimateResult oe,
-      ComputeOEstimateFromRanges(observed, ranges.vec(), mask, options));
+      ComputeOEstimateCore(observed, ranges.vec(), &mask, weights, options));
   return oe.expected_cracks;
 }
 
 Result<double> AlphaCompliancySweep::AverageOEstimate(
     const FrequencyGroups& observed, const ProbeCache& cache, double alpha,
     const OEstimateOptions& options, exec::ExecContext* ctx,
-    const std::vector<adversary::ItemWeight>* weights) const {
+    const std::vector<adversary::ItemWeight>* weights,
+    const std::vector<bool>* interest) const {
   ANONSAFE_SCOPED_TIMER("core.alpha_sweep_avg");
   if (cache.base.size() != num_items() ||
       cache.displaced.size() != num_items()) {
     return Status::InvalidArgument("probe cache size mismatch");
   }
-  if (weights != nullptr && weights->size() != num_items()) {
-    return Status::InvalidArgument("adversary weights size mismatch");
-  }
-  ANONSAFE_ASSIGN_OR_RETURN(
-      double sum, exec::ParallelSumChunks(
-                      ctx, num_runs(), /*grain=*/1,
-                      [&](size_t begin, size_t /*end*/) -> Result<double> {
-                        return RunOEstimateFromCache(observed, cache, begin,
-                                                     alpha, nullptr, weights,
-                                                     options);
-                      }));
-  return sum / static_cast<double>(num_runs());
-}
-
-Result<double> AlphaCompliancySweep::AverageOEstimateForItems(
-    const FrequencyGroups& observed, const ProbeCache& cache, double alpha,
-    const std::vector<bool>& interest, const OEstimateOptions& options,
-    exec::ExecContext* ctx) const {
-  ANONSAFE_SCOPED_TIMER("core.alpha_sweep_avg");
-  if (cache.base.size() != num_items() ||
-      cache.displaced.size() != num_items()) {
-    return Status::InvalidArgument("probe cache size mismatch");
-  }
-  if (interest.size() != num_items()) {
+  if (interest != nullptr && interest->size() != num_items()) {
     return Status::InvalidArgument("interest mask size mismatch");
   }
-  ANONSAFE_ASSIGN_OR_RETURN(
-      double sum, exec::ParallelSumChunks(
-                      ctx, num_runs(), /*grain=*/1,
-                      [&](size_t begin, size_t /*end*/) -> Result<double> {
-                        return RunOEstimateFromCache(observed, cache, begin,
-                                                     alpha, &interest,
-                                                     /*weights=*/nullptr,
-                                                     options);
-                      }));
-  return sum / static_cast<double>(num_runs());
-}
-
-Result<double> AlphaCompliancySweep::AverageOEstimate(
-    const FrequencyGroups& observed, double alpha,
-    const OEstimateOptions& options, exec::ExecContext* ctx) const {
-  ANONSAFE_SCOPED_TIMER("core.alpha_sweep_avg");
   // One run per chunk: runs are independent and each is a full graph
   // build, so the unit of work is already coarse. The inner O-estimate
   // runs sequentially (ctx = nullptr) — the parallelism lives here.
   ANONSAFE_ASSIGN_OR_RETURN(
-      double sum,
-      exec::ParallelSumChunks(
-          ctx, num_runs(), /*grain=*/1,
-          [&](size_t begin, size_t /*end*/) -> Result<double> {
-            AlphaCompliantBelief ab = BeliefAtImpl(begin, alpha);
-            ANONSAFE_ASSIGN_OR_RETURN(
-                OEstimateResult oe,
-                ComputeOEstimateRestricted(observed, ab.belief,
-                                           ab.compliant_mask, options));
-            return oe.expected_cracks;
-          }));
-  return sum / static_cast<double>(num_runs());
-}
-
-Result<double> AlphaCompliancySweep::AverageOEstimateForItems(
-    const FrequencyGroups& observed, double alpha,
-    const std::vector<bool>& interest,
-    const OEstimateOptions& options, exec::ExecContext* ctx) const {
-  if (interest.size() != num_items()) {
-    return Status::InvalidArgument("interest mask size mismatch");
-  }
-  ANONSAFE_SCOPED_TIMER("core.alpha_sweep_avg");
-  ANONSAFE_ASSIGN_OR_RETURN(
-      double sum,
-      exec::ParallelSumChunks(
-          ctx, num_runs(), /*grain=*/1,
-          [&](size_t begin, size_t /*end*/) -> Result<double> {
-            AlphaCompliantBelief ab = BeliefAtImpl(begin, alpha);
-            std::vector<bool> mask(num_items());
-            for (size_t x = 0; x < num_items(); ++x) {
-              mask[x] = ab.compliant_mask[x] && interest[x];
-            }
-            ANONSAFE_ASSIGN_OR_RETURN(
-                OEstimateResult oe,
-                ComputeOEstimateRestricted(observed, ab.belief, mask,
-                                           options));
-            return oe.expected_cracks;
-          }));
+      double sum, exec::ParallelSumChunks(
+                      ctx, num_runs(), /*grain=*/1,
+                      [&](size_t begin, size_t /*end*/) -> Result<double> {
+                        return RunOEstimateFromCache(observed, cache, begin,
+                                                     alpha, interest, weights,
+                                                     options);
+                      }));
   return sum / static_cast<double>(num_runs());
 }
 

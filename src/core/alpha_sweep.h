@@ -58,58 +58,31 @@ class AlphaCompliancySweep {
   Result<AlphaCompliantBelief> BeliefAt(size_t run, double alpha) const;
 
   /// \brief Average over runs of the α-restricted O-estimate (absolute
-  /// expected cracks, Section 5.3).
-  ///
-  /// With a non-null `ctx` the independent runs evaluate on the pool;
-  /// per-run estimates land in fixed slots and are combined with a
-  /// fixed-order pairwise sum, so the average is bit-identical for any
-  /// thread count.
-  Result<double> AverageOEstimate(const FrequencyGroups& observed,
-                                  double alpha,
-                                  const OEstimateOptions& options = {},
-                                  exec::ExecContext* ctx = nullptr) const;
-
-  /// \brief Cached variant: identical value (bit-for-bit) to the overload
-  /// above, but each run replays the precomputed stab ranges instead of
-  /// re-stabbing every interval and materializing a belief function.
+  /// expected cracks, Section 5.3). Each run replays the precomputed
+  /// stab ranges — items before its α cut take the base range, the rest
+  /// the displaced one — and sums only its compliant items.
   /// `cache` must come from `MakeProbeCache(observed)`.
   ///
   /// `weights` (optional) carries a weighted adversary model's per-item
   /// weights: compliant items are then summed with the weighted
   /// outdegree instead of 1/O_x. Displaced items are masked out of the
   /// sum either way, so their (base-range-aligned) weights never apply
-  /// to a displaced range. Null reproduces the historical uniform path
-  /// bit-for-bit.
+  /// to a displaced range. `interest` (optional) further restricts each
+  /// run's sum to compliant ∧ interesting items (the Lemma 4 "items of
+  /// interest" scenario).
+  ///
+  /// With a non-null `ctx` the independent runs evaluate on the pool;
+  /// per-run estimates land in fixed slots and are combined with a
+  /// fixed-order pairwise sum, so the average is bit-identical for any
+  /// thread count.
   Result<double> AverageOEstimate(
       const FrequencyGroups& observed, const ProbeCache& cache, double alpha,
       const OEstimateOptions& options = {}, exec::ExecContext* ctx = nullptr,
-      const std::vector<adversary::ItemWeight>* weights = nullptr) const;
-
-  /// \brief Same, but additionally restricted to items with
-  /// `interest[x]` true (the Lemma 4 "items of interest" scenario): each
-  /// run sums only over compliant ∧ interesting items.
-  Result<double> AverageOEstimateForItems(
-      const FrequencyGroups& observed, double alpha,
-      const std::vector<bool>& interest,
-      const OEstimateOptions& options = {},
-      exec::ExecContext* ctx = nullptr) const;
-
-  /// \brief Cached variant of `AverageOEstimateForItems` (see the cached
-  /// `AverageOEstimate` overload).
-  Result<double> AverageOEstimateForItems(
-      const FrequencyGroups& observed, const ProbeCache& cache, double alpha,
-      const std::vector<bool>& interest,
-      const OEstimateOptions& options = {},
-      exec::ExecContext* ctx = nullptr) const;
+      const std::vector<adversary::ItemWeight>* weights = nullptr,
+      const std::vector<bool>* interest = nullptr) const;
 
  private:
-  /// BeliefAt without the run bounds check, for internal loops over
-  /// valid run indices.
-  AlphaCompliantBelief BeliefAtImpl(size_t run, double alpha) const;
-
-  /// Shared core of the cached overloads: one run's restricted
-  /// O-estimate from replayed stab ranges (weighted when `weights` is
-  /// non-null).
+  /// One run's restricted O-estimate from replayed stab ranges.
   Result<double> RunOEstimateFromCache(
       const FrequencyGroups& observed, const ProbeCache& cache, size_t run,
       double alpha, const std::vector<bool>* interest,

@@ -1,25 +1,58 @@
 #include "core/oestimate.h"
 
 #include "exec/exec.h"
+#include "exec/scratch.h"
 #include "graph/consistency.h"
 #include "obs/scoped_timer.h"
 
 namespace anonsafe {
 namespace {
 
-/// Shared tail: propagation + restricted crack-probability sum over a
-/// built structure. Both the belief-driven and the precomputed-ranges
-/// entry points land here, so the paths cannot drift apart numerically.
-///
-/// With null `weights` each alive item contributes the paper's uniform
-/// 1/O_x. With weights (a weighted adversary model) it contributes
-/// w_x(g_x) / Σ_{g ∈ range} w_x(g)·remaining(g) — the weighted
-/// outdegree, which is exactly 1/O_x when all weights are equal.
-Result<OEstimateResult> FinishImpl(
-    ConsistencyStructure cs, const std::vector<bool>* include,
+/// The adapters' half: stab every item's interval against the groups,
+/// then run the core. Chunks write disjoint slots, so the ranges are
+/// identical for any thread count; the buffer is recycled through the
+/// thread-local scratch pool. The stab phase is the first half of the
+/// consistency build, hence the span name.
+Result<OEstimateResult> StabAndEstimate(
+    const FrequencyGroups& observed, const BeliefFunction& belief,
+    const std::vector<adversary::ItemWeight>* weights,
+    const OEstimateOptions& options, exec::ExecContext* ctx,
+    const std::vector<bool>* include) {
+  const size_t n = belief.num_items();
+  exec::ScratchVec<ItemStabRange> ranges(n);
+  {
+    ANONSAFE_SCOPED_TIMER("graph.consistency_build");
+    const size_t grain = ctx != nullptr ? ctx->ResolveGrain(2048) : n;
+    ANONSAFE_RETURN_IF_ERROR(exec::ParallelForChunks(
+        ctx, n, grain, [&](size_t begin, size_t end) {
+          for (size_t i = begin; i < end; ++i) {
+            const BeliefInterval& iv = belief.interval(static_cast<ItemId>(i));
+            ranges[i] = observed.Stab(iv.lo, iv.hi);
+          }
+          return Status::OK();
+        }));
+  }
+  return ComputeOEstimateCore(observed, ranges.vec(), include, weights,
+                              options, ctx);
+}
+
+}  // namespace
+
+Result<OEstimateResult> ComputeOEstimateCore(
+    const FrequencyGroups& observed, const std::vector<ItemStabRange>& ranges,
+    const std::vector<bool>* include,
     const std::vector<adversary::ItemWeight>* weights,
     const OEstimateOptions& options, exec::ExecContext* ctx) {
   obs::ScopedTimer timer("core.oestimate");
+  if (include != nullptr && include->size() != ranges.size()) {
+    return Status::InvalidArgument("include mask size mismatch");
+  }
+  if (weights != nullptr && weights->size() != ranges.size()) {
+    return Status::InvalidArgument("adversary weights size mismatch");
+  }
+  ANONSAFE_ASSIGN_OR_RETURN(
+      ConsistencyStructure cs,
+      ConsistencyStructure::BuildFromRanges(observed, ranges));
   OEstimateResult out;
   if (options.propagate) {
     ConsistencyStructure::PropagationStats stats = cs.PropagateDegreeOne();
@@ -92,88 +125,22 @@ Result<OEstimateResult> FinishImpl(
   return out;
 }
 
-Result<OEstimateResult> ComputeImpl(const FrequencyGroups& observed,
-                                    const BeliefFunction& belief,
-                                    const std::vector<bool>* include,
-                                    const OEstimateOptions& options,
-                                    exec::ExecContext* ctx) {
-  if (include != nullptr && include->size() != belief.num_items()) {
-    return Status::InvalidArgument("include mask size mismatch");
-  }
-  ANONSAFE_ASSIGN_OR_RETURN(
-      ConsistencyStructure cs,
-      ConsistencyStructure::Build(observed, belief, ctx));
-  return FinishImpl(std::move(cs), include, /*weights=*/nullptr, options,
-                    ctx);
-}
-
-Status CheckWeights(const std::vector<adversary::ItemWeight>& weights,
-                    size_t num_items) {
-  if (weights.size() != num_items) {
-    return Status::InvalidArgument("adversary weights size mismatch");
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
 Result<OEstimateResult> ComputeOEstimate(const FrequencyGroups& observed,
                                          const BeliefFunction& belief,
                                          const OEstimateOptions& options,
-                                         exec::ExecContext* ctx) {
-  return ComputeImpl(observed, belief, nullptr, options, ctx);
-}
-
-Result<OEstimateResult> ComputeOEstimateRestricted(
-    const FrequencyGroups& observed, const BeliefFunction& belief,
-    const std::vector<bool>& include, const OEstimateOptions& options,
-    exec::ExecContext* ctx) {
-  return ComputeImpl(observed, belief, &include, options, ctx);
-}
-
-Result<OEstimateResult> ComputeOEstimateFromRanges(
-    const FrequencyGroups& observed,
-    const std::vector<ItemStabRange>& ranges,
-    const std::vector<bool>& include, const OEstimateOptions& options,
-    exec::ExecContext* ctx) {
-  if (include.size() != ranges.size()) {
-    return Status::InvalidArgument("include mask size mismatch");
-  }
-  ANONSAFE_ASSIGN_OR_RETURN(
-      ConsistencyStructure cs,
-      ConsistencyStructure::BuildFromRanges(observed, ranges));
-  return FinishImpl(std::move(cs), &include, /*weights=*/nullptr, options,
-                    ctx);
+                                         exec::ExecContext* ctx,
+                                         const std::vector<bool>* include) {
+  return StabAndEstimate(observed, belief, /*weights=*/nullptr, options, ctx,
+                         include);
 }
 
 Result<OEstimateResult> ComputeOEstimateForModel(
     const FrequencyGroups& observed, const adversary::AdversaryModel& model,
-    const OEstimateOptions& options, exec::ExecContext* ctx) {
-  if (!model.weighted()) {
-    return ComputeOEstimate(observed, model.belief, options, ctx);
-  }
-  ANONSAFE_RETURN_IF_ERROR(
-      CheckWeights(model.weights, model.belief.num_items()));
-  ANONSAFE_ASSIGN_OR_RETURN(
-      ConsistencyStructure cs,
-      ConsistencyStructure::Build(observed, model.belief, ctx));
-  return FinishImpl(std::move(cs), nullptr, &model.weights, options, ctx);
-}
-
-Result<OEstimateResult> ComputeOEstimateFromRangesWeighted(
-    const FrequencyGroups& observed,
-    const std::vector<ItemStabRange>& ranges,
-    const std::vector<bool>& include,
-    const std::vector<adversary::ItemWeight>& weights,
-    const OEstimateOptions& options, exec::ExecContext* ctx) {
-  if (include.size() != ranges.size()) {
-    return Status::InvalidArgument("include mask size mismatch");
-  }
-  ANONSAFE_RETURN_IF_ERROR(CheckWeights(weights, ranges.size()));
-  ANONSAFE_ASSIGN_OR_RETURN(
-      ConsistencyStructure cs,
-      ConsistencyStructure::BuildFromRanges(observed, ranges));
-  return FinishImpl(std::move(cs), &include, &weights, options, ctx);
+    const OEstimateOptions& options, exec::ExecContext* ctx,
+    const std::vector<bool>* include) {
+  return StabAndEstimate(observed, model.belief,
+                         model.weighted() ? &model.weights : nullptr, options,
+                         ctx, include);
 }
 
 }  // namespace anonsafe

@@ -45,73 +45,62 @@ struct OEstimateResult {
   double fraction = 0.0;
 };
 
-/// \brief Computes the O-estimate OE(β, D) of the expected number of
-/// cracks for a general interval belief function (Section 5.1, Fig. 5).
+/// \brief The O-estimate core: OE(β, D) = Σ_x p_x over the counted items
+/// (Section 5.1, Fig. 5), from per-item stab ranges (`observed.Stab` of
+/// each item's belief interval). Every O-estimate ends here: the two
+/// adapters below stab their intervals first, and the α bisection
+/// replays cached ranges (`AlphaCompliancySweep::MakeProbeCache`).
 ///
 /// Runs in O(n log n) on top of the observed frequency groups: each
 /// item's candidate set is a contiguous group range, outdegrees are
 /// prefix-sum lookups, and propagation (when enabled) refines them.
-/// With a non-null `ctx` the graph build and the per-item outdegree
-/// reads run on the pool; the reduction uses fixed per-chunk slots, so
-/// the result is bit-identical for any thread count.
-Result<OEstimateResult> ComputeOEstimate(const FrequencyGroups& observed,
-                                         const BeliefFunction& belief,
-                                         const OEstimateOptions& options = {},
-                                         exec::ExecContext* ctx = nullptr);
-
-/// \brief O-estimate restricted to items with `include[x]` true: the
-/// α-compliant estimate of Section 5.3 (pass the compliant mask), or a
-/// Lemma 2/4-style "items of interest" estimate. The graph (and
-/// propagation) still involves *all* items — only the final sum is
-/// restricted. `fraction` stays relative to the full domain size.
-Result<OEstimateResult> ComputeOEstimateRestricted(
-    const FrequencyGroups& observed, const BeliefFunction& belief,
-    const std::vector<bool>& include, const OEstimateOptions& options = {},
-    exec::ExecContext* ctx = nullptr);
-
-/// \brief Restricted O-estimate from *precomputed* per-item stab ranges
-/// (`observed.Stab` of each item's belief interval), skipping interval
-/// stabbing and belief-function construction entirely. Bit-identical to
-/// `ComputeOEstimateRestricted` fed the equivalent belief. This is the
-/// per-probe core of the recipe's α bisection: the candidate intervals
-/// never change across probes, only the compliant/displaced selection
-/// does, so the ranges are cached once and replayed (see
-/// `AlphaCompliancySweep::MakeProbeCache`).
-Result<OEstimateResult> ComputeOEstimateFromRanges(
-    const FrequencyGroups& observed,
-    const std::vector<ItemStabRange>& ranges,
-    const std::vector<bool>& include, const OEstimateOptions& options = {},
-    exec::ExecContext* ctx = nullptr);
-
-/// \brief O-estimate of a bound adversary model: the uniform 1/O_x path
-/// for unweighted models (bit-identical to `ComputeOEstimate` on
-/// `model.belief`), the weighted outdegree for weighted ones. This is
-/// the seam the Fig. 8 recipe dispatches through — core code consumes
-/// the adversary's consistency support instead of reaching into
-/// `BeliefInterval` directly.
 ///
-/// Weighted crack probability of an alive item x with window weights w:
+/// `include` (optional) restricts the sum to items with `include[x]`
+/// true: the α-compliant estimate of Section 5.3 (the compliant mask) or
+/// a Lemma 2/4-style "items of interest" estimate. The graph and the
+/// propagation still involve *all* items; `fraction` stays relative to
+/// the full domain size.
+///
+/// `weights` (optional, one per item, each covering the window of the
+/// item's stab range as `adversary::ItemWeight` describes) turns the
+/// uniform p_x = 1/O_x of an alive item into the weighted outdegree of a
+/// weighted adversary model:
 ///   p_x = w_x(g_x) / Σ_{g ∈ range(x)} w_x(g) · remaining(g)
-/// which reduces to the paper's 1/O_x when all weights are equal.
-/// Forced items still count 1, dead items 0 — propagation is structural
-/// and weight-independent.
-Result<OEstimateResult> ComputeOEstimateForModel(
-    const FrequencyGroups& observed, const adversary::AdversaryModel& model,
+/// which reduces to 1/O_x when all weights are equal. Forced items still
+/// count 1 and dead items 0 — propagation is structural and
+/// weight-independent. Excluded items never consult their weights, so a
+/// displaced range of an excluded item need not match its window.
+///
+/// With a non-null `ctx` the per-item reads run on the pool; the
+/// reduction uses fixed per-chunk slots, so the result is bit-identical
+/// for any thread count. InvalidArgument when a range leaves the group
+/// domain or is inverted, or when `ranges`, `include` or `weights` does
+/// not have one entry per item.
+Result<OEstimateResult> ComputeOEstimateCore(
+    const FrequencyGroups& observed, const std::vector<ItemStabRange>& ranges,
+    const std::vector<bool>* include = nullptr,
+    const std::vector<adversary::ItemWeight>* weights = nullptr,
     const OEstimateOptions& options = {}, exec::ExecContext* ctx = nullptr);
 
-/// \brief Weighted restricted O-estimate from precomputed stab ranges —
-/// the weighted counterpart of `ComputeOEstimateFromRanges`, used by the
-/// α bisection when the bound adversary is weighted. `weights` must
-/// have one entry per item, each aligned with the item's *base* stab
-/// range; only included items are summed, so displaced (masked-out)
-/// items never consult their weights.
-Result<OEstimateResult> ComputeOEstimateFromRangesWeighted(
-    const FrequencyGroups& observed,
-    const std::vector<ItemStabRange>& ranges,
-    const std::vector<bool>& include,
-    const std::vector<adversary::ItemWeight>& weights,
-    const OEstimateOptions& options = {},
-    exec::ExecContext* ctx = nullptr);
+/// \brief O-estimate of an interval belief function: stabs each item's
+/// interval (on the pool with a non-null `ctx`, bit-identical for any
+/// thread count) and runs the core with uniform weights. `include` as
+/// for `ComputeOEstimateCore`.
+Result<OEstimateResult> ComputeOEstimate(
+    const FrequencyGroups& observed, const BeliefFunction& belief,
+    const OEstimateOptions& options = {}, exec::ExecContext* ctx = nullptr,
+    const std::vector<bool>* include = nullptr);
+
+/// \brief O-estimate of a bound adversary model: the core over the stab
+/// ranges of `model.belief` with `model.weights` (none for unweighted
+/// models, so this is bit-identical to `ComputeOEstimate` on
+/// `model.belief`). This is the seam the Fig. 8 recipe dispatches
+/// through — core code consumes the adversary's consistency support
+/// instead of reaching into `BeliefInterval` directly.
+Result<OEstimateResult> ComputeOEstimateForModel(
+    const FrequencyGroups& observed, const adversary::AdversaryModel& model,
+    const OEstimateOptions& options = {}, exec::ExecContext* ctx = nullptr,
+    const std::vector<bool>* include = nullptr);
 
 }  // namespace anonsafe
 

@@ -1,10 +1,10 @@
 #include "core/recipe.h"
 
+#include <algorithm>
 #include <memory>
 #include <mutex>
 #include <sstream>
 
-#include "belief/builders.h"
 #include "core/alpha_sweep.h"
 #include "core/exact_formulas.h"
 #include "estimator/estimators.h"
@@ -174,12 +174,16 @@ Status CheckCancelled(const exec::ExecContext* ctx) {
   return Status::OK();
 }
 
-}  // namespace
-
-Result<RecipeResult> AssessRisk(const FrequencyTable& table,
-                                const RecipeOptions& options,
-                                exec::ExecContext* external_ctx,
-                                RecipeArtifacts* artifacts) {
+/// The Fig. 8 recipe. With a non-null `interest` every quantity is
+/// restricted to the items of interest (AssessRiskForItems, which has
+/// validated the mask): the crack budget is τ·|interest|, step 2 uses
+/// the Lemma 4 worst case instead of g, and steps 6-9 pass the mask to
+/// the O-estimate.
+Result<RecipeResult> RunRecipe(const FrequencyTable& table,
+                               const std::vector<bool>* interest,
+                               const RecipeOptions& options,
+                               exec::ExecContext* external_ctx,
+                               RecipeArtifacts* artifacts) {
   ANONSAFE_RETURN_IF_ERROR(ValidateRecipeOptions(options));
   const exec::ExecOptions exec_options = options.exec;
   // The thread pool only schedules; values never depend on it, so an
@@ -191,18 +195,25 @@ Result<RecipeResult> AssessRisk(const FrequencyTable& table,
     owned_ctx = std::make_unique<exec::ExecContext>(exec_options);
     ctx = owned_ctx.get();
   }
-  obs::ScopedTimer recipe_timer("recipe.assess_risk");
+  obs::ScopedTimer recipe_timer(interest == nullptr
+                                     ? "recipe.assess_risk"
+                                     : "recipe.assess_risk_items");
   obs::CountIf("anonsafe_recipe_runs_total");
   ANONSAFE_RETURN_IF_ERROR(CheckCancelled(ctx));
 
   RecipeResult out;
   out.tolerance = options.tolerance;
-  out.num_items = table.num_items();
+  // Decisions are relative to the counted items.
+  out.num_items =
+      interest == nullptr
+          ? table.num_items()
+          : static_cast<size_t>(
+                std::count(interest->begin(), interest->end(), true));
   out.estimator = options.estimator;
   out.adversary = options.adversary;
   out.adversary_params = options.adversary_params;
   out.crack_budget =
-      options.tolerance * static_cast<double>(table.num_items());
+      options.tolerance * static_cast<double>(out.num_items);
 
   // Validated above; the registry pointer is a process-lifetime singleton.
   const adversary::Adversary& adv =
@@ -233,14 +244,25 @@ Result<RecipeResult> AssessRisk(const FrequencyTable& table,
   const FrequencyGroups& groups = *groups_ptr;
   out.num_groups = groups.num_groups();
 
-  // Steps 1-2: the point-valued worst case (Lemma 3).
+  // Steps 1-2: the point-valued worst case (Lemma 3, or its Lemma 4
+  // form Σ c_i/n_i over the items of interest).
   {
     obs::ScopedTimer step("recipe.point_valued_check");
+    double point_valued = static_cast<double>(out.num_groups);
+    if (interest != nullptr) {
+      ANONSAFE_ASSIGN_OR_RETURN(
+          point_valued,
+          PointValuedExpectedCracksOfInterest(groups, *interest));
+    }
     if (step.tracing()) {
-      step.Annotate("g", std::to_string(out.num_groups));
+      if (interest == nullptr) {
+        step.Annotate("g", std::to_string(out.num_groups));
+      } else {
+        step.Annotate("point_valued", TablePrinter::FmtG(point_valued, 4));
+      }
       step.Annotate("budget", TablePrinter::FmtG(out.crack_budget, 4));
     }
-    if (static_cast<double>(out.num_groups) <= out.crack_budget) {
+    if (point_valued <= out.crack_budget) {
       out.decision = RecipeDecision::kDiscloseAtPointValued;
       if (recipe_timer.tracing()) {
         recipe_timer.Annotate("decision", ToString(out.decision));
@@ -281,7 +303,8 @@ Result<RecipeResult> AssessRisk(const FrequencyTable& table,
     // that predate the estimator and adversary knobs.
     ANONSAFE_ASSIGN_OR_RETURN(
         OEstimateResult oe,
-        ComputeOEstimateForModel(groups, *model, options.oestimate, ctx));
+        ComputeOEstimateForModel(groups, *model, options.oestimate, ctx,
+                                 interest));
     out.interval_oe = oe.expected_cracks;
   } else {
     if (model->weighted()) {
@@ -354,10 +377,9 @@ Result<RecipeResult> AssessRisk(const FrequencyTable& table,
     obs::CountIf("anonsafe_alpha_probes_total");
     ANONSAFE_ASSIGN_OR_RETURN(
         double avg_oe,
-        sweep->AverageOEstimate(groups, *probe_cache, mid, options.oestimate,
-                                ctx,
-                                model->weighted() ? &model->weights
-                                                  : nullptr));
+        sweep->AverageOEstimate(
+            groups, *probe_cache, mid, options.oestimate, ctx,
+            model->weighted() ? &model->weights : nullptr, interest));
     if (probe.tracing()) {
       probe.Annotate("alpha", TablePrinter::FmtG(mid, 4));
       probe.Annotate("avg_oe", TablePrinter::FmtG(avg_oe, 4));
@@ -378,6 +400,15 @@ Result<RecipeResult> AssessRisk(const FrequencyTable& table,
     recipe_timer.Annotate("decision", ToString(out.decision));
   }
   return out;
+}
+
+}  // namespace
+
+Result<RecipeResult> AssessRisk(const FrequencyTable& table,
+                                const RecipeOptions& options,
+                                exec::ExecContext* ctx,
+                                RecipeArtifacts* artifacts) {
+  return RunRecipe(table, /*interest=*/nullptr, options, ctx, artifacts);
 }
 
 Result<RecipeResult> AssessRiskOnDatabase(const Database& db,
@@ -389,126 +420,19 @@ Result<RecipeResult> AssessRiskOnDatabase(const Database& db,
 Result<RecipeResult> AssessRiskForItems(const FrequencyTable& table,
                                         const std::vector<bool>& interest,
                                         const RecipeOptions& options) {
-  ANONSAFE_RETURN_IF_ERROR(ValidateRecipeOptions(options));
   if (options.estimator != EstimatorKind::kOe) {
-    // Interest restriction needs the restricted O-estimate machinery; the
-    // planner has no per-item accounting of foreign blocks yet.
+    // The planner has no per-item accounting of foreign blocks yet.
     return Status::InvalidArgument(
         "AssessRiskForItems supports only estimator=oe");
-  }
-  if (options.adversary != "interval") {
-    // The interest-restricted path still builds its own compliant
-    // interval belief; routing it through the adversary registry is
-    // future work.
-    return Status::Unimplemented(
-        "AssessRiskForItems supports only adversary=interval");
   }
   if (interest.size() != table.num_items()) {
     return Status::InvalidArgument("interest mask size mismatch");
   }
-  size_t num_interest = 0;
-  for (bool b : interest) {
-    if (b) ++num_interest;
-  }
-  if (num_interest == 0) {
+  if (std::find(interest.begin(), interest.end(), true) == interest.end()) {
     return Status::InvalidArgument("interest mask selects no items");
   }
-  const exec::ExecOptions exec_options = options.exec;
-  exec::ExecContext ctx(exec_options);
-  obs::ScopedTimer recipe_timer("recipe.assess_risk_items");
-  obs::CountIf("anonsafe_recipe_runs_total");
-
-  RecipeResult out;
-  out.tolerance = options.tolerance;
-  out.num_items = num_interest;  // decisions are relative to |interest|
-  out.crack_budget = options.tolerance * static_cast<double>(num_interest);
-
-  obs::ScopedTimer build_timer("recipe.group_build");
-  FrequencyGroups groups = FrequencyGroups::Build(table);
-  build_timer.Stop();
-  out.num_groups = groups.num_groups();
-
-  // Step 2, Lemma 4 form: sum of c_i/n_i over frequency groups.
-  {
-    obs::ScopedTimer step("recipe.point_valued_check");
-    ANONSAFE_ASSIGN_OR_RETURN(
-        double point_valued,
-        PointValuedExpectedCracksOfInterest(groups, interest));
-    if (step.tracing()) {
-      step.Annotate("point_valued", TablePrinter::FmtG(point_valued, 4));
-      step.Annotate("budget", TablePrinter::FmtG(out.crack_budget, 4));
-    }
-    if (point_valued <= out.crack_budget) {
-      out.decision = RecipeDecision::kDiscloseAtPointValued;
-      if (recipe_timer.tracing()) {
-        recipe_timer.Annotate("decision", ToString(out.decision));
-      }
-      return out;
-    }
-  }
-
-  obs::ScopedTimer interval_timer("recipe.interval_check");
-  out.delta_med = groups.MedianGap();
-  ANONSAFE_ASSIGN_OR_RETURN(
-      BeliefFunction base,
-      MakeCompliantIntervalBelief(table, out.delta_med));
-
-  ANONSAFE_ASSIGN_OR_RETURN(
-      OEstimateResult oe,
-      ComputeOEstimateRestricted(groups, base, interest,
-                                 options.oestimate, &ctx));
-  out.interval_oe = oe.expected_cracks;
-  if (interval_timer.tracing()) {
-    interval_timer.Annotate("delta_med", TablePrinter::FmtG(out.delta_med, 4));
-    interval_timer.Annotate("interval_oe",
-                            TablePrinter::FmtG(out.interval_oe, 4));
-  }
-  interval_timer.Stop();
-  if (out.interval_oe <= out.crack_budget) {
-    out.decision = RecipeDecision::kDiscloseAtInterval;
-    if (recipe_timer.tracing()) {
-      recipe_timer.Annotate("decision", ToString(out.decision));
-    }
-    return out;
-  }
-
-  obs::ScopedTimer alpha_timer("recipe.alpha_search");
-  ANONSAFE_ASSIGN_OR_RETURN(
-      AlphaCompliancySweep sweep,
-      AlphaCompliancySweep::Create(table, base, exec_options.runs,
-                                   exec_options.seed));
-  const AlphaCompliancySweep::ProbeCache probe_cache =
-      sweep.MakeProbeCache(groups);
-  double lo = 0.0;
-  double hi = 1.0;
-  for (size_t iter = 0; iter < options.binary_search_iterations; ++iter) {
-    double mid = (lo + hi) / 2.0;
-    obs::ScopedTimer probe("recipe.alpha_probe");
-    obs::CountIf("anonsafe_alpha_probes_total");
-    ANONSAFE_ASSIGN_OR_RETURN(
-        double avg_oe,
-        sweep.AverageOEstimateForItems(groups, probe_cache, mid, interest,
-                                       options.oestimate, &ctx));
-    if (probe.tracing()) {
-      probe.Annotate("alpha", TablePrinter::FmtG(mid, 4));
-      probe.Annotate("avg_oe", TablePrinter::FmtG(avg_oe, 4));
-    }
-    if (avg_oe <= out.crack_budget) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  out.alpha_max = lo;
-  out.decision = RecipeDecision::kAlphaBound;
-  if (alpha_timer.tracing()) {
-    alpha_timer.Annotate("alpha_max", TablePrinter::FmtG(out.alpha_max, 4));
-  }
-  alpha_timer.Stop();
-  if (recipe_timer.tracing()) {
-    recipe_timer.Annotate("decision", ToString(out.decision));
-  }
-  return out;
+  return RunRecipe(table, &interest, options, /*ctx=*/nullptr,
+                   /*artifacts=*/nullptr);
 }
 
 }  // namespace anonsafe

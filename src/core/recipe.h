@@ -155,12 +155,15 @@ Result<RecipeResult> AssessRiskOnDatabase(const Database& db,
 /// scenario: the owner only cares about, say, the best-selling products
 /// or the sensitive diagnoses).
 ///
-/// Identical control flow to Figure 8 with every quantity restricted:
-/// step 2 uses the Lemma 4 worst case Σ c_i/n_i against τ·|interest|;
-/// steps 6-9 use interest-restricted O-estimates. The full domain still
-/// participates in the graph — uninteresting items keep camouflaging the
-/// interesting ones — only the crack accounting is restricted.
+/// Runs `AssessRisk` with every quantity restricted: step 2 uses the
+/// Lemma 4 worst case Σ c_i/n_i against τ·|interest|; steps 6-9 use
+/// interest-restricted O-estimates of the bound adversary. The full
+/// domain still participates in the graph — uninteresting items keep
+/// camouflaging the interesting ones — only the crack accounting is
+/// restricted, so an all-true mask reproduces `AssessRisk` exactly.
 /// `interest` is a mask over item ids; it must select at least one item.
+/// Only `estimator == kOe` is accepted: the planner has no per-item
+/// accounting.
 Result<RecipeResult> AssessRiskForItems(const FrequencyTable& table,
                                         const std::vector<bool>& interest,
                                         const RecipeOptions& options = {});

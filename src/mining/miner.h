@@ -42,13 +42,6 @@ Result<std::vector<FrequentItemset>> MineApriori(const Database& db,
 Result<std::vector<FrequentItemset>> MineFPGrowth(
     const Database& db, const MiningOptions& options);
 
-/// \brief Eclat (Zaki): vertical mining over transaction-id bitmaps with
-/// prefix-class DFS; intersections count supports without database
-/// passes. Returns the same set as Apriori, in canonical order. Fast for
-/// dense data; memory is O(frequent items × m / 8) per DFS path.
-Result<std::vector<FrequentItemset>> MineEclat(const Database& db,
-                                               const MiningOptions& options);
-
 /// \brief Convenience: the frequent *items* (1-itemsets) of a database —
 /// the "items of interest" in the paper's Lemma 2/4 analyses.
 Result<std::vector<ItemId>> FrequentItems(const Database& db,

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "adversary/adversary.h"
 #include "anonymize/anonymizer.h"
@@ -60,6 +61,34 @@ constexpr const char* kGlobalFlags[] = {"trace",     "trace-format",
                                         "trace-out", "metrics-out",
                                         "log-level", "log-file"};
 
+bool IsGlobalFlag(const std::string& flag) {
+  return std::count(std::begin(kGlobalFlags), std::end(kGlobalFlags), flag) >
+         0;
+}
+
+/// InvalidArgument naming an unknown flag and the flags `cli.command`
+/// accepts besides the global ones.
+Status UnknownFlag(const CliInvocation& cli, const std::string& flag,
+                   const std::vector<std::string>& accepted) {
+  std::string list;
+  for (const std::string& name : accepted) list += " --" + name;
+  return Status::InvalidArgument("unknown flag --" + flag + " for '" +
+                                 cli.command + "'; accepted:" + list);
+}
+
+/// The flag rule of the commands without a param table: every flag is a
+/// global flag or one of `accepted`.
+Status CheckFlags(const CliInvocation& cli,
+                  const std::vector<std::string>& accepted) {
+  for (const auto& [flag, value] : cli.flags) {
+    if (!IsGlobalFlag(flag) &&
+        std::find(accepted.begin(), accepted.end(), flag) == accepted.end()) {
+      return UnknownFlag(cli, flag, accepted);
+    }
+  }
+  return Status::OK();
+}
+
 /// The one converter from a command's `--kebab-name=value` flags to the
 /// JSON params its table declares (`--ryser-cutoff=16` is
 /// `"ryser_cutoff":16`): the object a serve request carries, read by the
@@ -71,24 +100,23 @@ Result<json::Value> ParamsFromFlags(
     std::initializer_list<std::string> render_flags = {}) {
   json::Value params = json::Value::Object();
   for (const auto& [flag, text] : cli.flags) {
-    if (std::count(std::begin(kGlobalFlags), std::end(kGlobalFlags), flag) +
-            std::count(render_flags.begin(), render_flags.end(), flag) >
-        0) {
+    if (IsGlobalFlag(flag) ||
+        std::count(render_flags.begin(), render_flags.end(), flag) > 0) {
       continue;
     }
     std::string name = flag;
     std::replace(name.begin(), name.end(), '-', '_');
     const serve::ParamSpec* spec = serve::FindParam(table, name);
     if (spec == nullptr || flag.find('_') != std::string::npos) {
-      std::string accepted;
+      std::vector<std::string> accepted;
       for (const serve::ParamSpec& entry : table) {
         std::string kebab = entry.name;
         std::replace(kebab.begin(), kebab.end(), '_', '-');
-        accepted += " --" + kebab;
+        accepted.push_back(kebab);
       }
-      for (const std::string& extra : render_flags) accepted += " --" + extra;
-      return Status::InvalidArgument("unknown flag --" + flag + " for '" +
-                                     cli.command + "'; accepted:" + accepted);
+      accepted.insert(accepted.end(), render_flags.begin(),
+                      render_flags.end());
+      return UnknownFlag(cli, flag, accepted);
     }
     Result<json::Value> value = spec->type == json::Value::Type::kString
                                     ? json::Value(text)
@@ -108,6 +136,7 @@ Result<json::Value> ParamsFromFlags(
 
 Status RunStats(const CliInvocation& cli, std::ostream& out) {
   ANONSAFE_RETURN_IF_ERROR(RequirePositional(cli, 1));
+  ANONSAFE_RETURN_IF_ERROR(CheckFlags(cli, {}));
   ANONSAFE_ASSIGN_OR_RETURN(LabeledDatabase data,
                             ReadFimiFile(cli.positional[0]));
   ANONSAFE_ASSIGN_OR_RETURN(FrequencyTable table,
@@ -248,6 +277,11 @@ Status RunReport(const CliInvocation& cli, std::ostream& out) {
 
 Status RunServe(const CliInvocation& cli, std::ostream& out) {
   ANONSAFE_RETURN_IF_ERROR(RequirePositional(cli, 0));
+  ANONSAFE_RETURN_IF_ERROR(CheckFlags(
+      cli, {"port", "workers", "queue-capacity", "max-line-bytes",
+            "cache-capacity", "deadline-ms", "slow-ms", "flight-recorder",
+            "max-batch-items", "tenant-rate", "tenant-burst",
+            "write-buffer-bytes"}));
   serve::ServerOptions options;
   ANONSAFE_ASSIGN_OR_RETURN(
       uint64_t workers, FlagAsUint64(cli, "workers", options.workers));
@@ -357,6 +391,7 @@ Status RunSimilarity(const CliInvocation& cli, std::ostream& out) {
 
 Status RunAnonymize(const CliInvocation& cli, std::ostream& out) {
   ANONSAFE_RETURN_IF_ERROR(RequirePositional(cli, 2));
+  ANONSAFE_RETURN_IF_ERROR(CheckFlags(cli, {"seed"}));
   ANONSAFE_ASSIGN_OR_RETURN(uint64_t seed, FlagAsUint64(cli, "seed", 1));
   ANONSAFE_ASSIGN_OR_RETURN(LabeledDatabase data,
                             ReadFimiFile(cli.positional[0]));
@@ -375,6 +410,7 @@ Status RunAnonymize(const CliInvocation& cli, std::ostream& out) {
 
 Status RunGenerate(const CliInvocation& cli, std::ostream& out) {
   ANONSAFE_RETURN_IF_ERROR(RequirePositional(cli, 2));
+  ANONSAFE_RETURN_IF_ERROR(CheckFlags(cli, {"scale", "seed"}));
   ANONSAFE_ASSIGN_OR_RETURN(double scale, FlagAsDouble(cli, "scale", 1.0));
   ANONSAFE_ASSIGN_OR_RETURN(uint64_t seed, FlagAsUint64(cli, "seed", 2005));
   ANONSAFE_ASSIGN_OR_RETURN(Benchmark benchmark,
@@ -391,6 +427,7 @@ Status RunGenerate(const CliInvocation& cli, std::ostream& out) {
 
 Status RunRisk(const CliInvocation& cli, std::ostream& out) {
   ANONSAFE_RETURN_IF_ERROR(RequirePositional(cli, 1));
+  ANONSAFE_RETURN_IF_ERROR(CheckFlags(cli, {"top"}));
   ANONSAFE_ASSIGN_OR_RETURN(uint64_t top, FlagAsUint64(cli, "top", 20));
   ANONSAFE_ASSIGN_OR_RETURN(LabeledDatabase data,
                             ReadFimiFile(cli.positional[0]));
@@ -422,33 +459,25 @@ Status RunRisk(const CliInvocation& cli, std::ostream& out) {
 
 Status RunMine(const CliInvocation& cli, std::ostream& out) {
   ANONSAFE_RETURN_IF_ERROR(RequirePositional(cli, 1));
+  ANONSAFE_RETURN_IF_ERROR(
+      CheckFlags(cli, {"min-support", "min-confidence", "top"}));
   ANONSAFE_ASSIGN_OR_RETURN(double min_support,
                             FlagAsDouble(cli, "min-support", 0.1));
   ANONSAFE_ASSIGN_OR_RETURN(double min_confidence,
                             FlagAsDouble(cli, "min-confidence", 0.0));
   ANONSAFE_ASSIGN_OR_RETURN(uint64_t top, FlagAsUint64(cli, "top", 20));
-  std::string algorithm = "fpgrowth";
-  if (auto it = cli.flags.find("algorithm"); it != cli.flags.end()) {
-    algorithm = it->second;
-  }
   ANONSAFE_ASSIGN_OR_RETURN(LabeledDatabase data,
                             ReadFimiFile(cli.positional[0]));
   MiningOptions options;
   options.min_support = min_support;
+  ANONSAFE_ASSIGN_OR_RETURN(std::vector<FrequentItemset> mined,
+                            MineFPGrowth(data.database, options));
 
-  Result<std::vector<FrequentItemset>> mined =
-      Status::InvalidArgument("--algorithm must be apriori, fpgrowth or "
-                              "eclat");
-  if (algorithm == "apriori") mined = MineApriori(data.database, options);
-  if (algorithm == "fpgrowth") mined = MineFPGrowth(data.database, options);
-  if (algorithm == "eclat") mined = MineEclat(data.database, options);
-  ANONSAFE_RETURN_IF_ERROR(mined.status());
-
-  out << mined->size() << " frequent itemsets at min_support="
-      << min_support << " (" << algorithm << ")\n";
+  out << mined.size() << " frequent itemsets at min_support="
+      << min_support << " (fpgrowth)\n";
   TablePrinter t({"itemset (original labels)", "support", "frequency"});
   size_t shown = 0;
-  for (auto it = mined->rbegin(); it != mined->rend() && shown < top;
+  for (auto it = mined.rbegin(); it != mined.rend() && shown < top;
        ++it, ++shown) {
     Itemset relabeled;
     for (ItemId x : it->items) {
@@ -468,7 +497,7 @@ Status RunMine(const CliInvocation& cli, std::ostream& out) {
     rule_options.min_confidence = min_confidence;
     ANONSAFE_ASSIGN_OR_RETURN(
         std::vector<AssociationRule> rules,
-        GenerateRules(*mined, data.database.num_transactions(),
+        GenerateRules(mined, data.database.num_transactions(),
                       rule_options));
     out << "\n" << rules.size() << " association rules at min_confidence="
         << min_confidence << "; top " << std::min<size_t>(top, rules.size())
@@ -493,6 +522,7 @@ Status RunMine(const CliInvocation& cli, std::ostream& out) {
 
 Status RunBelief(const CliInvocation& cli, std::ostream& out) {
   ANONSAFE_RETURN_IF_ERROR(RequirePositional(cli, 2));
+  ANONSAFE_RETURN_IF_ERROR(CheckFlags(cli, {"delta"}));
   ANONSAFE_ASSIGN_OR_RETURN(LabeledDatabase data,
                             ReadFimiFile(cli.positional[0]));
   ANONSAFE_ASSIGN_OR_RETURN(FrequencyTable table,
@@ -515,6 +545,7 @@ Status RunBelief(const CliInvocation& cli, std::ostream& out) {
 
 Status RunAttack(const CliInvocation& cli, std::ostream& out) {
   ANONSAFE_RETURN_IF_ERROR(RequirePositional(cli, 2));
+  ANONSAFE_RETURN_IF_ERROR(CheckFlags(cli, {"top"}));
   ANONSAFE_ASSIGN_OR_RETURN(uint64_t top, FlagAsUint64(cli, "top", 10));
   ANONSAFE_ASSIGN_OR_RETURN(LabeledDatabase data,
                             ReadFimiFile(cli.positional[0]));
@@ -563,6 +594,7 @@ Status RunAttack(const CliInvocation& cli, std::ostream& out) {
 
 Status RunDefend(const CliInvocation& cli, std::ostream& out) {
   ANONSAFE_RETURN_IF_ERROR(RequirePositional(cli, 2));
+  ANONSAFE_RETURN_IF_ERROR(CheckFlags(cli, {"tolerance", "seed", "mode"}));
   ANONSAFE_ASSIGN_OR_RETURN(double tolerance,
                             FlagAsDouble(cli, "tolerance", 0.1));
   ANONSAFE_ASSIGN_OR_RETURN(uint64_t seed, FlagAsUint64(cli, "seed", 1));
@@ -871,8 +903,8 @@ std::string CliUsage() {
       "                                        Fig. 13 sampling curve\n"
       "  risk <file.dat> [--top=20]             per-item crack ranking\n"
       "  belief <file.dat> <out.belief> [--delta=]  belief-file template\n"
-      "  mine <file.dat> [--algorithm=fpgrowth|apriori|eclat]\n"
-      "       [--min-support=0.1] [--min-confidence=0] [--top=20]\n"
+      "  mine <file.dat> [--min-support=0.1] [--min-confidence=0]\n"
+      "       [--top=20]                       FP-Growth itemsets + rules\n"
       "  attack <file.dat> <belief-file> [--top=10] evaluate a hacker model\n"
       "  defend <in.dat> <out.dat> [--tolerance=0.1] [--mode=merge|suppress]\n"
       "  recommend-defense <file.dat> [--ryser-cutoff=] [--prefer-sampler]\n"
@@ -889,8 +921,9 @@ std::string CliUsage() {
       "Shared flags (assess, plan, report, similarity, recommend-defense)\n"
       "are the serve params of the same names, --kebab-case here and\n"
       "snake_case in JSON (--ryser-cutoff=16 is \"ryser_cutoff\":16); see\n"
-      "docs/SERVER.md for each type, default and range. Unknown flags and\n"
-      "out-of-range integers are errors. --threads=0 uses all cores.\n"
+      "docs/SERVER.md for each type, default and range. Out-of-range\n"
+      "integers are errors. --threads=0 uses all cores. On every command\n"
+      "an unknown flag is an error that lists the accepted ones.\n"
       "\n"
       "Global flags (any command):\n"
       "  --trace               print a per-phase timing tree after the run\n"

@@ -40,8 +40,9 @@ Result<uint64_t> FlagAsUint64(const CliInvocation& cli,
 ///
 /// `assess`, `report`, `plan`, `recommend-defense` and `similarity` bind
 /// their flags through the serve verbs' param tables and binders
-/// (`serve/registry.h`; `--ryser-cutoff` is `ryser_cutoff`), so an
-/// unknown flag on them is InvalidArgument.
+/// (`serve/registry.h`; `--ryser-cutoff` is `ryser_cutoff`); the other
+/// commands list their flags. On every command an unknown flag is
+/// InvalidArgument naming the accepted ones.
 ///
 /// Global flags understood on every subcommand:
 ///

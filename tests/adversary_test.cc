@@ -352,15 +352,30 @@ TEST(ExactSupportAdversaryTest, ConstrainedAttackOnTinyInstance) {
   EXPECT_NEAR(attack->distribution.expected, 1.5, 1e-9);
 }
 
-TEST(ExactSupportAdversaryTest, AssessRiskForItemsRejectsNonInterval) {
+TEST(ExactSupportAdversaryTest, AssessRiskForItemsBindsThroughRegistry) {
+  // The items-of-interest recipe binds the adversary as AssessRisk does
+  // and restricts the bound model's O-estimate to the mask.
   auto table = MakeTable();
   ASSERT_TRUE(table.ok());
   RecipeOptions options;
   options.adversary = "exact_support";
+  options.adversary_params.Set("k", 2.0);
   std::vector<bool> interest(table->num_items(), false);
   interest[0] = true;
   auto result = AssessRiskForItems(*table, interest, options);
-  EXPECT_TRUE(result.status().IsUnimplemented());
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->adversary, "exact_support");
+  EXPECT_EQ(result->num_items, 1u);
+  EXPECT_NE(result->decision, RecipeDecision::kDiscloseAtPointValued);
+
+  FrequencyGroups groups = FrequencyGroups::Build(*table);
+  auto model = Adversary::Find("exact_support")
+                   ->Bind(*table, groups, groups.MedianGap(),
+                          options.adversary_params);
+  ASSERT_TRUE(model.ok());
+  auto oe = ComputeOEstimateForModel(groups, *model, {}, nullptr, &interest);
+  ASSERT_TRUE(oe.ok());
+  EXPECT_EQ(result->interval_oe, oe->expected_cracks);
 }
 
 // ------------------------------------------------------ RiskReport JSON

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "data/fimi_io.h"
 #include "data/frequency.h"
@@ -240,28 +242,6 @@ TEST(CliRunTest, AttackMissingBeliefFileFails) {
   ASSERT_TRUE(attack.ok());
   std::ostringstream out;
   EXPECT_TRUE(RunCli(*attack, out).IsIOError());
-}
-
-TEST(CliRunTest, MineAllAlgorithmsAgree) {
-  const std::string path = TempPath("cli_mine.dat");
-  WriteSampleFile(path);
-  std::string outputs[3];
-  const char* algorithms[] = {"apriori", "fpgrowth", "eclat"};
-  for (int i = 0; i < 3; ++i) {
-    auto cli = ParseCli({"mine", path, "--min-support=0.25",
-                         std::string("--algorithm=") + algorithms[i],
-                         "--top=50"});
-    ASSERT_TRUE(cli.ok());
-    std::ostringstream out;
-    ASSERT_TRUE(RunCli(*cli, out).ok()) << algorithms[i];
-    outputs[i] = out.str();
-    // Strip the algorithm name so the bodies are comparable.
-    size_t paren = outputs[i].find('(');
-    outputs[i] = outputs[i].substr(outputs[i].find('\n'));
-    (void)paren;
-  }
-  EXPECT_EQ(outputs[0], outputs[1]);
-  EXPECT_EQ(outputs[0], outputs[2]);
 }
 
 TEST(CliRunTest, MineWithRulesAndBadAlgorithm) {
@@ -504,6 +484,59 @@ TEST(CliFlagsTest, GlobalAndRenderFlagsStayAccepted) {
                       nullptr)
                   .ok());
   EXPECT_TRUE(RunArgs({"recommend-defense", path, "--json"}, nullptr).ok());
+}
+
+TEST(CliFlagsTest, EveryCommandRejectsMisspelledFlags) {
+  const std::string data = TempPath("cli_flags_every.dat");
+  const std::string belief = TempPath("cli_flags_every.belief");
+  const std::string out = TempPath("cli_flags_every_out.dat");
+  WriteSampleFile(data);
+  ASSERT_TRUE(RunArgs({"belief", data, belief}, nullptr).ok());
+  const obs::LogLevel level = obs::GetLogLevel();
+  struct Row {
+    std::vector<std::string> args;  // command and positionals
+    std::string misspelled;         // must fail, naming itself
+    std::string accepted;           // must still work
+  };
+  const Row rows[] = {
+      {{"stats", data}, "--top=3", "--log-level=warn"},
+      {{"risk", data}, "--topp=3", "--top=3"},
+      {{"mine", data}, "--algorithm=fpgrowth", "--min-support=0.25"},
+      {{"belief", data, belief}, "--detla=0.01", "--delta=0.01"},
+      {{"attack", data, belief}, "--tpo=2", "--top=2"},
+      {{"defend", data, out}, "--tolerence=0.01", "--tolerance=0.4"},
+      {{"anonymize", data, out}, "--sed=3", "--seed=3"},
+      {{"generate", "CHESS", out}, "--scael=0.05", "--scale=0.05"},
+  };
+  for (const Row& row : rows) {
+    std::vector<std::string> bad = row.args;
+    bad.push_back(row.misspelled);
+    Status status = RunArgs(bad, nullptr);
+    ASSERT_TRUE(status.IsInvalidArgument())
+        << row.misspelled << ": " << status;
+    const std::string name =
+        row.misspelled.substr(0, row.misspelled.find('='));
+    EXPECT_NE(status.message().find("unknown flag " + name), std::string::npos)
+        << status;
+    EXPECT_NE(status.message().find("accepted:"), std::string::npos) << status;
+
+    std::vector<std::string> good = row.args;
+    good.push_back(row.accepted);
+    EXPECT_TRUE(RunArgs(good, nullptr).ok()) << row.accepted;
+  }
+  obs::SetLogLevel(level);
+
+  // serve: the misspelling fails before any server starts; accepted flags
+  // get as far as their value checks.
+  Status serve = RunArgs({"serve", "--wokers=4"}, nullptr);
+  ASSERT_TRUE(serve.IsInvalidArgument()) << serve;
+  EXPECT_NE(serve.message().find("unknown flag --wokers"), std::string::npos);
+  EXPECT_NE(serve.message().find("--workers"), std::string::npos);
+  serve = RunArgs({"serve", "--port=0", "--workers=4", "--tenant-rate=-1"},
+                  nullptr);
+  ASSERT_TRUE(serve.IsInvalidArgument()) << serve;
+  EXPECT_NE(serve.message().find("must be non-negative"), std::string::npos)
+      << serve;
 }
 
 TEST(CliFlagsTest, RecipeKnobsReachTheRecipe) {

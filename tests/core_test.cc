@@ -160,11 +160,11 @@ TEST(OEstimateTest, RestrictedSumsOnlyIncludedItems) {
   opt.propagate = false;
   // Only the singleton-group items 1 (f=.4) and 4 (f=.3).
   std::vector<bool> include = {false, true, false, false, true, false};
-  auto oe = ComputeOEstimateRestricted(groups, *beta, include, opt);
+  auto oe = ComputeOEstimate(groups, *beta, opt, nullptr, &include);
   ASSERT_TRUE(oe.ok());
   EXPECT_NEAR(oe->expected_cracks, 2.0, 1e-12);
   std::vector<bool> bad(3, true);
-  EXPECT_TRUE(ComputeOEstimateRestricted(groups, *beta, bad, opt)
+  EXPECT_TRUE(ComputeOEstimate(groups, *beta, opt, nullptr, &bad)
                   .status().IsInvalidArgument());
 }
 
@@ -205,20 +205,21 @@ TEST(AlphaSweepTest, EndpointsAndMonotonicity) {
 
   auto sweep = AlphaCompliancySweep::Create(*table, *base, 5, 99);
   ASSERT_TRUE(sweep.ok());
+  const AlphaCompliancySweep::ProbeCache cache = sweep->MakeProbeCache(groups);
 
-  auto at_zero = sweep->AverageOEstimate(groups, 0.0);
+  auto at_zero = sweep->AverageOEstimate(groups, cache, 0.0);
   ASSERT_TRUE(at_zero.ok());
   EXPECT_NEAR(*at_zero, 0.0, 1e-12);
 
   auto full = ComputeOEstimate(groups, *base);
-  auto at_one = sweep->AverageOEstimate(groups, 1.0);
+  auto at_one = sweep->AverageOEstimate(groups, cache, 1.0);
   ASSERT_TRUE(full.ok());
   ASSERT_TRUE(at_one.ok());
   EXPECT_NEAR(*at_one, full->expected_cracks, 1e-9);
 
   double prev = -1.0;
   for (double alpha : {0.0, 0.2, 0.4, 0.6, 0.8, 1.0}) {
-    auto avg = sweep->AverageOEstimate(groups, alpha);
+    auto avg = sweep->AverageOEstimate(groups, cache, alpha);
     ASSERT_TRUE(avg.ok());
     EXPECT_GE(*avg, prev - 1e-9) << "alpha=" << alpha;
     prev = *avg;
@@ -308,7 +309,8 @@ TEST(RecipeTest, AlphaBoundWhenFullComplianceTooRisky) {
                                             opt.exec.seed);
   ASSERT_TRUE(sweep.ok());
   FrequencyGroups groups = FrequencyGroups::Build(*table);
-  auto at_max = sweep->AverageOEstimate(groups, result->alpha_max);
+  auto at_max = sweep->AverageOEstimate(
+      groups, sweep->MakeProbeCache(groups), result->alpha_max);
   ASSERT_TRUE(at_max.ok());
   EXPECT_LE(*at_max, result->crack_budget + 1e-9);
 }

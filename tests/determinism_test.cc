@@ -77,16 +77,17 @@ TEST(DeterminismTest, AverageOEstimateBitIdenticalAcrossThreadCounts) {
   ASSERT_TRUE(belief.ok());
   auto sweep = AlphaCompliancySweep::Create(*table, *belief, 5, 7);
   ASSERT_TRUE(sweep.ok());
+  const AlphaCompliancySweep::ProbeCache cache = sweep->MakeProbeCache(groups);
 
   std::vector<double> averages;
   for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
     exec::ExecContext ctx(WithThreads(threads));
-    auto avg = sweep->AverageOEstimate(groups, 0.6, {}, &ctx);
+    auto avg = sweep->AverageOEstimate(groups, cache, 0.6, {}, &ctx);
     ASSERT_TRUE(avg.ok()) << avg.status();
     averages.push_back(*avg);
   }
   // Null context must match too (the default API path).
-  auto null_ctx = sweep->AverageOEstimate(groups, 0.6);
+  auto null_ctx = sweep->AverageOEstimate(groups, cache, 0.6);
   ASSERT_TRUE(null_ctx.ok());
   EXPECT_EQ(averages[0], averages[1]);
   EXPECT_EQ(averages[0], averages[2]);

@@ -73,7 +73,7 @@ TEST(EndToEndAttackTest, SampleBasedAttackMatchesPrediction) {
   auto mask = attack_belief->ComplianceMask(*released_table);
   ASSERT_TRUE(mask.ok());
   auto prediction =
-      ComputeOEstimateRestricted(observed, *attack_belief, *mask);
+      ComputeOEstimate(observed, *attack_belief, {}, nullptr, &*mask);
   ASSERT_TRUE(prediction.ok());
 
   // OE and the simulated attack agree within 25% (+1 crack slack).
@@ -201,9 +201,10 @@ TEST(EndToEndAlphaTest, SweepMonotoneOnBenchmarkStandIn) {
   ASSERT_TRUE(base.ok());
   auto sweep = AlphaCompliancySweep::Create(*table, *base, 5, 3);
   ASSERT_TRUE(sweep.ok());
+  const AlphaCompliancySweep::ProbeCache cache = sweep->MakeProbeCache(groups);
   double prev = -1.0;
   for (double alpha = 0.0; alpha <= 1.0001; alpha += 0.1) {
-    auto value = sweep->AverageOEstimate(groups, alpha);
+    auto value = sweep->AverageOEstimate(groups, cache, alpha);
     ASSERT_TRUE(value.ok());
     EXPECT_GE(*value, prev - 1e-9) << "alpha=" << alpha;
     prev = *value;

@@ -619,24 +619,40 @@ TEST(AlphaProbeCacheTest, CachedSweepIsBitIdenticalToUncached) {
   std::vector<bool> interest(n, false);
   for (size_t i = 0; i < n; i += 3) interest[i] = true;
 
+  // Reference: materialize each run's α-compliant belief, take its
+  // O-estimate restricted to the compliant (∧ interesting) items, and
+  // average the runs with the fixed-order pairwise sum.
+  auto reference = [&](double alpha, const std::vector<bool>* only) {
+    std::vector<double> per_run;
+    for (size_t r = 0; r < sweep->num_runs(); ++r) {
+      auto ab = sweep->BeliefAt(r, alpha);
+      EXPECT_TRUE(ab.ok());
+      std::vector<bool> mask = ab->compliant_mask;
+      for (size_t x = 0; only != nullptr && x < n; ++x) {
+        mask[x] = mask[x] && (*only)[x];
+      }
+      auto oe = ComputeOEstimate(groups, ab->belief, {}, nullptr, &mask);
+      EXPECT_TRUE(oe.ok());
+      per_run.push_back(oe->expected_cracks);
+    }
+    return exec::PairwiseSum(per_run) /
+           static_cast<double>(sweep->num_runs());
+  };
+
+  const std::vector<bool>* restrictions[] = {nullptr, &interest};
   for (double alpha : {0.0, 0.125, 0.3, 0.5, 0.8125, 1.0}) {
-    auto plain = sweep->AverageOEstimate(groups, alpha);
-    auto cached = sweep->AverageOEstimate(groups, cache, alpha);
-    ASSERT_TRUE(plain.ok() && cached.ok());
-    EXPECT_EQ(*plain, *cached) << "alpha=" << alpha;
-
-    auto plain_items =
-        sweep->AverageOEstimateForItems(groups, alpha, interest);
-    auto cached_items =
-        sweep->AverageOEstimateForItems(groups, cache, alpha, interest);
-    ASSERT_TRUE(plain_items.ok() && cached_items.ok());
-    EXPECT_EQ(*plain_items, *cached_items) << "alpha=" << alpha;
-
-    // Thread count must not perturb the cached path either.
-    exec::ExecContext ctx(exec::ExecOptions{.threads = 4});
-    auto cached_mt = sweep->AverageOEstimate(groups, cache, alpha, {}, &ctx);
-    ASSERT_TRUE(cached_mt.ok());
-    EXPECT_EQ(*cached_mt, *cached) << "alpha=" << alpha;
+    for (const std::vector<bool>* only : restrictions) {
+      const double expected = reference(alpha, only);
+      for (size_t threads : {size_t{1}, size_t{4}}) {
+        exec::ExecContext ctx(exec::ExecOptions{.threads = threads});
+        auto cached = sweep->AverageOEstimate(groups, cache, alpha, {}, &ctx,
+                                              /*weights=*/nullptr, only);
+        ASSERT_TRUE(cached.ok());
+        EXPECT_EQ(*cached, expected)
+            << "alpha=" << alpha << " interest=" << (only != nullptr)
+            << " threads=" << threads;
+      }
+    }
   }
 
   // A cache of the wrong size is rejected rather than misused.
@@ -654,16 +670,18 @@ TEST(AlphaProbeCacheTest, FromRangesRejectsMalformedInput) {
   ranges[1] = {false, 0, 0};
   ranges[2] = {true, 2, 2};
   std::vector<bool> all(3, true);
-  auto ok = ComputeOEstimateFromRanges(*groups, ranges, all);
+  auto ok = ComputeOEstimateCore(*groups, ranges, &all);
   ASSERT_TRUE(ok.ok());
 
+  std::vector<adversary::ItemWeight> weights(2);  // one short
+  EXPECT_FALSE(ComputeOEstimateCore(*groups, ranges, &all, &weights).ok());
   ranges[2] = {true, 2, 5};  // hi outside the group domain
-  EXPECT_FALSE(ComputeOEstimateFromRanges(*groups, ranges, all).ok());
+  EXPECT_FALSE(ComputeOEstimateCore(*groups, ranges, &all).ok());
   ranges[2] = {true, 2, 1};  // inverted
-  EXPECT_FALSE(ComputeOEstimateFromRanges(*groups, ranges, all).ok());
+  EXPECT_FALSE(ComputeOEstimateCore(*groups, ranges, &all).ok());
   ranges.pop_back();  // wrong arity
   std::vector<bool> two(2, true);
-  EXPECT_FALSE(ComputeOEstimateFromRanges(*groups, ranges, two).ok());
+  EXPECT_FALSE(ComputeOEstimateCore(*groups, ranges, &two).ok());
 }
 
 // ----------------------------------------------------------- scratch pool

@@ -106,8 +106,8 @@ TEST_P(Lemma10PropertyTest, ShrinkingCompliantSetDecreasesOE) {
 
   OEstimateOptions opt;
   opt.propagate = false;
-  auto oe_big = ComputeOEstimateRestricted(groups, *base, big, opt);
-  auto oe_small = ComputeOEstimateRestricted(groups, *base, small, opt);
+  auto oe_big = ComputeOEstimate(groups, *base, opt, nullptr, &big);
+  auto oe_small = ComputeOEstimate(groups, *base, opt, nullptr, &small);
   ASSERT_TRUE(oe_big.ok());
   ASSERT_TRUE(oe_small.ok());
   EXPECT_LE(oe_small->expected_cracks, oe_big->expected_cracks + 1e-9);

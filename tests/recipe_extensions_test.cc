@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
+#include "adversary/adversary.h"
 #include "core/recipe.h"
 #include "data/frequency.h"
+#include "datagen/benchmark_profiles.h"
 #include "datagen/profile.h"
 #include "defense/k_anonymity.h"
 #include "defense/scheme.h"
@@ -186,6 +191,45 @@ TEST(RecipeForItemsTest, Validation) {
   options.tolerance = 0.0;
   EXPECT_TRUE(AssessRiskForItems(*table, {true, true}, options)
                   .status().IsInvalidArgument());
+}
+
+TEST(RecipeForItemsTest, AllTrueMaskMatchesAssessRiskForEveryAdversary) {
+  // CONNECT ×0.05 stand-in: n=130, g=125. τ=0.97 stops at step 2, 0.6 at
+  // step 7 and 0.01 in the α bisection, for every registered adversary.
+  Rng rng(3);
+  auto db = MakeBenchmarkDatabase(Benchmark::kConnect, &rng, 0.05);
+  ASSERT_TRUE(db.ok());
+  auto table = FrequencyTable::Compute(*db);
+  ASSERT_TRUE(table.ok());
+  const std::vector<bool> all(table->num_items(), true);
+  for (const adversary::Adversary* adv : adversary::Adversary::All()) {
+    std::set<RecipeDecision> decisions;
+    for (double tau : {0.97, 0.6, 0.01}) {
+      RecipeOptions options;
+      options.tolerance = tau;
+      options.adversary = adv->name();
+      auto full = AssessRisk(*table, options);
+      auto items = AssessRiskForItems(*table, all, options);
+      ASSERT_TRUE(full.ok()) << full.status();
+      ASSERT_TRUE(items.ok()) << items.status();
+      SCOPED_TRACE(std::string(adv->name()) + " tau=" + std::to_string(tau));
+      EXPECT_EQ(items->decision, full->decision);
+      EXPECT_EQ(items->num_items, full->num_items);
+      EXPECT_EQ(items->num_groups, full->num_groups);
+      EXPECT_EQ(items->delta_med, full->delta_med);
+      EXPECT_EQ(items->interval_oe, full->interval_oe);
+      EXPECT_EQ(items->alpha_max, full->alpha_max);
+      EXPECT_EQ(items->tolerance, full->tolerance);
+      EXPECT_EQ(items->crack_budget, full->crack_budget);
+      EXPECT_EQ(items->estimator, full->estimator);
+      EXPECT_EQ(items->adversary, full->adversary);
+      EXPECT_EQ(items->adversary_params.values, full->adversary_params.values);
+      EXPECT_EQ(items->interval_exact, full->interval_exact);
+      EXPECT_EQ(items->interval_blocks.size(), full->interval_blocks.size());
+      decisions.insert(full->decision);
+    }
+    EXPECT_EQ(decisions.size(), 3u) << adv->name();
+  }
 }
 
 }  // namespace

@@ -19,20 +19,7 @@ Database Market() {
   return db;
 }
 
-// -------------------------------------------------------------------- Eclat
-
-TEST(EclatTest, AgreesWithAprioriOnToyData) {
-  Database db = Market();
-  for (double ms : {0.2, 0.34, 0.5}) {
-    MiningOptions opt;
-    opt.min_support = ms;
-    auto a = MineApriori(db, opt);
-    auto e = MineEclat(db, opt);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(e.ok());
-    EXPECT_EQ(*a, *e) << "min_support=" << ms;
-  }
-}
+// ---------------------------------------------------------- Miner agreement
 
 class ThreeMinerAgreementTest
     : public ::testing::TestWithParam<std::tuple<uint64_t, double>> {};
@@ -50,30 +37,15 @@ TEST_P(ThreeMinerAgreementTest, AllThreeMinersAgreeOnQuestData) {
   opt.min_support = min_support;
   auto a = MineApriori(*db, opt);
   auto f = MineFPGrowth(*db, opt);
-  auto e = MineEclat(*db, opt);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(f.ok());
-  ASSERT_TRUE(e.ok());
   EXPECT_EQ(*a, *f);
-  EXPECT_EQ(*a, *e);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, ThreeMinerAgreementTest,
     ::testing::Combine(::testing::Values(11u, 12u, 13u),
                        ::testing::Values(0.05, 0.15)));
-
-TEST(EclatTest, MaxSizeCapAndValidation) {
-  Database db = Market();
-  MiningOptions opt;
-  opt.min_support = 0.2;
-  opt.max_itemset_size = 1;
-  auto e = MineEclat(db, opt);
-  ASSERT_TRUE(e.ok());
-  for (const auto& fi : *e) EXPECT_EQ(fi.items.size(), 1u);
-  Database empty(2);
-  EXPECT_TRUE(MineEclat(empty, opt).status().IsInvalidArgument());
-}
 
 // -------------------------------------------------------------------- Rules
 

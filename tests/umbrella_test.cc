@@ -40,7 +40,7 @@ TEST(UmbrellaTest, WholeApiFlows) {
   // mining (+ rules)
   MiningOptions mining;
   mining.min_support = 0.05;
-  auto patterns = MineEclat(*db, mining);
+  auto patterns = MineFPGrowth(*db, mining);
   ASSERT_TRUE(patterns.ok());
   RuleOptions rule_options;
   rule_options.min_confidence = 0.3;
