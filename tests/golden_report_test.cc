@@ -5,10 +5,13 @@
 // rows and byte-compares each one with tests/golden/report_rows.txt:
 //
 //  - BuildRiskReport(...).ToJson().Dump() on deterministic stand-ins,
-//    for every adversary at tolerances that stop at each Fig. 8 step;
+//    for every adversary and every estimator at tolerances that stop at
+//    each Fig. 8 step (refusals are pinned as `error:` rows);
 //  - AssessRiskForItems on partial masks (RecipeResult fields);
 //  - the cached α-sweep average, with and without adversary weights;
-//  - the O-estimate with propagation off.
+//  - the O-estimate with propagation off;
+//  - RecommendDefense(...).ToJson().Dump() at one thread, and the
+//    group_merge tolerance and k_anonymity plans with their supports.
 //
 // Each row also records how far the work counters moved, which pins the
 // same work along with the same answer.
@@ -36,6 +39,9 @@
 #include "core/risk_report.h"
 #include "data/frequency.h"
 #include "datagen/benchmark_profiles.h"
+#include "defense/optimizer.h"
+#include "defense/scheme.h"
+#include "exec/exec.h"
 #include "obs/metrics.h"
 #include "util/json.h"
 #include "util/rng.h"
@@ -128,9 +134,7 @@ void AddReportRows(const StandIn& s, const std::vector<double>& tolerances,
                    RowWriter* w) {
   for (const char* spec :
        {"interval", "probabilistic:span=2,sigma=1", "exact_support:k=2"}) {
-    for (const char* estimator : {"oe", "auto"}) {
-      const bool weighted = std::string(spec).rfind("probabilistic", 0) == 0;
-      if (weighted && std::string(estimator) != "oe") continue;
+    for (const char* estimator : {"oe", "auto", "exact", "sampler"}) {
       for (double tau : tolerances) {
         const std::string name = "report/" + s.name + "/" + spec + "/" +
                                  estimator + "/tau=" + Num(tau);
@@ -148,6 +152,52 @@ void AddReportRows(const StandIn& s, const std::vector<double>& tolerances,
         });
       }
     }
+  }
+}
+
+/// The one-thread defense sweep, and single plans of the two bisecting
+/// schemes (the payload adds the planned supports, which the plan JSON
+/// summarizes away).
+void AddDefenseRows(const StandIn& s, RowWriter* w) {
+  w->Add("defense/" + s.name + "/recommend", [&]() -> std::string {
+    exec::ExecOptions eo;
+    eo.threads = 1;
+    exec::ExecContext ctx(eo);
+    auto frontier = defense::RecommendDefense(s.db, {}, &ctx);
+    if (!frontier.ok()) return "error: " + frontier.status().ToString();
+    return frontier->ToJson().Dump();
+  });
+  const double n = static_cast<double>(s.table.num_items());
+  const std::vector<std::pair<const char*, defense::DefenseParams>> plans = [&] {
+    std::vector<std::pair<const char*, defense::DefenseParams>> v;
+    for (double tau : {0.5, 0.1, 0.01}) {
+      for (bool point_valued : {false, true}) {
+        defense::DefenseParams p;
+        p.Set("tolerance", tau);
+        if (point_valued) p.Set("point_valued", 1.0);
+        v.emplace_back("group_merge", std::move(p));
+      }
+    }
+    for (double k : {2.0, 8.0, n, n + 1.0}) {
+      defense::DefenseParams p;
+      p.Set("k", k);
+      v.emplace_back("k_anonymity", std::move(p));
+    }
+    return v;
+  }();
+  for (const auto& [scheme, params] : plans) {
+    w->Add("plan/" + s.name + "/" + scheme + "/" + params.ToString(),
+           [&]() -> std::string {
+             auto plan = defense::DefenseScheme::Find(scheme)->Plan(s.table,
+                                                                    params);
+             if (!plan.ok()) return "error: " + plan.status().ToString();
+             std::string supports;
+             for (SupportCount c : plan->new_supports) {
+               if (!supports.empty()) supports += ',';
+               supports += std::to_string(c);
+             }
+             return plan->ToJson().Dump() + " supports=" + supports;
+           });
   }
 }
 
@@ -227,6 +277,9 @@ std::vector<std::pair<std::string, std::string>> ComputeRows() {
       return avg.ok() ? Num(*avg) : "error: " + avg.status().ToString();
     });
   }
+
+  AddDefenseRows(connect, &w);
+  AddDefenseRows(mushroom, &w);
 
   for (const StandIn* s : {&connect, &mushroom}) {
     w.Add("oestimate/" + s->name + "/no_propagation", [&]() -> std::string {
