@@ -14,7 +14,11 @@
 #      refuses the request that overruns its burst with quota_exceeded,
 #   5. an out-of-range number (`"threads":1e12`) is answered with
 #      invalid_params and the same server then answers a normal request
-#      and exits cleanly.
+#      and exits cleanly,
+#   6. engine refusals (an exact estimate past the Ryser cutoff, a
+#      weighted adversary off the O-estimate) are invalid_params as
+#      single requests and batch items, then a normal request is ok and
+#      the server drains.
 #
 # Usage:
 #   scripts/check_serve.sh [path/to/anonsafe]
@@ -195,4 +199,49 @@ sed -n '3p' "$range_responses" | grep -q '"id":3,"ok":true' \
 sed -n '4p' "$range_responses" | grep -q '"drained":true' \
   || fail "out-of-range session shutdown missing drained:true"
 
-echo "check_serve: OK (key=$key; reports bit-identical at 1 and 8 threads; caches hit; debug verb live; server_info + batch + quotas probed; out-of-range params refused; drained)"
+# 9. Engine refusals are the request's fault, not the server's: an exact
+#    estimate whose matching-cover block exceeds the Ryser cutoff
+#    (OutOfRange) and a weighted adversary on a non-O-estimate engine
+#    (Unimplemented) answer invalid_params, as single requests and as
+#    batch items; the next request is ok and the server drains. Items
+#    0..29 with supports 1..30 over 32 transactions (plus item 30 in
+#    every one) chain into one band block of 30 > the cutoff of 22.
+band="$workdir/band.dat"
+for t in $(seq 0 31); do
+  line=""
+  for i in $(seq "$t" 29); do line+="$i "; done
+  echo "${line}30"
+done > "$band"
+band_key="$(printf '%s\n' \
+  "{\"schema_version\":2,\"id\":0,\"verb\":\"load_dataset\",\"params\":{\"path\":\"$band\"}}" \
+  "{\"schema_version\":2,\"id\":0,\"verb\":\"shutdown\"}" \
+  | timeout 60 "$CLI" serve \
+  | sed -n 's/.*"dataset":"\([0-9a-f]*\)".*/\1/p' | head -1)"
+[[ "$band_key" =~ ^[0-9a-f]{16}$ ]] \
+  || fail "could not learn band dataset key (got '$band_key')"
+refusal_session="$workdir/refusal_session.jsonl"
+cat > "$refusal_session" <<EOF
+{"schema_version":2,"id":1,"verb":"load_dataset","params":{"path":"$band"}}
+{"schema_version":2,"id":2,"verb":"assess_risk","params":{"dataset":"$band_key","estimator":"exact"}}
+{"schema_version":2,"id":3,"verb":"assess_risk","params":{"dataset":"$band_key","estimator":"auto","adversary":"probabilistic"}}
+{"schema_version":2,"id":4,"verb":"assess_risk_batch","params":{"dataset":"$band_key","items":[{"estimator":"exact"},{"estimator":"sampler","adversary":"probabilistic"}]}}
+{"schema_version":2,"id":5,"verb":"assess_risk","params":{"dataset":"$band_key"}}
+{"schema_version":2,"id":6,"verb":"shutdown"}
+EOF
+refusal_responses="$workdir/refusal_responses.jsonl"
+timeout 120 "$CLI" serve < "$refusal_session" > "$refusal_responses" \
+  || fail "engine-refusal session did not exit cleanly"
+[[ "$(wc -l < "$refusal_responses")" -eq 6 ]] \
+  || fail "expected 6 engine-refusal responses, got $(wc -l < "$refusal_responses")"
+sed -n '2p' "$refusal_responses" | grep -q '"code":"invalid_params"' \
+  || fail "exact past the Ryser cutoff was not invalid_params: $(sed -n '2p' "$refusal_responses")"
+sed -n '3p' "$refusal_responses" | grep -q '"code":"invalid_params"' \
+  || fail "weighted adversary with estimator=auto was not invalid_params: $(sed -n '3p' "$refusal_responses")"
+[[ "$(sed -n '4p' "$refusal_responses" | grep -o '"code":"invalid_params"' | wc -l)" -eq 2 ]] \
+  || fail "batch refusals were not two invalid_params envelopes: $(sed -n '4p' "$refusal_responses")"
+sed -n '5p' "$refusal_responses" | grep -q '"id":5,"ok":true' \
+  || fail "request after the engine refusals was not answered ok"
+sed -n '6p' "$refusal_responses" | grep -q '"drained":true' \
+  || fail "engine-refusal session shutdown missing drained:true"
+
+echo "check_serve: OK (key=$key; reports bit-identical at 1 and 8 threads; caches hit; debug verb live; server_info + batch + quotas probed; out-of-range params and engine refusals are invalid_params; drained)"

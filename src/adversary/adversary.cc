@@ -1,74 +1,13 @@
 #include "adversary/adversary.h"
 
-#include <algorithm>
 #include <cstdlib>
 
 namespace anonsafe {
 namespace adversary {
 
-void AdversaryParams::Set(const std::string& name, double value) {
-  for (auto& [key, v] : values) {
-    if (key == name) {
-      v = value;
-      return;
-    }
-  }
-  values.emplace_back(name, value);
-}
-
-const double* AdversaryParams::Find(const std::string& name) const {
-  for (const auto& [key, v] : values) {
-    if (key == name) return &v;
-  }
-  return nullptr;
-}
-
-double AdversaryParams::GetOr(const std::string& name, double fallback) const {
-  const double* v = Find(name);
-  return v == nullptr ? fallback : *v;
-}
-
-Result<double> AdversaryParams::Get(const std::string& name) const {
-  const double* v = Find(name);
-  if (v == nullptr) {
-    return Status::InvalidArgument("missing adversary parameter '" + name +
-                                   "'");
-  }
-  return *v;
-}
-
-std::string AdversaryParams::ToString() const {
-  std::string out;
-  for (const auto& [key, v] : values) {
-    if (!out.empty()) out += ",";
-    out += key + "=" + json::NumberToString(v);
-  }
-  return out;
-}
-
-json::Value AdversaryParams::ToJson() const {
-  json::Value obj = json::Value::Object();
-  for (const auto& [key, v] : values) obj.Set(key, json::Value(v));
-  return obj;
-}
-
-Result<AdversaryParams> AdversaryParams::FromJson(const json::Value& value) {
-  if (!value.is_object()) {
-    return Status::InvalidArgument("adversary params must be a JSON object");
-  }
-  AdversaryParams params;
-  for (const auto& [key, member] : value.members()) {
-    if (!member.is_number()) {
-      return Status::InvalidArgument("adversary param '" + key +
-                                     "' must be a number");
-    }
-    params.Set(key, member.AsDouble());
-  }
-  return params;
-}
-
-std::string AdversaryModel::SpecString() const {
-  std::string spec = adversary;
+std::string AdversarySpecString(const std::string& name,
+                                const AdversaryParams& params) {
+  std::string spec = name;
   std::string p = params.ToString();
   if (!p.empty()) spec += ":" + p;
   return spec;
@@ -113,11 +52,15 @@ const Adversary* Adversary::Find(const std::string& name) {
   return nullptr;
 }
 
-std::string AdversarySpec::ToString() const {
-  std::string out = name;
-  std::string p = params.ToString();
-  if (!p.empty()) out += ":" + p;
-  return out;
+Result<const Adversary*> Adversary::Require(const std::string& name) {
+  if (const Adversary* adv = Find(name)) return adv;
+  std::string known;
+  for (const Adversary* a : All()) {
+    if (!known.empty()) known += ", ";
+    known += a->name();
+  }
+  return Status::InvalidArgument("unknown adversary '" + name +
+                                 "' (known: " + known + ")");
 }
 
 Result<AdversarySpec> ParseAdversarySpec(const std::string& spec) {
@@ -134,16 +77,8 @@ Result<AdversarySpec> ParseAdversarySpec(const std::string& spec) {
     return Status::InvalidArgument("empty adversary name in spec '" + spec +
                                    "'");
   }
-  const Adversary* adv = Adversary::Find(out.name);
-  if (adv == nullptr) {
-    std::string known;
-    for (const Adversary* a : Adversary::All()) {
-      if (!known.empty()) known += ", ";
-      known += a->name();
-    }
-    return Status::InvalidArgument("unknown adversary '" + out.name +
-                                   "' (known: " + known + ")");
-  }
+  ANONSAFE_ASSIGN_OR_RETURN(const Adversary* adv,
+                            Adversary::Require(out.name));
   size_t pos = 0;
   while (pos < rest.size()) {
     size_t comma = rest.find(',', pos);
@@ -171,21 +106,5 @@ Result<AdversarySpec> ParseAdversarySpec(const std::string& spec) {
   return out;
 }
 
-namespace internal {
-
-Status CheckAllowedParams(const AdversaryParams& params,
-                          const std::vector<std::string>& allowed,
-                          const char* adversary) {
-  for (const auto& [key, value] : params.values) {
-    (void)value;
-    if (std::find(allowed.begin(), allowed.end(), key) == allowed.end()) {
-      return Status::InvalidArgument("unknown parameter '" + key +
-                                     "' for adversary '" + adversary + "'");
-    }
-  }
-  return Status::OK();
-}
-
-}  // namespace internal
 }  // namespace adversary
 }  // namespace anonsafe

@@ -9,38 +9,24 @@
 #include "belief/belief_function.h"
 #include "data/frequency.h"
 #include "util/json.h"
+#include "util/params.h"
 #include "util/result.h"
 
 namespace anonsafe {
 namespace adversary {
 
-/// \brief Named numeric parameters of one adversary model.
-///
-/// The same shape as `defense::DefenseParams` (every parameter is a
-/// double, kept in insertion order so `ToJson`/`ToString` render the
-/// same bytes for the same construction sequence), but a separate type:
-/// adversary parameters travel through RiskReport provenance and serve
-/// requests independently of any defense sweep. A params object
-/// round-trips through JSON, which is what makes every reported risk
-/// number replayable from its recorded `{adversary, params}` pair.
-struct AdversaryParams {
-  std::vector<std::pair<std::string, double>> values;
+/// Spelled "adversary" in parameter errors.
+inline constexpr char kAdversaryNoun[] = "adversary";
 
-  /// Replaces an existing entry in place or appends a new one.
-  void Set(const std::string& name, double value);
-  /// nullptr when the parameter is absent.
-  const double* Find(const std::string& name) const;
-  double GetOr(const std::string& name, double fallback) const;
-  /// InvalidArgument naming the parameter when absent.
-  Result<double> Get(const std::string& name) const;
+/// \brief Named numeric parameters of one adversary model (the shared
+/// `ParamList`). They travel through RiskReport provenance and serve
+/// requests.
+using AdversaryParams = NamedParams<kAdversaryNoun>;
 
-  /// "k=3" / "span=2,sigma=1" — deterministic, for logs and cache keys.
-  std::string ToString() const;
-  /// Object in insertion order; values via the shared shortest
-  /// round-trip number rendering.
-  json::Value ToJson() const;
-  static Result<AdversaryParams> FromJson(const json::Value& value);
-};
+/// \brief "name" or "name:k=v,..." — the spec string ParseAdversarySpec
+/// reads back, and the provenance / cache key of a bound model.
+std::string AdversarySpecString(const std::string& name,
+                                const AdversaryParams& params);
 
 /// \brief Per-item weights of a weighted (probabilistic) adversary over
 /// the item's consistent frequency groups.
@@ -82,7 +68,9 @@ struct AdversaryModel {
 
   /// "interval" or "probabilistic:span=2,sigma=1" — the provenance /
   /// cache key this model replays from.
-  std::string SpecString() const;
+  std::string SpecString() const {
+    return AdversarySpecString(adversary, params);
+  }
 };
 
 /// \brief Capability surface of one registered adversary, rendered into
@@ -145,6 +133,10 @@ class Adversary {
 
   /// \brief Lookup by registry name; nullptr when unknown.
   static const Adversary* Find(const std::string& name);
+
+  /// \brief Lookup by registry name; InvalidArgument listing the known
+  /// names when unknown.
+  static Result<const Adversary*> Require(const std::string& name);
 };
 
 /// \brief A parsed `--adversary` spec: registry name plus params.
@@ -153,7 +145,7 @@ struct AdversarySpec {
   AdversaryParams params;
 
   /// "name" or "name:k=v,..." — inverse of ParseAdversarySpec.
-  std::string ToString() const;
+  std::string ToString() const { return AdversarySpecString(name, params); }
 };
 
 /// \brief Parses "name[:k=v,...]" (the CLI `--adversary` flag and the
@@ -168,11 +160,6 @@ namespace internal {
 std::unique_ptr<Adversary> MakeIntervalAdversary();
 std::unique_ptr<Adversary> MakeProbabilisticAdversary();
 std::unique_ptr<Adversary> MakeExactSupportAdversary();
-
-/// InvalidArgument naming the first parameter not in `allowed`.
-Status CheckAllowedParams(const AdversaryParams& params,
-                          const std::vector<std::string>& allowed,
-                          const char* adversary);
 }  // namespace internal
 
 }  // namespace adversary

@@ -39,7 +39,7 @@ class ExactSupportAdversary final : public Adversary {
 
   Status ValidateParams(const AdversaryParams& params) const override {
     ANONSAFE_RETURN_IF_ERROR(
-        internal::CheckAllowedParams(params, {"k"}, name()));
+        CheckAllowedParams(params, {"k"}, kAdversaryNoun, name()));
     double k = params.GetOr("k", kDefaultK);
     if (!std::isfinite(k) || k < 1.0 || k != std::floor(k)) {
       return Status::InvalidArgument(

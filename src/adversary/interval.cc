@@ -26,7 +26,7 @@ class IntervalAdversary final : public Adversary {
   }
 
   Status ValidateParams(const AdversaryParams& params) const override {
-    return internal::CheckAllowedParams(params, {}, name());
+    return CheckAllowedParams(params, {}, kAdversaryNoun, name());
   }
 
   Result<AdversaryModel> Bind(const FrequencyTable& table,

@@ -35,7 +35,8 @@ class ProbabilisticAdversary final : public Adversary {
 
   Status ValidateParams(const AdversaryParams& params) const override {
     ANONSAFE_RETURN_IF_ERROR(
-        internal::CheckAllowedParams(params, {"span", "sigma"}, name()));
+        CheckAllowedParams(params, {"span", "sigma"},
+                           kAdversaryNoun, name()));
     double span = params.GetOr("span", kDefaultSpan);
     if (!std::isfinite(span) || span < 0.0 ||
         span != std::floor(span)) {

@@ -14,6 +14,7 @@
 // Foundations.
 #include "util/csv_writer.h"      // IWYU pragma: export
 #include "util/json.h"            // IWYU pragma: export
+#include "util/params.h"          // IWYU pragma: export
 #include "util/result.h"          // IWYU pragma: export
 #include "util/rng.h"             // IWYU pragma: export
 #include "util/stats.h"           // IWYU pragma: export
@@ -66,11 +67,11 @@
 #include "graph/matching_sampler.h"  // IWYU pragma: export
 #include "graph/permanent.h"         // IWYU pragma: export
 
-// Unified estimator layer: the CrackEstimator interface and the
-// block-decomposed cost-based planner (docs/ESTIMATORS.md).
+// Estimator layer: the engine kinds the recipe dispatches on, their
+// provenance types, shared closed forms and the block-decomposed
+// cost-based planner (docs/ESTIMATORS.md).
 #include "estimator/closed_forms.h"  // IWYU pragma: export
 #include "estimator/estimator.h"     // IWYU pragma: export
-#include "estimator/estimators.h"    // IWYU pragma: export
 #include "estimator/planner.h"       // IWYU pragma: export
 
 // Risk estimators and owner-side workflows. (The α-sweep internals in

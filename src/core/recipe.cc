@@ -7,7 +7,7 @@
 
 #include "core/alpha_sweep.h"
 #include "core/exact_formulas.h"
-#include "estimator/estimators.h"
+#include "graph/matching_sampler.h"
 #include "obs/scoped_timer.h"
 #include "util/table_printer.h"
 
@@ -86,23 +86,19 @@ Status ValidateRecipeOptions(const RecipeOptions& options) {
       options.estimator == EstimatorKind::kExact) {
     ANONSAFE_RETURN_IF_ERROR(ValidatePlannerOptions(options.planner));
   }
-  const adversary::Adversary* adv =
-      adversary::Adversary::Find(options.adversary);
-  if (adv == nullptr) {
-    std::string known;
-    for (const adversary::Adversary* a : adversary::Adversary::All()) {
-      if (!known.empty()) known += ", ";
-      known += a->name();
-    }
-    return Status::InvalidArgument("unknown adversary '" + options.adversary +
-                                   "' (known: " + known + ")");
-  }
+  ANONSAFE_ASSIGN_OR_RETURN(const adversary::Adversary* adv,
+                            adversary::Adversary::Require(options.adversary));
   ANONSAFE_RETURN_IF_ERROR(adv->ValidateParams(options.adversary_params));
-  if (adv->Describe().weighted && options.estimator != EstimatorKind::kOe) {
+  return CheckEstimatorForAdversary(options.estimator, *adv);
+}
+
+Status CheckEstimatorForAdversary(EstimatorKind estimator,
+                                  const adversary::Adversary& adversary) {
+  if (adversary.Describe().weighted && estimator != EstimatorKind::kOe) {
     // Weighted consistency has no planner/exact/sampler semantics yet;
     // refusing here beats silently dropping the weights.
     return Status::Unimplemented(
-        std::string("adversary '") + adv->name() +
+        std::string("adversary '") + adversary.name() +
         "' produces weighted models, which only estimator=oe supports");
   }
   return Status::OK();
@@ -218,10 +214,9 @@ Result<RecipeResult> RunRecipe(const FrequencyTable& table,
   // Validated above; the registry pointer is a process-lifetime singleton.
   const adversary::Adversary& adv =
       *adversary::Adversary::Find(options.adversary);
-  std::string adversary_key = options.adversary;
-  if (!options.adversary_params.values.empty()) {
-    adversary_key += ":" + options.adversary_params.ToString();
-  }
+  const std::string adversary_key =
+      adversary::AdversarySpecString(options.adversary,
+                                     options.adversary_params);
 
   ArtifactsView cached =
       SnapshotArtifacts(artifacts, exec_options, adversary_key);
@@ -273,7 +268,8 @@ Result<RecipeResult> RunRecipe(const FrequencyTable& table,
 
   // Steps 3-7: bind the adversary at half-width delta_med (the interval
   // adversary reproduces the historical compliant interval belief
-  // bit-for-bit), then the O-estimate under full compliance.
+  // bit-for-bit), then the expected cracks under full compliance from
+  // the engine `options.estimator` names.
   ANONSAFE_RETURN_IF_ERROR(CheckCancelled(ctx));
   obs::ScopedTimer interval_timer("recipe.interval_check");
   out.delta_med = groups.MedianGap();
@@ -297,32 +293,43 @@ Result<RecipeResult> RunRecipe(const FrequencyTable& table,
     obs::CountIf("anonsafe_recipe_artifact_hits_total");
   }
   const BeliefFunction& base = model->belief;
-  if (options.estimator == EstimatorKind::kOe) {
-    // The historical default path: for unweighted models this is the
-    // plain O-estimate on the model's belief, bit-identical to releases
-    // that predate the estimator and adversary knobs.
-    ANONSAFE_ASSIGN_OR_RETURN(
-        OEstimateResult oe,
-        ComputeOEstimateForModel(groups, *model, options.oestimate, ctx,
-                                 interest));
-    out.interval_oe = oe.expected_cracks;
-  } else {
-    if (model->weighted()) {
-      return Status::Unimplemented(
-          "adversary '" + model->adversary +
-          "' produces weighted models, which only estimator=oe supports");
+  switch (options.estimator) {
+    case EstimatorKind::kOe: {
+      // The historical default path: for unweighted models this is the
+      // plain O-estimate on the model's belief, bit-identical to releases
+      // that predate the estimator and adversary knobs.
+      ANONSAFE_ASSIGN_OR_RETURN(
+          OEstimateResult oe,
+          ComputeOEstimateForModel(groups, *model, options.oestimate, ctx,
+                                   interest));
+      out.interval_oe = oe.expected_cracks;
+      break;
     }
-    EstimatorConfig config;
-    config.planner = options.planner;
-    config.oestimate = options.oestimate;
-    config.sampler.exec = exec_options;
-    std::unique_ptr<CrackEstimator> estimator =
-        MakeEstimator(options.estimator, config);
-    ANONSAFE_ASSIGN_OR_RETURN(CrackEstimate estimate,
-                              estimator->Estimate(groups, base, ctx));
-    out.interval_oe = estimate.expected_cracks;
-    out.interval_exact = estimate.exact;
-    out.interval_blocks = std::move(estimate.blocks);
+    case EstimatorKind::kAuto:
+    case EstimatorKind::kExact: {
+      PlannerOptions planner = options.planner;
+      planner.require_exact = options.estimator == EstimatorKind::kExact;
+      ANONSAFE_ASSIGN_OR_RETURN(CrackEstimate estimate,
+                                PlanAndEstimate(groups, base, planner, ctx));
+      out.interval_oe = estimate.expected_cracks;
+      out.interval_exact = estimate.exact;
+      out.interval_blocks = std::move(estimate.blocks);
+      break;
+    }
+    case EstimatorKind::kSampler: {
+      SamplerOptions sampler_options;
+      sampler_options.exec = exec_options;
+      ANONSAFE_ASSIGN_OR_RETURN(
+          MatchingSampler sampler,
+          MatchingSampler::Create(groups, base, sampler_options));
+      // The mean crack count over every chain's samples, summed in order.
+      const std::vector<size_t> counts = sampler.SampleCrackCounts(ctx);
+      double sum = 0.0;
+      for (size_t c : counts) sum += static_cast<double>(c);
+      out.interval_oe =
+          counts.empty() ? 0.0 : sum / static_cast<double>(counts.size());
+      break;
+    }
   }
   if (interval_timer.tracing()) {
     interval_timer.Annotate("estimator",

@@ -28,9 +28,12 @@ struct RecipeOptions {
   /// O-estimate configuration (propagation on by default).
   OEstimateOptions oestimate;
 
-  /// Engine for the interval risk check (steps 6-7): the historical
-  /// O-estimate (default, bit-identical to prior releases), the
-  /// block-decomposed planner (`auto`/`exact`), or the MCMC sampler.
+  /// Engine for the interval risk check (steps 6-7), which `AssessRisk`
+  /// calls directly: `kOe` the historical O-estimate on the bound model
+  /// (default, bit-identical to prior releases), `kAuto`/`kExact` the
+  /// block-decomposed planner (`PlanAndEstimate`, with `require_exact`
+  /// set by the kind), `kSampler` the MCMC matching sampler (the mean
+  /// crack count over its chains).
   ///
   /// Only the step 6-7 check dispatches: the α bisection (steps 8-9)
   /// always runs on the O-estimate machinery, because §5.3 defines the
@@ -47,9 +50,9 @@ struct RecipeOptions {
   /// plus its parameters. The default, "interval", is the paper's
   /// interval-valued belief and reproduces the historical pipeline
   /// bit-for-bit. Weighted adversaries (e.g. "probabilistic") are only
-  /// valid with `estimator == kOe` — the planner/exact/sampler engines
-  /// have no weighted semantics yet and reject with Unimplemented
-  /// instead of silently dropping the weights.
+  /// valid with `estimator == kOe`; `CheckEstimatorForAdversary` refuses
+  /// any other engine with Unimplemented instead of silently dropping
+  /// the weights.
   std::string adversary = "interval";
   adversary::AdversaryParams adversary_params;
 
@@ -59,9 +62,18 @@ struct RecipeOptions {
 };
 
 /// \brief Checks RecipeOptions invariants (tolerance in (0, 1], at least
-/// one α run, at least one bisection step) with a descriptive error.
-/// Called by every AssessRisk entry point before any work happens.
+/// one α run, at least one bisection step, valid planner knobs for the
+/// planner kinds, a registered adversary with valid params that the
+/// estimator supports) with a descriptive error. Called by every
+/// AssessRisk entry point before any work happens.
 Status ValidateRecipeOptions(const RecipeOptions& options);
+
+/// \brief Unimplemented when `estimator` cannot evaluate the models
+/// `adversary` binds: weighted models run only on the O-estimate. The
+/// one home of that refusal, shared by ValidateRecipeOptions and the
+/// CLI `plan` preview.
+Status CheckEstimatorForAdversary(EstimatorKind estimator,
+                                  const adversary::Adversary& adversary);
 
 /// \brief Which stopping rule of Figure 8 fired.
 enum class RecipeDecision {

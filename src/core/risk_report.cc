@@ -40,14 +40,8 @@ std::string RiskReport::ToText() const {
       << recipe.Summary() << "\n\n";
 
   if (!similarity_curve.empty()) {
-    TablePrinter sim({"sample %", "mean alpha", "stddev", "delta'_med"});
-    for (const SimilarityPoint& p : similarity_curve) {
-      sim.AddRow({TablePrinter::Fmt(p.sample_fraction * 100.0, 0),
-                  TablePrinter::Fmt(p.mean_alpha, 4),
-                  TablePrinter::Fmt(p.stddev_alpha, 4),
-                  TablePrinter::FmtG(p.mean_delta)});
-    }
-    oss << "Similarity by sampling (Fig. 13):\n" << sim.ToString() << '\n';
+    oss << "Similarity by sampling (Fig. 13):\n"
+        << SimilarityCurveTable(similarity_curve) << '\n';
     if (recipe.decision == RecipeDecision::kAlphaBound) {
       if (breaching_sample_fraction > 0.0) {
         oss << "WARNING: a sample of only "
@@ -155,17 +149,7 @@ json::Value RiskReport::ToJson() const {
   }
   v.Set("recipe", std::move(r));
 
-  json::Value curve = json::Value::Array();
-  for (const SimilarityPoint& p : similarity_curve) {
-    json::Value point = json::Value::Object();
-    point.Set("sample_fraction", json::Value(p.sample_fraction));
-    point.Set("mean_alpha", json::Value(p.mean_alpha));
-    point.Set("stddev_alpha", json::Value(p.stddev_alpha));
-    point.Set("mean_delta", json::Value(p.mean_delta));
-    point.Set("mean_groups", json::Value(p.mean_groups));
-    curve.Append(std::move(point));
-  }
-  v.Set("similarity_curve", std::move(curve));
+  v.Set("similarity_curve", SimilarityCurveToJson(similarity_curve));
   v.Set("breaching_sample_fraction", json::Value(breaching_sample_fraction));
   return v;
 }

@@ -71,4 +71,29 @@ Result<std::vector<SimilarityPoint>> SimilarityBySampling(
   return curve;
 }
 
+json::Value SimilarityCurveToJson(const std::vector<SimilarityPoint>& curve) {
+  json::Value points = json::Value::Array();
+  for (const SimilarityPoint& p : curve) {
+    json::Value point = json::Value::Object();
+    point.Set("sample_fraction", json::Value(p.sample_fraction));
+    point.Set("mean_alpha", json::Value(p.mean_alpha));
+    point.Set("stddev_alpha", json::Value(p.stddev_alpha));
+    point.Set("mean_delta", json::Value(p.mean_delta));
+    point.Set("mean_groups", json::Value(p.mean_groups));
+    points.Append(std::move(point));
+  }
+  return points;
+}
+
+std::string SimilarityCurveTable(const std::vector<SimilarityPoint>& curve) {
+  TablePrinter t({"sample %", "mean alpha", "stddev", "delta'_med"});
+  for (const SimilarityPoint& p : curve) {
+    t.AddRow({TablePrinter::Fmt(p.sample_fraction * 100.0, 0),
+              TablePrinter::Fmt(p.mean_alpha, 4),
+              TablePrinter::Fmt(p.stddev_alpha, 4),
+              TablePrinter::FmtG(p.mean_delta)});
+  }
+  return t.ToString();
+}
+
 }  // namespace anonsafe

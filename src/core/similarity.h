@@ -1,10 +1,12 @@
 #ifndef ANONSAFE_CORE_SIMILARITY_H_
 #define ANONSAFE_CORE_SIMILARITY_H_
 
+#include <string>
 #include <vector>
 
 #include "data/database.h"
 #include "exec/exec.h"
+#include "util/json.h"
 #include "util/result.h"
 
 namespace anonsafe {
@@ -51,6 +53,14 @@ struct SimilarityPoint {
 Result<std::vector<SimilarityPoint>> SimilarityBySampling(
     const Database& db, const SimilarityOptions& options = {},
     exec::ExecContext* ctx = nullptr);
+
+/// \brief The curve as a JSON array of point objects: serve
+/// `similarity`'s `curve` and the report's `similarity_curve`.
+json::Value SimilarityCurveToJson(const std::vector<SimilarityPoint>& curve);
+
+/// \brief The curve as a text table (sample %, mean alpha, stddev,
+/// delta'_med): the `similarity` command and the text report.
+std::string SimilarityCurveTable(const std::vector<SimilarityPoint>& curve);
 
 }  // namespace anonsafe
 

@@ -74,9 +74,15 @@ Result<defense::DefensePlan> MergeBelowGapPlan(const FrequencyTable& table,
   return plan;
 }
 
-/// The tolerance core: bisect the gap threshold for the smallest-
-/// distortion merge whose perturbed profile passes the chosen safety
-/// criterion at tolerance τ.
+/// The threshold that merges every run: above twice the widest gap
+/// (plus two supports' worth of slack), so no gap stays at or above it.
+double FullMergeGap(const FrequencyGroups& groups, size_t num_transactions) {
+  return groups.GapSummary().max * 2.0 +
+         2.0 / static_cast<double>(num_transactions);
+}
+
+/// The tolerance core: the smallest-distortion merge whose perturbed
+/// profile passes the chosen safety criterion at tolerance τ.
 Result<defense::DefensePlan> ToleranceSearchPlan(const FrequencyTable& table,
                                                  double tolerance,
                                                  bool point_valued,
@@ -90,7 +96,6 @@ Result<defense::DefensePlan> ToleranceSearchPlan(const FrequencyTable& table,
         "tolerance budget below one crack; even a single frequency group "
         "leaks one expected crack (Lemma 1)");
   }
-  FrequencyGroups original = FrequencyGroups::Build(table);
 
   auto passes = [&](const defense::DefensePlan& plan) -> Result<bool> {
     ANONSAFE_ASSIGN_OR_RETURN(
@@ -117,38 +122,11 @@ Result<defense::DefensePlan> ToleranceSearchPlan(const FrequencyTable& table,
     }
     return oe <= budget;
   };
-
-  // Bisect the gap threshold. `hi` merges everything (passes for
-  // budget >= 1); `lo` = no merging.
-  Summary gaps = original.GapSummary();
-  double lo = 0.0;
-  double hi = gaps.max * 2.0 + 2.0 / static_cast<double>(
-                                         table.num_transactions());
-  ANONSAFE_ASSIGN_OR_RETURN(defense::DefensePlan lo_plan,
-                            MergeBelowGapPlan(table, lo));
-  ANONSAFE_ASSIGN_OR_RETURN(bool lo_passes, passes(lo_plan));
-  if (lo_passes) return lo_plan;  // already safe, no perturbation
-
-  ANONSAFE_ASSIGN_OR_RETURN(defense::DefensePlan hi_plan,
-                            MergeBelowGapPlan(table, hi));
-  ANONSAFE_ASSIGN_OR_RETURN(bool hi_passes, passes(hi_plan));
-  if (!hi_passes) {
-    return Status::FailedPrecondition(
-        "even a full merge cannot reach the tolerance");
-  }
-  for (size_t iter = 0; iter < iters; ++iter) {
-    double mid = (lo + hi) / 2.0;
-    ANONSAFE_ASSIGN_OR_RETURN(defense::DefensePlan mid_plan,
-                              MergeBelowGapPlan(table, mid));
-    ANONSAFE_ASSIGN_OR_RETURN(bool ok, passes(mid_plan));
-    if (ok) {
-      hi = mid;
-      hi_plan = std::move(mid_plan);
-    } else {
-      lo = mid;
-    }
-  }
-  return hi_plan;
+  return defense::internal::BisectMergeGap(
+      table, iters, passes, [](const defense::DefensePlan&) {
+        return Status::FailedPrecondition(
+            "even a full merge cannot reach the tolerance");
+      });
 }
 
 }  // namespace
@@ -244,8 +222,7 @@ class GroupMergeScheme final : public DefenseScheme {
     for (size_t i = 0; i + 1 < gaps.size(); ++i) {
       thresholds.push_back((gaps[i] + gaps[i + 1]) / 2.0);
     }
-    thresholds.push_back(gaps.back() * 2.0 +
-                         2.0 / static_cast<double>(table.num_transactions()));
+    thresholds.push_back(FullMergeGap(groups, table.num_transactions()));
     constexpr size_t kMaxThresholds = 8;
     const size_t n = thresholds.size();
     if (n <= kMaxThresholds) {
@@ -266,8 +243,9 @@ class GroupMergeScheme final : public DefenseScheme {
 
   Result<DefensePlan> Plan(const FrequencyTable& table,
                            const DefenseParams& params) const override {
-    ANONSAFE_RETURN_IF_ERROR(internal::CheckAllowedParams(
-        params, {"gap", "tolerance", "point_valued", "iters"}, name()));
+    ANONSAFE_RETURN_IF_ERROR(CheckAllowedParams(
+        params, {"gap", "tolerance", "point_valued", "iters"},
+        "defense scheme", name()));
     const double* gap = params.Find("gap");
     const double* tolerance = params.Find("tolerance");
     if ((gap != nullptr) == (tolerance != nullptr)) {
@@ -304,12 +282,34 @@ std::unique_ptr<DefenseScheme> MakeGroupMergeScheme() {
   return std::make_unique<GroupMergeScheme>();
 }
 
-/// Shared with the k-anonymity scheme (which bisects over the same
-/// merge core): exposed through this internal hook instead of the
-/// deprecated public wrapper.
-Result<DefensePlan> MergeBelowGapPlanInternal(const FrequencyTable& table,
-                                              double min_gap) {
-  return MergeBelowGapPlan(table, min_gap);
+Result<DefensePlan> BisectMergeGap(
+    const FrequencyTable& table, size_t iters,
+    const std::function<Result<bool>(const DefensePlan&)>& passes,
+    const std::function<Status(const DefensePlan&)>& unreachable) {
+  ANONSAFE_ASSIGN_OR_RETURN(DefensePlan lo_plan,
+                            MergeBelowGapPlan(table, 0.0));
+  ANONSAFE_ASSIGN_OR_RETURN(bool lo_passes, passes(lo_plan));
+  if (lo_passes) return lo_plan;  // already safe, no perturbation
+
+  double lo = 0.0;
+  double hi = FullMergeGap(FrequencyGroups::Build(table),
+                           table.num_transactions());
+  ANONSAFE_ASSIGN_OR_RETURN(DefensePlan hi_plan, MergeBelowGapPlan(table, hi));
+  ANONSAFE_ASSIGN_OR_RETURN(bool hi_passes, passes(hi_plan));
+  if (!hi_passes) return unreachable(hi_plan);
+  for (size_t iter = 0; iter < iters; ++iter) {
+    double mid = (lo + hi) / 2.0;
+    ANONSAFE_ASSIGN_OR_RETURN(DefensePlan mid_plan,
+                              MergeBelowGapPlan(table, mid));
+    ANONSAFE_ASSIGN_OR_RETURN(bool ok, passes(mid_plan));
+    if (ok) {
+      hi = mid;
+      hi_plan = std::move(mid_plan);
+    } else {
+      lo = mid;
+    }
+  }
+  return hi_plan;
 }
 
 }  // namespace internal

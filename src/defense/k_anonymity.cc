@@ -10,8 +10,8 @@
 namespace anonsafe {
 namespace {
 
-/// The bisection core: cheapest group merge whose perturbed profile is
-/// at least k-anonymous.
+/// The cheapest group merge whose perturbed profile is at least
+/// k-anonymous.
 Result<defense::DefensePlan> PlanKAnonymityMerge(const FrequencyTable& table,
                                                  size_t k, size_t iters) {
   const size_t n = table.num_items();
@@ -29,42 +29,18 @@ Result<defense::DefensePlan> PlanKAnonymityMerge(const FrequencyTable& table,
                                      table.num_transactions()));
     return FrequencyKAnonymity(FrequencyGroups::Build(merged));
   };
-
-  ANONSAFE_ASSIGN_OR_RETURN(
-      defense::DefensePlan none,
-      defense::internal::MergeBelowGapPlanInternal(table, 0.0));
-  ANONSAFE_ASSIGN_OR_RETURN(size_t base_k, anonymity_of(none));
-  if (base_k >= k) return none;  // already k-anonymous
-
-  FrequencyGroups groups = FrequencyGroups::Build(table);
-  double hi = groups.GapSummary().max * 2.0 +
-              2.0 / static_cast<double>(table.num_transactions());
-  ANONSAFE_ASSIGN_OR_RETURN(
-      defense::DefensePlan full,
-      defense::internal::MergeBelowGapPlanInternal(table, hi));
-  ANONSAFE_ASSIGN_OR_RETURN(size_t full_k, anonymity_of(full));
-  if (full_k < k) {
-    return Status::FailedPrecondition(
-        "even a full merge yields only " + std::to_string(full_k) +
-        "-anonymity");
-  }
-
-  double lo = 0.0;
-  defense::DefensePlan best = std::move(full);
-  for (size_t iter = 0; iter < iters; ++iter) {
-    double mid = (lo + hi) / 2.0;
-    ANONSAFE_ASSIGN_OR_RETURN(
-        defense::DefensePlan candidate,
-        defense::internal::MergeBelowGapPlanInternal(table, mid));
-    ANONSAFE_ASSIGN_OR_RETURN(size_t candidate_k, anonymity_of(candidate));
-    if (candidate_k >= k) {
-      hi = mid;
-      best = std::move(candidate);
-    } else {
-      lo = mid;
-    }
-  }
-  return best;
+  return defense::internal::BisectMergeGap(
+      table, iters,
+      [&](const defense::DefensePlan& plan) -> Result<bool> {
+        ANONSAFE_ASSIGN_OR_RETURN(size_t anonymity, anonymity_of(plan));
+        return anonymity >= k;
+      },
+      [&](const defense::DefensePlan& full) -> Status {
+        ANONSAFE_ASSIGN_OR_RETURN(size_t full_k, anonymity_of(full));
+        return Status::FailedPrecondition(
+            "even a full merge yields only " + std::to_string(full_k) +
+            "-anonymity");
+      });
 }
 
 }  // namespace
@@ -114,8 +90,8 @@ class KAnonymityScheme final : public DefenseScheme {
 
   Result<DefensePlan> Plan(const FrequencyTable& table,
                            const DefenseParams& params) const override {
-    ANONSAFE_RETURN_IF_ERROR(
-        internal::CheckAllowedParams(params, {"k", "iters"}, name()));
+    ANONSAFE_RETURN_IF_ERROR(CheckAllowedParams(params, {"k", "iters"},
+                                                "defense scheme", name()));
     ANONSAFE_ASSIGN_OR_RETURN(double k, params.Get("k"));
     Result<DefensePlan> plan = PlanKAnonymityMerge(
         table, static_cast<size_t>(k),

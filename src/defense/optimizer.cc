@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "belief/builders.h"
+#include "defense/k_anonymity.h"
 #include "obs/metrics.h"
 #include "obs/scoped_timer.h"
 #include "util/rng.h"
@@ -42,10 +43,7 @@ Result<RiskScore> ScoreRisk(const FrequencyTable& release,
   if (release.num_items() == 0) return score;  // empty release leaks nothing
   FrequencyGroups groups = FrequencyGroups::Build(release);
   score.num_groups = groups.num_groups();
-  score.k_anonymity = groups.group_size(0);
-  for (size_t g = 1; g < groups.num_groups(); ++g) {
-    score.k_anonymity = std::min(score.k_anonymity, groups.group_size(g));
-  }
+  score.k_anonymity = FrequencyKAnonymity(groups);
   ANONSAFE_ASSIGN_OR_RETURN(
       BeliefFunction belief,
       MakeCompliantIntervalBelief(release, groups.MedianGap()));

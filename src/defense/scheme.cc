@@ -1,70 +1,7 @@
 #include "defense/scheme.h"
 
-#include <algorithm>
-
 namespace anonsafe {
 namespace defense {
-
-void DefenseParams::Set(const std::string& name, double value) {
-  for (auto& [key, v] : values) {
-    if (key == name) {
-      v = value;
-      return;
-    }
-  }
-  values.emplace_back(name, value);
-}
-
-const double* DefenseParams::Find(const std::string& name) const {
-  for (const auto& [key, v] : values) {
-    if (key == name) return &v;
-  }
-  return nullptr;
-}
-
-double DefenseParams::GetOr(const std::string& name, double fallback) const {
-  const double* v = Find(name);
-  return v == nullptr ? fallback : *v;
-}
-
-Result<double> DefenseParams::Get(const std::string& name) const {
-  const double* v = Find(name);
-  if (v == nullptr) {
-    return Status::InvalidArgument("missing defense parameter '" + name +
-                                   "'");
-  }
-  return *v;
-}
-
-std::string DefenseParams::ToString() const {
-  std::string out;
-  for (const auto& [key, v] : values) {
-    if (!out.empty()) out += ",";
-    out += key + "=" + json::NumberToString(v);
-  }
-  return out;
-}
-
-json::Value DefenseParams::ToJson() const {
-  json::Value obj = json::Value::Object();
-  for (const auto& [key, v] : values) obj.Set(key, json::Value(v));
-  return obj;
-}
-
-Result<DefenseParams> DefenseParams::FromJson(const json::Value& value) {
-  if (!value.is_object()) {
-    return Status::InvalidArgument("defense params must be a JSON object");
-  }
-  DefenseParams params;
-  for (const auto& [key, member] : value.members()) {
-    if (!member.is_number()) {
-      return Status::InvalidArgument("defense param '" + key +
-                                     "' must be a number");
-    }
-    params.Set(key, member.AsDouble());
-  }
-  return params;
-}
 
 json::Value DefensePlan::ToJson() const {
   json::Value obj = json::Value::Object();
@@ -111,22 +48,5 @@ const DefenseScheme* DefenseScheme::Find(const std::string& name) {
   return nullptr;
 }
 
-namespace internal {
-
-Status CheckAllowedParams(const DefenseParams& params,
-                          const std::vector<std::string>& allowed,
-                          const char* scheme) {
-  for (const auto& [key, value] : params.values) {
-    (void)value;
-    if (std::find(allowed.begin(), allowed.end(), key) == allowed.end()) {
-      return Status::InvalidArgument("unknown parameter '" + key +
-                                     "' for defense scheme '" + scheme +
-                                     "'");
-    }
-  }
-  return Status::OK();
-}
-
-}  // namespace internal
 }  // namespace defense
 }  // namespace anonsafe

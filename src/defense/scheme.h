@@ -1,6 +1,7 @@
 #ifndef ANONSAFE_DEFENSE_SCHEME_H_
 #define ANONSAFE_DEFENSE_SCHEME_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -9,37 +10,19 @@
 #include "data/database.h"
 #include "data/frequency.h"
 #include "util/json.h"
+#include "util/params.h"
 #include "util/result.h"
 #include "util/rng.h"
 
 namespace anonsafe {
 namespace defense {
 
-/// \brief Named numeric parameters of one defense candidate.
-///
-/// Every scheme parameter is a double (integers are exact up to 2^53),
-/// kept in insertion order so `ToJson`/`ToString` render the same bytes
-/// for the same construction sequence. A params object round-trips
-/// through JSON, which is what makes every frontier point replayable
-/// from its recorded `{scheme, params}` pair alone.
-struct DefenseParams {
-  std::vector<std::pair<std::string, double>> values;
+/// Spelled "defense" in parameter errors.
+inline constexpr char kDefenseNoun[] = "defense";
 
-  /// Replaces an existing entry in place or appends a new one.
-  void Set(const std::string& name, double value);
-  /// nullptr when the parameter is absent.
-  const double* Find(const std::string& name) const;
-  double GetOr(const std::string& name, double fallback) const;
-  /// InvalidArgument naming the parameter when absent.
-  Result<double> Get(const std::string& name) const;
-
-  /// "k=4,iters=24" — deterministic, for logs/CSV cells.
-  std::string ToString() const;
-  /// Object in insertion order; values via the shared shortest
-  /// round-trip number rendering.
-  json::Value ToJson() const;
-  static Result<DefenseParams> FromJson(const json::Value& value);
-};
+/// \brief Named numeric parameters of one defense candidate (the shared
+/// `ParamList`).
+using DefenseParams = NamedParams<kDefenseNoun>;
 
 /// \brief The unified plan every defense scheme produces: what the
 /// defense will do to the release plus the analysis numbers computed
@@ -144,17 +127,16 @@ std::unique_ptr<DefenseScheme> MakeKAnonymityScheme();
 std::unique_ptr<DefenseScheme> MakeGroupMergeScheme();
 std::unique_ptr<DefenseScheme> MakeSuppressionScheme();
 
-/// Rejects parameters outside `allowed` with an InvalidArgument naming
-/// the parameter and the scheme — shared by every built-in Plan().
-Status CheckAllowedParams(const DefenseParams& params,
-                          const std::vector<std::string>& allowed,
-                          const char* scheme);
-
-/// The gap-threshold merge core (defined in group_merge.cc), shared by
-/// the group-merge scheme and the k-anonymity bisection — same support
-/// vector either way, so the two schemes stay bit-consistent.
-Result<DefensePlan> MergeBelowGapPlanInternal(const FrequencyTable& table,
-                                              double min_gap);
+/// Bisects the gap threshold between no merge and a full merge
+/// (defined in group_merge.cc) for the mildest merge plan that `passes`:
+/// the unmerged plan when it already passes, otherwise the smallest
+/// threshold found in `iters` halvings. When even the full merge fails,
+/// returns `unreachable(full_plan)`. Shared by the group-merge tolerance
+/// search and the k-anonymity scheme, so both merge bit-consistently.
+Result<DefensePlan> BisectMergeGap(
+    const FrequencyTable& table, size_t iters,
+    const std::function<Result<bool>(const DefensePlan&)>& passes,
+    const std::function<Status(const DefensePlan&)>& unreachable);
 }  // namespace internal
 
 }  // namespace defense

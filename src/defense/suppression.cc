@@ -157,9 +157,9 @@ class SuppressionScheme final : public DefenseScheme {
 
   Result<DefensePlan> Plan(const FrequencyTable& table,
                            const DefenseParams& params) const override {
-    ANONSAFE_RETURN_IF_ERROR(internal::CheckAllowedParams(
+    ANONSAFE_RETURN_IF_ERROR(CheckAllowedParams(
         params, {"tolerance", "max_suppressed_fraction", "rerank_batch"},
-        name()));
+        "defense scheme", name()));
     Result<DefensePlan> plan = PlanSuppressionCore(
         table, params.GetOr("tolerance", 0.1),
         params.GetOr("max_suppressed_fraction", 0.5),

@@ -5,14 +5,9 @@
 #include <string>
 #include <vector>
 
-#include "belief/belief_function.h"
-#include "data/frequency.h"
 #include "util/result.h"
 
 namespace anonsafe {
-namespace exec {
-class ExecContext;
-}  // namespace exec
 
 /// \brief Which crack-estimation engine a caller wants (the
 /// `RecipeOptions::estimator` knob, the CLI `--estimator` flag, and the
@@ -78,25 +73,6 @@ struct CrackEstimate {
   size_t num_components = 0;  ///< matching-cover blocks (0: whole-graph)
   size_t pruned_edges = 0;    ///< edges removed by the matching cover
   std::vector<BlockProvenance> blocks;  ///< planner runs only
-};
-
-/// \brief The common interface every estimator sits behind: direct
-/// permanents, closed forms, chains, O-estimate, sampler, and the planner
-/// that routes between them (see docs/ESTIMATORS.md).
-class CrackEstimator {
- public:
-  virtual ~CrackEstimator() = default;
-
-  /// \brief Canonical name of the engine ("auto", "oe", ...).
-  virtual const char* name() const = 0;
-
-  /// \brief Expected cracks of `observed` against `belief`. With a
-  /// non-null `ctx` the evaluation parallelizes on the pool while staying
-  /// bit-identical for any thread count.
-  virtual Result<CrackEstimate> Estimate(const FrequencyGroups& observed,
-                                         const BeliefFunction& belief,
-                                         exec::ExecContext* ctx = nullptr)
-      const = 0;
 };
 
 }  // namespace anonsafe

@@ -100,7 +100,13 @@ ParsedLine ParseRequestLine(const std::string& line, size_t max_line_bytes) {
 }
 
 const char* ErrorCodeForStatus(const Status& status) {
-  if (status.IsInvalidArgument()) return kErrInvalidParams;
+  // OutOfRange and Unimplemented are engine refusals of this request's
+  // params (an exact estimate past the Ryser cutoff, a weighted
+  // adversary off the O-estimate), not server faults.
+  if (status.IsInvalidArgument() || status.IsOutOfRange() ||
+      status.IsUnimplemented()) {
+    return kErrInvalidParams;
+  }
   if (status.IsNotFound()) return kErrNotFound;
   if (status.IsCancelled()) return kErrDeadlineExceeded;
   if (status.IsIOError()) return kErrIo;

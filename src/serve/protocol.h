@@ -94,8 +94,9 @@ struct ParsedLine {
 ParsedLine ParseRequestLine(const std::string& line, size_t max_line_bytes);
 
 /// \brief Maps a handler Status onto a protocol error code
-/// (InvalidArgument → invalid_params, NotFound → not_found, Cancelled →
-/// deadline_exceeded, IOError → io_error, anything else → internal).
+/// (InvalidArgument, OutOfRange and Unimplemented → invalid_params,
+/// NotFound → not_found, Cancelled → deadline_exceeded, IOError →
+/// io_error, anything else → internal).
 const char* ErrorCodeForStatus(const Status& status);
 
 }  // namespace serve

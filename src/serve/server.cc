@@ -42,16 +42,6 @@ json::Value RenderOutcome(const json::Value& id, Result<json::Value> outcome,
                            outcome.status().message(), version);
 }
 
-json::Value SimilarityPointToJson(const SimilarityPoint& p) {
-  json::Value point = json::Value::Object();
-  point.Set("sample_fraction", json::Value(p.sample_fraction));
-  point.Set("mean_alpha", json::Value(p.mean_alpha));
-  point.Set("stddev_alpha", json::Value(p.stddev_alpha));
-  point.Set("mean_delta", json::Value(p.mean_delta));
-  point.Set("mean_groups", json::Value(p.mean_groups));
-  return point;
-}
-
 /// A dataset verb's table: the required `dataset`, then its own params.
 ParamTable WithDataset(const ParamTable& params) {
   ParamTable table{{"dataset", json::Value::Type::kString, true}};
@@ -805,11 +795,9 @@ Result<json::Value> Server::HandleSimilarity(const json::Value& params,
   ANONSAFE_ASSIGN_OR_RETURN(
       std::vector<SimilarityPoint> curve,
       SimilarityBySampling(ds->data.database, options, ctx));
-  json::Value points = json::Value::Array();
-  for (const SimilarityPoint& p : curve) points.Append(SimilarityPointToJson(p));
   json::Value result = json::Value::Object();
   result.Set("dataset", json::Value(ds->key));
-  result.Set("curve", std::move(points));
+  result.Set("curve", SimilarityCurveToJson(curve));
   return result;
 }
 

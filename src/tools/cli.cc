@@ -13,7 +13,6 @@
 #include "belief/belief_io.h"
 #include "belief/builders.h"
 #include "core/graph_oestimate.h"
-#include "estimator/estimators.h"
 #include "estimator/planner.h"
 #include "core/per_item_risk.h"
 #include "core/recipe.h"
@@ -176,11 +175,10 @@ Status RunAssess(const CliInvocation& cli, std::ostream& out) {
       << result.Summary() << "\n";
   if (result.adversary != "interval" ||
       !result.adversary_params.values.empty()) {
-    out << "adversary: " << result.adversary;
-    if (!result.adversary_params.values.empty()) {
-      out << ":" << result.adversary_params.ToString();
-    }
-    out << "\n";
+    out << "adversary: "
+        << adversary::AdversarySpecString(result.adversary,
+                                          result.adversary_params)
+        << "\n";
   }
   if (options.estimator != EstimatorKind::kOe &&
       result.decision != RecipeDecision::kDiscloseAtPointValued) {
@@ -215,12 +213,9 @@ Status RunPlan(const CliInvocation& cli, std::ostream& out) {
 
   const adversary::Adversary& adv =
       *adversary::Adversary::Find(recipe.adversary);
-  if (adv.Describe().weighted) {
-    return Status::Unimplemented(
-        "adversary '" + recipe.adversary +
-        "' produces weighted models, which the planner does not support; "
-        "assess it with --estimator=oe instead");
-  }
+  // The preview is of the planner, which cannot take weighted models.
+  ANONSAFE_RETURN_IF_ERROR(
+      CheckEstimatorForAdversary(EstimatorKind::kAuto, adv));
   // The default interval adversary binds exactly the historical
   // MakeCompliantIntervalBelief(table, delta) call.
   ANONSAFE_ASSIGN_OR_RETURN(adversary::AdversaryModel model,
@@ -378,14 +373,7 @@ Status RunSimilarity(const CliInvocation& cli, std::ostream& out) {
                             ReadFimiFile(cli.positional[0]));
   ANONSAFE_ASSIGN_OR_RETURN(std::vector<SimilarityPoint> curve,
                             SimilarityBySampling(data.database, options));
-  TablePrinter t({"sample %", "mean alpha", "stddev", "delta'_med"});
-  for (const SimilarityPoint& p : curve) {
-    t.AddRow({TablePrinter::Fmt(p.sample_fraction * 100.0, 0),
-              TablePrinter::Fmt(p.mean_alpha, 4),
-              TablePrinter::Fmt(p.stddev_alpha, 4),
-              TablePrinter::FmtG(p.mean_delta)});
-  }
-  t.Print(out);
+  out << SimilarityCurveTable(curve);
   return Status::OK();
 }
 

@@ -48,6 +48,8 @@ TEST(AdversaryParamsTest, SetFindGetToString) {
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(*got, 1.5);
   EXPECT_TRUE(p.Get("nope").status().IsInvalidArgument());
+  EXPECT_EQ(p.Get("nope").status().message(),
+            "missing adversary parameter 'nope'");
   EXPECT_EQ(p.ToString(), "span=3,sigma=1.5");
 }
 
@@ -64,6 +66,12 @@ TEST(AdversaryParamsTest, JsonRoundTrip) {
   auto empty_back = AdversaryParams::FromJson(empty.ToJson());
   ASSERT_TRUE(empty_back.ok());
   EXPECT_TRUE(empty_back->values.empty());
+  EXPECT_EQ(AdversaryParams::FromJson(json::Value(1.0)).status().message(),
+            "adversary params must be a JSON object");
+  EXPECT_EQ(AdversaryParams::FromJson(*json::Value::Parse("{\"k\":\"2\"}"))
+                .status()
+                .message(),
+            "adversary param 'k' must be a number");
 }
 
 // --------------------------------------------------------------- Registry
@@ -110,7 +118,9 @@ TEST(AdversaryRegistryTest, UnknownParameterRejected) {
     Status status = a->ValidateParams(p);
     ASSERT_FALSE(status.ok()) << a->name();
     EXPECT_TRUE(status.IsInvalidArgument()) << a->name();
-    EXPECT_NE(status.message().find("bogus"), std::string::npos);
+    EXPECT_EQ(status.message(), std::string("unknown parameter 'bogus' for "
+                                            "adversary '") +
+                                    a->name() + "'");
   }
 }
 
@@ -133,7 +143,9 @@ TEST(AdversarySpecTest, ParsesNameAndParams) {
 
 TEST(AdversarySpecTest, RejectsBadSpecs) {
   EXPECT_TRUE(ParseAdversarySpec("").status().IsInvalidArgument());
-  EXPECT_TRUE(ParseAdversarySpec("laplace").status().IsInvalidArgument());
+  EXPECT_EQ(ParseAdversarySpec("laplace").status().ToString(),
+            "InvalidArgument: unknown adversary 'laplace' (known: interval, "
+            "probabilistic, exact_support)");
   EXPECT_TRUE(
       ParseAdversarySpec("interval:bogus=1").status().IsInvalidArgument());
   EXPECT_TRUE(ParseAdversarySpec("probabilistic:span")

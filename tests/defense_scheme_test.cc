@@ -40,6 +40,8 @@ TEST(DefenseParamsTest, SetFindGet) {
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(*got, 6.0);
   EXPECT_TRUE(p.Get("nope").status().IsInvalidArgument());
+  EXPECT_EQ(p.Get("nope").status().message(),
+            "missing defense parameter 'nope'");
   EXPECT_EQ(p.ToString(), "k=6,iters=24");
 }
 
@@ -51,6 +53,12 @@ TEST(DefenseParamsTest, JsonRoundTrip) {
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back->values, p.values);
   EXPECT_EQ(back->ToJson().Dump(), p.ToJson().Dump());
+  EXPECT_EQ(DefenseParams::FromJson(json::Value(1.0)).status().message(),
+            "defense params must be a JSON object");
+  EXPECT_EQ(DefenseParams::FromJson(*json::Value::Parse("{\"k\":true}"))
+                .status()
+                .message(),
+            "defense param 'k' must be a number");
 }
 
 // --------------------------------------------------------------- Registry
@@ -101,7 +109,9 @@ TEST(DefenseRegistryTest, UnknownParameterRejected) {
     auto plan = s->Plan(table, p);
     ASSERT_FALSE(plan.ok()) << s->name();
     EXPECT_TRUE(plan.status().IsInvalidArgument()) << s->name();
-    EXPECT_NE(plan.status().message().find("bogus"), std::string::npos);
+    EXPECT_EQ(plan.status().message(),
+              std::string("unknown parameter 'bogus' for defense scheme '") +
+                  s->name() + "'");
   }
 }
 

@@ -6,13 +6,14 @@
 
 #include "belief/builders.h"
 #include "core/direct_method.h"
+#include "core/oestimate.h"
 #include "core/recipe.h"
 #include "data/frequency.h"
 #include "estimator/closed_forms.h"
-#include "estimator/estimators.h"
 #include "estimator/planner.h"
 #include "exec/exec.h"
 #include "graph/bipartite_graph.h"
+#include "graph/matching_sampler.h"
 #include "util/rng.h"
 
 namespace anonsafe {
@@ -393,45 +394,73 @@ TEST(PlannerTest, DistributionRejectsZeroMaxMatchings) {
   EXPECT_TRUE(direct.status().IsInvalidArgument());
 }
 
-// --------------------------------------------------------- MakeEstimator
+// ------------------------------------------------------------ recipe knob
 
-TEST(MakeEstimatorTest, AdaptersReportNamesAndExactness) {
-  auto fixture = MakeChain();
-  ASSERT_TRUE(fixture.ok());
-  auto direct = DirectExpectedCracks(fixture->groups, fixture->belief);
+TEST(RecipeEstimatorTest, EachKindReportsItsEngine) {
+  // The chain fixture's supports. Bound by exact_support:k=1 (item 0's
+  // support known, the rest ignorant) the model is one chain block: item
+  // 0 exclusive to group 0 and three seam items, where the O-estimate
+  // (1.25) and the exact expectation (4/3) differ.
+  auto table = FrequencyTable::FromSupports({10, 10, 20, 20}, 100);
+  ASSERT_TRUE(table.ok());
+  const FrequencyGroups groups = FrequencyGroups::Build(*table);
+  RecipeOptions options;
+  options.tolerance = 0.1;  // budget 0.4 < g = 2: the interval check runs
+  options.adversary = "exact_support";
+  options.adversary_params.Set("k", 1.0);
+  auto model = adversary::Adversary::Find("exact_support")
+                   ->Bind(*table, groups, groups.MedianGap(),
+                          options.adversary_params);
+  ASSERT_TRUE(model.ok());
+  auto direct = DirectExpectedCracks(groups, model->belief);
   ASSERT_TRUE(direct.ok());
 
-  EstimatorConfig config;
-  auto auto_est = MakeEstimator(EstimatorKind::kAuto, config);
-  EXPECT_STREQ(auto_est->name(), "auto");
-  auto auto_result = auto_est->Estimate(fixture->groups, fixture->belief);
-  ASSERT_TRUE(auto_result.ok());
-  EXPECT_TRUE(auto_result->exact);
-  EXPECT_EQ(auto_result->expected_cracks, *direct);
+  // Each engine called directly, as the recipe's step 6-7 switch does.
+  auto oe = ComputeOEstimateForModel(groups, *model, options.oestimate);
+  ASSERT_TRUE(oe.ok());
+  auto planned = PlanAndEstimate(groups, model->belief, options.planner);
+  ASSERT_TRUE(planned.ok());
+  ASSERT_EQ(planned->blocks.size(), 1u);
+  EXPECT_EQ(planned->blocks[0].method, BlockMethod::kChain);
+  PlannerOptions exact_planner = options.planner;
+  exact_planner.require_exact = true;
+  auto planned_exact = PlanAndEstimate(groups, model->belief, exact_planner);
+  ASSERT_TRUE(planned_exact.ok());
+  SamplerOptions sampler_options;
+  sampler_options.exec = options.exec;
+  auto sampler = MatchingSampler::Create(groups, model->belief,
+                                         sampler_options);
+  ASSERT_TRUE(sampler.ok());
+  const std::vector<size_t> counts = sampler->SampleCrackCounts();
+  double sum = 0.0;
+  for (size_t c : counts) sum += static_cast<double>(c);
+  const double sampled = sum / static_cast<double>(counts.size());
 
-  auto exact_est = MakeEstimator(EstimatorKind::kExact, config);
-  EXPECT_STREQ(exact_est->name(), "exact");
-  auto exact_result = exact_est->Estimate(fixture->groups, fixture->belief);
-  ASSERT_TRUE(exact_result.ok());
-  EXPECT_EQ(exact_result->expected_cracks, *direct);
+  EXPECT_EQ(planned->expected_cracks, *direct);
+  EXPECT_EQ(planned_exact->expected_cracks, *direct);
+  EXPECT_NE(oe->expected_cracks, *direct);
+  EXPECT_NEAR(sampled, *direct, 0.5);
 
-  auto oe_est = MakeEstimator(EstimatorKind::kOe, config);
-  EXPECT_STREQ(oe_est->name(), "oe");
-  auto oe_result = oe_est->Estimate(fixture->groups, fixture->belief);
-  ASSERT_TRUE(oe_result.ok());
-  EXPECT_FALSE(oe_result->exact);
-  EXPECT_GT(oe_result->expected_cracks, 0.0);
-
-  auto sampler_est = MakeEstimator(EstimatorKind::kSampler, config);
-  EXPECT_STREQ(sampler_est->name(), "sampler");
-  auto sampler_result =
-      sampler_est->Estimate(fixture->groups, fixture->belief);
-  ASSERT_TRUE(sampler_result.ok());
-  EXPECT_FALSE(sampler_result->exact);
-  EXPECT_NEAR(sampler_result->expected_cracks, *direct, 0.5);
+  struct Row {
+    EstimatorKind kind;
+    double interval_oe;
+    bool interval_exact;
+  };
+  for (const Row& row : {Row{EstimatorKind::kOe, oe->expected_cracks, false},
+                         Row{EstimatorKind::kAuto, *direct, true},
+                         Row{EstimatorKind::kExact, *direct, true},
+                         Row{EstimatorKind::kSampler, sampled, false}}) {
+    options.estimator = row.kind;
+    auto result = AssessRisk(*table, options);
+    ASSERT_TRUE(result.ok()) << EstimatorKindName(row.kind);
+    ASSERT_NE(result->decision, RecipeDecision::kDiscloseAtPointValued);
+    EXPECT_EQ(result->estimator, row.kind);
+    EXPECT_EQ(result->interval_oe, row.interval_oe)
+        << EstimatorKindName(row.kind);
+    EXPECT_EQ(result->interval_exact, row.interval_exact)
+        << EstimatorKindName(row.kind);
+  }
 }
-
-// ------------------------------------------------------------ recipe knob
 
 TEST(RecipeEstimatorTest, AutoFillsIntervalProvenance) {
   // Many tied groups with a tiny tolerance so the recipe reaches the

@@ -283,6 +283,54 @@ TEST(ServeAdversaryTest, UnknownAdversaryIsInvalidParams) {
             kErrInvalidParams);
 }
 
+// Engine refusals depend on the request, not on the server: an exact
+// estimate whose matching-cover block exceeds the Ryser cutoff
+// (OutOfRange) and a weighted adversary on a non-O-estimate engine
+// (Unimplemented) are invalid_params, as single requests and as batch
+// items, and the server keeps answering.
+TEST(ServeAdversaryTest, EngineRefusalsAreInvalidParams) {
+  Server server;
+  // Items 0..29 with supports 1..30 over 32 transactions, plus item 30
+  // in every transaction: the δ_med = 1/32 intervals chain items 0..29
+  // into one band block of 30 > the Ryser cutoff of 22.
+  std::string band;
+  for (int t = 0; t < 32; ++t) {
+    for (int i = t; i < 30; ++i) band += std::to_string(i) + " ";
+    band += "30\\n";
+  }
+  json::Value load =
+      Send(server,
+           "{\"schema_version\":2,\"verb\":\"load_dataset\","
+           "\"params\":{\"content\":\"" + band + "\"}}");
+  ASSERT_TRUE(IsOk(load));
+  const std::string key = *load.Find("result")->GetString("dataset");
+  const std::string assess =
+      "{\"schema_version\":2,\"verb\":\"assess_risk\","
+      "\"params\":{\"dataset\":\"" + key + "\",";
+  const char* const kRefused[] = {
+      "\"estimator\":\"exact\"",
+      "\"estimator\":\"auto\",\"adversary\":\"probabilistic\"",
+  };
+  for (const char* params : kRefused) {
+    EXPECT_EQ(ErrorCode(Send(server, assess + params + "}}")),
+              kErrInvalidParams)
+        << params;
+    json::Value batch =
+        Send(server,
+             "{\"schema_version\":2,\"verb\":\"assess_risk_batch\","
+             "\"params\":{\"dataset\":\"" + key + "\",\"items\":[{" +
+                 params + "},{}]}}");
+    ASSERT_TRUE(IsOk(batch)) << params;
+    const json::Value* items = batch.Find("result")->Find("items");
+    ASSERT_NE(items, nullptr);
+    ASSERT_EQ(items->items().size(), 2u);
+    EXPECT_EQ(ErrorCode(items->items()[0]), kErrInvalidParams) << params;
+    EXPECT_TRUE(IsOk(items->items()[1])) << params;
+  }
+  // The auto planner degrades the same block to an estimate.
+  EXPECT_TRUE(IsOk(Send(server, assess + "\"estimator\":\"auto\"}}")));
+}
+
 TEST(ServeAdversaryTest, BatchAdversaryItemsBitIdenticalToSingles) {
   const char* const kAdversaryItems[] = {
       "{\"adversary\":\"interval\"}",
