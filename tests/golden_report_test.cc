@@ -10,7 +10,8 @@
 //  - AssessRiskForItems on partial masks (RecipeResult fields);
 //  - the cached α-sweep average, with and without adversary weights;
 //  - the O-estimate with propagation off;
-//  - RecommendDefense(...).ToJson().Dump() at one thread, and the
+//  - RecommendDefense(...).ToJson().Dump() at one thread (also on a
+//    singleton-transaction fixture whose merges fail in Apply), and the
 //    group_merge tolerance and k_anonymity plans with their supports.
 //
 // Each row also records how far the work counters moved, which pins the
@@ -155,18 +156,24 @@ void AddReportRows(const StandIn& s, const std::vector<double>& tolerances,
   }
 }
 
-/// The one-thread defense sweep, and single plans of the two bisecting
-/// schemes (the payload adds the planned supports, which the plan JSON
-/// summarizes away).
-void AddDefenseRows(const StandIn& s, RowWriter* w) {
-  w->Add("defense/" + s.name + "/recommend", [&]() -> std::string {
+/// The one-thread defense sweep.
+void AddRecommendRow(const std::string& name, const Database& db,
+                     RowWriter* w) {
+  w->Add("defense/" + name + "/recommend", [&]() -> std::string {
     exec::ExecOptions eo;
     eo.threads = 1;
     exec::ExecContext ctx(eo);
-    auto frontier = defense::RecommendDefense(s.db, {}, &ctx);
+    auto frontier = defense::RecommendDefense(db, {}, &ctx);
     if (!frontier.ok()) return "error: " + frontier.status().ToString();
     return frontier->ToJson().Dump();
   });
+}
+
+/// The sweep, and single plans of the two bisecting schemes (the
+/// payload adds the planned supports, which the plan JSON summarizes
+/// away).
+void AddDefenseRows(const StandIn& s, RowWriter* w) {
+  AddRecommendRow(s.name, s.db, w);
   const double n = static_cast<double>(s.table.num_items());
   const std::vector<std::pair<const char*, defense::DefenseParams>> plans = [&] {
     std::vector<std::pair<const char*, defense::DefenseParams>> v;
@@ -280,6 +287,17 @@ std::vector<std::pair<std::string, std::string>> ComputeRows() {
 
   AddDefenseRows(connect, &w);
   AddDefenseRows(mushroom, &w);
+  // Item i alone in 3(i+1) singleton transactions: every holder has
+  // size 1, so each merge candidate that lowers a support fails in
+  // Apply ("cannot lower support of item N without emptying
+  // transactions") while suppression empties transactions instead.
+  Database singletons(12);
+  for (ItemId x = 0; x < 12; ++x) {
+    for (size_t t = 0; t < 3 * (x + 1); ++t) {
+      singletons.AddTransactionUnchecked({x});
+    }
+  }
+  AddRecommendRow("singletons", singletons, &w);
 
   for (const StandIn* s : {&connect, &mushroom}) {
     w.Add("oestimate/" + s->name + "/no_propagation", [&]() -> std::string {
