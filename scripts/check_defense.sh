@@ -3,7 +3,8 @@
 #   1. `recommend-defense` sweeps every registered scheme and prints a
 #      frontier table plus a baseline line on the fixed dataset,
 #   2. `--json` is byte-identical at 1 and 8 threads (the optimizer's
-#      determinism contract),
+#      determinism contract), also on a singleton-transaction dataset
+#      whose merge candidates fail in the realization walk,
 #   3. `--csv` emits one row per candidate with the documented header,
 #   4. the frontier document is internally consistent: every frontier
 #      entry points at a feasible candidate flagged on_frontier, no
@@ -63,6 +64,22 @@ timeout 120 "$CLI" recommend-defense "$data" --json --threads=8 \
   > "$workdir/t8.json" || fail "--json --threads=8 failed"
 diff -q "$workdir/t1.json" "$workdir/t8.json" >/dev/null \
   || fail "frontier JSON differs between 1 and 8 threads"
+
+# Item i alone in 3i singleton transactions (i = 1..12): every holder
+# has size 1, so merges that lower a support are infeasible, and the
+# reasons must not depend on which thread scored the candidate.
+singletons="$workdir/singletons.dat"
+for i in $(seq 1 12); do
+  for _ in $(seq 1 $((3 * i))); do echo "$i"; done
+done > "$singletons"
+timeout 120 "$CLI" recommend-defense "$singletons" --json --threads=1 \
+  > "$workdir/s1.json" || fail "singletons --json --threads=1 failed"
+timeout 120 "$CLI" recommend-defense "$singletons" --json --threads=8 \
+  > "$workdir/s8.json" || fail "singletons --json --threads=8 failed"
+diff -q "$workdir/s1.json" "$workdir/s8.json" >/dev/null \
+  || fail "singletons frontier JSON differs between 1 and 8 threads"
+grep -q '"reason":"cannot lower support of item [0-9]* without emptying transactions"' \
+  "$workdir/s1.json" || fail "singletons sweep has no 'cannot lower support' reason"
 
 # ------------------------------------------------------------- 3. CSV
 timeout 120 "$CLI" recommend-defense "$data" --csv="$workdir/sweep.csv" \

@@ -134,69 +134,14 @@ Result<defense::DefensePlan> ToleranceSearchPlan(const FrequencyTable& table,
 Result<Database> ApplySupportChanges(
     const Database& db, const std::vector<SupportCount>& new_supports,
     Rng* rng) {
+  // Checked here too: an empty vector would read as a plan that drops
+  // nothing.
   if (new_supports.size() != db.num_items()) {
     return Status::InvalidArgument("support vector size mismatch");
   }
-  const size_t m = db.num_transactions();
-  for (SupportCount s : new_supports) {
-    if (s > m) {
-      return Status::InvalidArgument(
-          "target support exceeds the number of transactions");
-    }
-  }
-
-  std::vector<Transaction> txns(db.transactions());
-
-  ANONSAFE_ASSIGN_OR_RETURN(FrequencyTable table,
-                            FrequencyTable::Compute(db));
-
-  for (ItemId x = 0; x < db.num_items(); ++x) {
-    const SupportCount current = table.support(x);
-    const SupportCount target = new_supports[x];
-    if (current == target) continue;
-
-    // Locate holders / non-holders once per changed item.
-    std::vector<size_t> holders, others;
-    for (size_t t = 0; t < m; ++t) {
-      if (std::binary_search(txns[t].begin(), txns[t].end(), x)) {
-        holders.push_back(t);
-      } else {
-        others.push_back(t);
-      }
-    }
-
-    if (target > current) {
-      size_t need = target - current;
-      rng->Shuffle(&others);
-      if (others.size() < need) {
-        return Status::Internal("support accounting out of sync");
-      }
-      for (size_t i = 0; i < need; ++i) {
-        Transaction& txn = txns[others[i]];
-        txn.insert(std::upper_bound(txn.begin(), txn.end(), x), x);
-      }
-    } else {
-      size_t need = current - target;
-      rng->Shuffle(&holders);
-      size_t removed = 0;
-      for (size_t t : holders) {
-        if (removed == need) break;
-        if (txns[t].size() <= 1) continue;  // never empty a transaction
-        auto it = std::lower_bound(txns[t].begin(), txns[t].end(), x);
-        txns[t].erase(it);
-        ++removed;
-      }
-      if (removed != need) {
-        return Status::InvalidArgument(
-            "cannot lower support of item " + std::to_string(x) +
-            " without emptying transactions");
-      }
-    }
-  }
-
-  Database out(db.num_items());
-  for (auto& t : txns) out.AddTransactionUnchecked(std::move(t));
-  return out;
+  defense::DefensePlan plan;
+  plan.new_supports = new_supports;
+  return defense::internal::ApplyPlan(db, plan, rng);
 }
 
 namespace defense {
@@ -262,15 +207,6 @@ class GroupMergeScheme final : public DefenseScheme {
     plan->scheme = name();
     plan->params = params;
     return plan;
-  }
-
-  Result<Database> Apply(const Database& db, const DefensePlan& plan,
-                         Rng* rng) const override {
-    if (plan.scheme != name()) {
-      return Status::InvalidArgument("plan was produced by scheme '" +
-                                     plan.scheme + "', not '" + name() + "'");
-    }
-    return ApplySupportChanges(db, plan.new_supports, rng);
   }
 };
 

@@ -26,12 +26,15 @@ namespace anonsafe {
 /// `defense::DefenseScheme` registry (defense/scheme.h): Plan with
 /// {gap} for a fixed gap threshold, {tolerance, point_valued, iters}
 /// for the tolerance-driven bisection. This header keeps only the
-/// database-level applicator the scheme's Apply delegates to.
+/// database-level applicator of a bare support vector.
 
 /// \brief Applies a support change to a concrete database: items gain
 /// occurrences in random transactions that lack them and lose occurrences
 /// from random transactions that hold them (never emptying a
 /// transaction). The resulting database realizes `new_supports` exactly.
+/// This is the realization walk (`defense::internal::Realize`) with
+/// transaction edits: the sweep runs the same walk on transaction sizes
+/// alone, so its after-table is this database's recount, draw for draw.
 ///
 /// Fails with InvalidArgument on size mismatch or unrealizable targets
 /// (support > m, or removals that would empty every holder).

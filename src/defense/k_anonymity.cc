@@ -4,7 +4,6 @@
 #include <string>
 #include <utility>
 
-#include "defense/group_merge.h"
 #include "defense/scheme.h"
 
 namespace anonsafe {
@@ -100,15 +99,6 @@ class KAnonymityScheme final : public DefenseScheme {
     plan->scheme = name();
     plan->params = params;
     return plan;
-  }
-
-  Result<Database> Apply(const Database& db, const DefensePlan& plan,
-                         Rng* rng) const override {
-    if (plan.scheme != name()) {
-      return Status::InvalidArgument("plan was produced by scheme '" +
-                                     plan.scheme + "', not '" + name() + "'");
-    }
-    return ApplySupportChanges(db, plan.new_supports, rng);
   }
 };
 

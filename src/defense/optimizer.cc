@@ -128,6 +128,8 @@ Result<DefenseFrontier> RecommendDefense(const Database& db,
 
   ANONSAFE_ASSIGN_OR_RETURN(FrequencyTable before,
                             FrequencyTable::Compute(db));
+  // Shared read-only by every candidate's realization walk.
+  const internal::HolderIndex index(db);
 
   DefenseFrontier result;
   result.num_items = before.num_items();
@@ -161,9 +163,9 @@ Result<DefenseFrontier> RecommendDefense(const Database& db,
   }
 
   // Score candidates in parallel, one per chunk, into fixed slots.
-  // RNG streams are a function of the candidate index alone (Apply
-  // draws stream 2i+2, sampler fallbacks stream 2i+3), so the sweep is
-  // bit-identical at any thread count.
+  // RNG streams are a function of the candidate index alone (the
+  // realization walk draws stream 2i+2, sampler fallbacks stream 2i+3),
+  // so the sweep is bit-identical at any thread count.
   result.candidates.resize(pending.size());
   Status status = exec::ParallelForChunks(
       ctx, pending.size(), /*grain=*/1,
@@ -184,17 +186,18 @@ Result<DefenseFrontier> RecommendDefense(const Database& db,
             }
             return plan.status();
           }
-          Rng apply_rng(exec::SplitSeed(seed, 2 * i + 2));
-          Result<Database> defended =
-              cand.scheme->Apply(db, *plan, &apply_rng);
-          if (!defended.ok()) {
-            score.reason = defended.status().message();
-            continue;  // unrealizable on this concrete database
-          }
-          Result<FrequencyTable> after = FrequencyTable::Compute(*defended);
+          // The walk on sizes alone: the table Apply's database would
+          // count, without building that database.
+          Rng realize_rng(exec::SplitSeed(seed, 2 * i + 2));
+          Result<internal::Realized> realized =
+              internal::Realize(index, *plan, &realize_rng);
+          Result<FrequencyTable> after =
+              realized.ok() ? realized->Table()
+                            : Result<FrequencyTable>(realized.status());
           if (!after.ok()) {
+            // Unrealizable on this database, or it emptied the release.
             score.reason = after.status().message();
-            continue;  // defense emptied the database
+            continue;
           }
           ANONSAFE_ASSIGN_OR_RETURN(FrequencyTable release,
                                     ReleaseView(*after));

@@ -28,17 +28,20 @@ struct OptimizerOptions {
 /// setting, the plan it produced, and its {risk, utility} pair — the
 /// paired result struct of the sbdprivacylib pattern.
 ///
-/// Every feasible candidate is replayable from `{scheme, params}`
-/// alone: `DefenseScheme::Find(scheme)->Plan(table, params)` rebuilds
-/// the identical plan, `Apply` with the recorded seed rebuilds the
-/// identical release, and the estimator layer rescores it bit-for-bit.
+/// Every candidate is replayable from `{scheme, params}` alone:
+/// `DefenseScheme::Find(scheme)->Plan(table, params)` rebuilds the
+/// identical plan, and `Apply` on stream `SplitSeed(seed, 2·index+2)`
+/// rebuilds a release whose recount is the table the sweep scored (or
+/// fails with `reason`), so the estimator layer rescores it
+/// bit-for-bit.
 struct CandidateScore {
   size_t index = 0;        ///< enumeration order (scheme-major)
   std::string scheme;      ///< registry name
   DefenseParams params;
 
-  /// False when Plan/Apply reported the setting unreachable
-  /// (FailedPrecondition etc.); `reason` carries the message.
+  /// False when Plan or the realization walk reported the setting
+  /// unreachable (FailedPrecondition etc.), or the walk emptied the
+  /// release; `reason` carries the message.
   bool feasible = false;
   std::string reason;
 
@@ -85,7 +88,9 @@ struct DefenseFrontier {
 };
 
 /// \brief The sweep: enumerates every registered scheme's `ParamSpace`,
-/// plans + applies + scores each candidate (expected cracks via the
+/// plans each candidate, realizes it on transaction sizes alone (the
+/// walk `Apply` runs, over one holder index of `db` that every
+/// candidate shares), scores the after-table (expected cracks via the
 /// estimator planner, information loss via `ComputeUtilityLoss`), and
 /// extracts the Pareto frontier. Candidates evaluate in parallel on
 /// `ctx`, whose seed is the sweep's master seed (a null context means

@@ -103,12 +103,14 @@ class DefenseScheme {
   virtual Result<DefensePlan> Plan(const FrequencyTable& table,
                                    const DefenseParams& params) const = 0;
 
-  /// \brief Realizes a plan on a concrete database. `rng` drives the
-  /// choice of transactions to edit for support-perturbation plans
-  /// (same seed, same database — deterministic); suppression plans
-  /// ignore it. The plan must have been produced by this scheme.
-  virtual Result<Database> Apply(const Database& db, const DefensePlan& plan,
-                                 Rng* rng) const = 0;
+  /// \brief Realizes a plan on a concrete database: the realization
+  /// walk (`internal::Realize`) with transaction edits, the same walk
+  /// the sweep scores from. `rng` drives the choice of transactions to
+  /// edit for support-perturbation plans (same seed, same database —
+  /// deterministic); suppression plans ignore it. The plan must have
+  /// been produced by this scheme.
+  Result<Database> Apply(const Database& db, const DefensePlan& plan,
+                         Rng* rng) const;
 
   /// \brief Every registered scheme, in fixed registry order
   /// (k_anonymity, group_merge, suppression). The instances are
@@ -137,6 +139,53 @@ Result<DefensePlan> BisectMergeGap(
     const FrequencyTable& table, size_t iters,
     const std::function<Result<bool>(const DefensePlan&)>& passes,
     const std::function<Status(const DefensePlan&)>& unreachable);
+
+/// \brief Who holds what in one database, built once and shared
+/// read-only: every item's holder transactions (ascending) and every
+/// transaction's size. Realizing a plan edits items in id order, and
+/// editing item y touches only y's occurrences, so item x's holders in
+/// the partly edited database are still its list here.
+class HolderIndex {
+ public:
+  explicit HolderIndex(const Database& db);
+
+  size_t num_items() const { return holders_.size(); }
+  size_t num_transactions() const { return sizes_.size(); }
+  const std::vector<size_t>& holders(ItemId x) const { return holders_[x]; }
+  const std::vector<size_t>& sizes() const { return sizes_; }
+
+ private:
+  std::vector<std::vector<size_t>> holders_;
+  std::vector<size_t> sizes_;
+};
+
+/// \brief What realizing a plan leaves: every item's support, and the
+/// number of transactions still in the release.
+struct Realized {
+  std::vector<SupportCount> supports;
+  size_t num_transactions = 0;
+
+  /// The after-table. A release with no transaction left fails exactly
+  /// as counting an empty database does.
+  Result<FrequencyTable> Table() const;
+};
+
+/// \brief The realization walk. A support plan (`new_supports`
+/// non-empty) moves each item, in id order, from its support to its
+/// target: gains go to uniformly shuffled non-holders, losses come off
+/// shuffled holders but never off a transaction of size 1, so m stays.
+/// Any other plan drops its `suppressed` items from every holder, and
+/// transactions left empty leave the release. Sizes are tracked, so no
+/// database is needed; when `txns` (a copy of the indexed database's
+/// transactions) is given, every edit is also made there. Fails with
+/// InvalidArgument on a malformed or unrealizable plan.
+Result<Realized> Realize(const HolderIndex& index, const DefensePlan& plan,
+                         Rng* rng, std::vector<Transaction>* txns = nullptr);
+
+/// \brief `Realize` with transaction edits on a copy of `db`: the
+/// defended database, emptied transactions dropped.
+Result<Database> ApplyPlan(const Database& db, const DefensePlan& plan,
+                           Rng* rng);
 }  // namespace internal
 
 }  // namespace defense

@@ -112,23 +112,9 @@ Result<defense::DefensePlan> PlanSuppressionCore(const FrequencyTable& table,
 
 Result<Database> ApplySuppression(const Database& db,
                                   const std::vector<ItemId>& suppressed) {
-  std::vector<bool> drop(db.num_items(), false);
-  for (ItemId x : suppressed) {
-    if (x >= db.num_items()) {
-      return Status::InvalidArgument("suppressed item outside domain");
-    }
-    drop[x] = true;
-  }
-  Database out(db.num_items());
-  for (const Transaction& txn : db.transactions()) {
-    Transaction kept;
-    kept.reserve(txn.size());
-    for (ItemId x : txn) {
-      if (!drop[x]) kept.push_back(x);
-    }
-    if (!kept.empty()) out.AddTransactionUnchecked(std::move(kept));
-  }
-  return out;
+  defense::DefensePlan plan;
+  plan.suppressed = suppressed;
+  return defense::internal::ApplyPlan(db, plan, nullptr);
 }
 
 namespace defense {
@@ -168,17 +154,6 @@ class SuppressionScheme final : public DefenseScheme {
     plan->scheme = name();
     plan->params = params;
     return plan;
-  }
-
-  /// Suppression is deterministic — `rng` is unused.
-  Result<Database> Apply(const Database& db, const DefensePlan& plan,
-                         Rng* rng) const override {
-    (void)rng;
-    if (plan.scheme != name()) {
-      return Status::InvalidArgument("plan was produced by scheme '" +
-                                     plan.scheme + "', not '" + name() + "'");
-    }
-    return ApplySuppression(db, plan.suppressed);
   }
 };
 

@@ -22,12 +22,14 @@ namespace anonsafe {
 /// Planning lives in the "suppression" scheme of the
 /// `defense::DefenseScheme` registry (defense/scheme.h): Plan with
 /// {tolerance, max_suppressed_fraction, rerank_batch}. This header keeps
-/// only the database-level applicator the scheme's Apply delegates to.
+/// only the database-level applicator of a bare item list.
 
 /// \brief Applies a suppression plan to a database: removes the items
 /// from every transaction and drops transactions that become empty. The
 /// domain keeps its size (suppressed items simply have support 0), so
-/// item ids remain stable.
+/// item ids remain stable. Runs the realization walk
+/// (`defense::internal::Realize`) with transaction edits; dropping every
+/// transaction yields an empty database, not an error.
 Result<Database> ApplySuppression(const Database& db,
                                   const std::vector<ItemId>& suppressed);
 

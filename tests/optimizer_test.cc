@@ -4,9 +4,13 @@
 #include <string>
 #include <vector>
 
+#include "belief/builders.h"
 #include "data/database.h"
+#include "defense/k_anonymity.h"
 #include "defense/optimizer.h"
 #include "defense/scheme.h"
+#include "defense/utility.h"
+#include "estimator/planner.h"
 #include "exec/exec.h"
 #include "util/rng.h"
 
@@ -28,6 +32,18 @@ Database FixtureDb() {
           {2, 3}, {0, 3}, {1, 2}, {0, 1, 2, 3}, {1, 2, 3, 4}, {0, 4}});
   EXPECT_TRUE(db.ok());
   return *db;
+}
+
+// Item i alone in 3(i+1) singleton transactions: every holder has size
+// 1, so each merge that lowers a support fails in the realization walk
+// ("cannot lower support of item N without emptying transactions"),
+// while suppression empties transactions and shrinks m.
+Database SingletonDb() {
+  Database db(12);
+  for (ItemId x = 0; x < 12; ++x) {
+    for (size_t t = 0; t < 3 * (x + 1); ++t) db.AddTransactionUnchecked({x});
+  }
+  return db;
 }
 
 Result<DefenseFrontier> Sweep(const Database& db, size_t threads,
@@ -139,28 +155,85 @@ TEST(OptimizerTest, FrontierIsExactlyTheNonDominatedSet) {
   }
 }
 
-TEST(OptimizerTest, EveryFrontierPointIsReplayable) {
-  Database db = FixtureDb();
-  auto frontier = Sweep(db, 1);
-  ASSERT_TRUE(frontier.ok());
-  auto table = FrequencyTable::Compute(db);
-  ASSERT_TRUE(table.ok());
-  for (size_t idx : frontier->frontier) {
-    const CandidateScore& c = frontier->candidates[idx];
-    const DefenseScheme* s = DefenseScheme::Find(c.scheme);
-    ASSERT_NE(s, nullptr);
-    auto replay = s->Plan(*table, c.params);
-    ASSERT_TRUE(replay.ok()) << c.scheme << " " << c.params.ToString();
-    EXPECT_EQ(replay->ToJson().Dump(), c.plan.ToJson().Dump());
+/// The sweep's risk score, rebuilt from public pieces: the release view
+/// of `after` (items with support > 0) under the compliant interval
+/// belief at its own δ_med, planned on the candidate's sampler stream.
+struct Rescore {
+  double expected_cracks = 0.0;
+  size_t k_anonymity = 0;
+};
+Result<Rescore> RescoreRelease(const FrequencyTable& after,
+                               uint64_t sampler_seed) {
+  std::vector<SupportCount> alive;
+  for (SupportCount s : after.supports()) {
+    if (s > 0) alive.push_back(s);
+  }
+  Rescore out;
+  if (alive.empty()) return out;
+  ANONSAFE_ASSIGN_OR_RETURN(
+      FrequencyTable release,
+      FrequencyTable::FromSupports(alive, after.num_transactions()));
+  FrequencyGroups groups = FrequencyGroups::Build(release);
+  ANONSAFE_ASSIGN_OR_RETURN(
+      BeliefFunction belief,
+      MakeCompliantIntervalBelief(release, groups.MedianGap()));
+  PlannerOptions planner;
+  planner.block_sampler.exec.seed = sampler_seed;
+  ANONSAFE_ASSIGN_OR_RETURN(CrackEstimate estimate,
+                            PlanAndEstimate(groups, belief, planner));
+  out.expected_cracks = estimate.expected_cracks;
+  out.k_anonymity = FrequencyKAnonymity(groups);
+  return out;
+}
 
-    // The recorded per-candidate RNG stream rebuilds the same release.
-    Rng rng_a(exec::SplitSeed(frontier->seed, 2 * c.index + 2));
-    Rng rng_b(exec::SplitSeed(frontier->seed, 2 * c.index + 2));
-    auto da = s->Apply(db, *replay, &rng_a);
-    auto db2 = s->Apply(db, *replay, &rng_b);
-    ASSERT_TRUE(da.ok());
-    ASSERT_TRUE(db2.ok());
-    EXPECT_EQ(da->transactions(), db2->transactions());
+// Every candidate, feasible or not, replays from {scheme, params} and
+// its RNG stream: the public Apply rebuilds a release whose recount
+// gives the candidate's utility and rescoring gives its risk, and an
+// infeasible candidate's reason is the error Plan, Apply or the
+// recount reports.
+TEST(OptimizerTest, EveryFrontierPointIsReplayable) {
+  for (const Database& db : {FixtureDb(), SingletonDb()}) {
+    auto frontier = Sweep(db, 1);
+    ASSERT_TRUE(frontier.ok());
+    auto table = FrequencyTable::Compute(db);
+    ASSERT_TRUE(table.ok());
+    size_t feasible = 0;
+    size_t unrealizable = 0;
+    for (const CandidateScore& c : frontier->candidates) {
+      SCOPED_TRACE(c.scheme + " " + c.params.ToString());
+      const DefenseScheme* s = DefenseScheme::Find(c.scheme);
+      ASSERT_NE(s, nullptr);
+      auto replay = s->Plan(*table, c.params);
+      if (!replay.ok()) {
+        EXPECT_FALSE(c.feasible);
+        EXPECT_EQ(c.reason, replay.status().message());
+        continue;
+      }
+      Rng rng(exec::SplitSeed(frontier->seed, 2 * c.index + 2));
+      auto released = s->Apply(db, *replay, &rng);
+      auto after = released.ok() ? FrequencyTable::Compute(*released)
+                                 : Result<FrequencyTable>(released.status());
+      if (!after.ok()) {
+        EXPECT_FALSE(c.feasible);
+        EXPECT_EQ(c.reason, after.status().message());
+        unrealizable += released.ok() ? 0 : 1;
+        continue;
+      }
+      ASSERT_TRUE(c.feasible) << c.reason;
+      ++feasible;
+      EXPECT_EQ(replay->ToJson().Dump(), c.plan.ToJson().Dump());
+      EXPECT_EQ(defense::ComputeUtilityLoss(*table, *after).ToJson().Dump(),
+                c.utility.ToJson().Dump());
+      auto rescore = RescoreRelease(
+          *after, exec::SplitSeed(frontier->seed, 2 * c.index + 3));
+      ASSERT_TRUE(rescore.ok());
+      EXPECT_EQ(rescore->expected_cracks, c.expected_cracks);
+      EXPECT_EQ(rescore->k_anonymity, c.k_anonymity);
+    }
+    EXPECT_GT(feasible, 0u);
+    if (db.num_items() == 12) {
+      EXPECT_GT(unrealizable, 0u);  // the Apply-failure branch ran
+    }
   }
 }
 
