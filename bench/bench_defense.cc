@@ -13,9 +13,10 @@
 // scripts/check_perf.sh runs this binary, hard-gates on bit_identical
 // and a non-empty frontier, records the speedup informationally, and
 // writes the document to BENCH_defense.json. The sweep is
-// coarse-grained (one candidate = plan + apply + full risk estimate),
-// so the parallel win is expected but machine-dependent — the byte
-// identity is the invariant worth failing a build over.
+// coarse-grained (one candidate = plan + table-only realization walk +
+// full risk estimate), so the parallel win is expected but
+// machine-dependent — the byte identity is the invariant worth failing
+// a build over.
 
 #include <chrono>
 #include <cstdio>
@@ -41,9 +42,9 @@ double MillisSince(Clock::time_point t0) {
 
 int Run() {
   double scale = GetScale();
-  // The full-scale CONNECT stand-in puts ~24 candidate databases through
-  // apply + estimate; 0.2 keeps the default run under a few seconds
-  // while exercising the identical code paths.
+  // The full-scale CONNECT stand-in puts ~24 candidates through the
+  // realization walk + estimate; 0.2 keeps the default run under a few
+  // seconds while exercising the identical code paths.
   if (std::getenv("ANONSAFE_SCALE") == nullptr) scale = 0.2;
 
   size_t threads = GetThreads();
