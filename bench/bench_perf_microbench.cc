@@ -7,11 +7,16 @@
 //   * Ryser's permanent is O(2^n n): BM_Permanent shows the exponential
 //     wall that motivates the O-estimate;
 //   * sampler sweeps and propagation are the costs of the simulated
-//     estimator and of Figure 7.
+//     estimator and of Figure 7;
+//   * Figure 8 starts from the owner's transaction database:
+//     BM_LoadDataset times serve's cold ingest of one FIMI stand-in.
 
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <cstdlib>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "belief/builders.h"
@@ -19,6 +24,7 @@
 #include "mining/miner.h"
 #include "core/oestimate.h"
 #include "core/recipe.h"
+#include "data/fimi_io.h"
 #include "data/frequency.h"
 #include "datagen/benchmark_profiles.h"
 #include "datagen/profile.h"
@@ -28,7 +34,9 @@
 #include "graph/matching_sampler.h"
 #include "graph/permanent.h"
 #include "graph/simd_kernels.h"
+#include "serve/dataset_cache.h"
 #include "util/cpu.h"
+#include "util/json.h"
 #include "util/rng.h"
 
 namespace anonsafe {
@@ -238,6 +246,34 @@ void BM_AssessRiskBisection(benchmark::State& state) {
   state.SetComplexityN(static_cast<int64_t>(n));
 }
 BENCHMARK(BM_AssessRiskBisection)->Range(1 << 10, 1 << 13);
+
+void BM_LoadDataset(benchmark::State& state) {
+  // Cold `load_dataset` of a CONNECT ×0.05 stand-in sent inline, as
+  // serve runs it: the request line's JSON parse, then the cache miss on
+  // a fresh DatasetCache (FIMI parse, counting, grouping).
+  Rng rng(3);
+  Database db = *MakeBenchmarkDatabase(Benchmark::kConnect, &rng, 0.05);
+  std::ostringstream fimi;
+  if (!WriteFimi(db, fimi).ok()) std::abort();
+  json::Value params = json::Value::Object();
+  params.Set("content", json::Value(fimi.str()));
+  json::Value envelope = json::Value::Object();
+  envelope.Set("schema_version", json::Value(int64_t{2}));
+  envelope.Set("id", json::Value(int64_t{1}));
+  envelope.Set("verb", json::Value("load_dataset"));
+  envelope.Set("params", std::move(params));
+  const std::string line = envelope.Dump();
+  for (auto _ : state) {
+    auto request = json::Value::Parse(line);
+    const json::Value& content = *request->Find("params")->Find("content");
+    serve::DatasetCache cache(1);
+    auto outcome = cache.LoadFromContent(content.AsString());
+    benchmark::DoNotOptimize(outcome->dataset->groups.num_groups());
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(line.size()));
+}
+BENCHMARK(BM_LoadDataset);
 
 void BM_Propagation(benchmark::State& state) {
   // Worst-case staircase: every pass forces one item (Figure 6(a) at n).

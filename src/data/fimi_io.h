@@ -5,6 +5,7 @@
 #include <istream>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "data/database.h"
@@ -24,12 +25,19 @@ struct LabeledDatabase {
   std::vector<int64_t> labels;
 };
 
-/// \brief Parses a FIMI-format transaction stream: one transaction per
-/// line, whitespace-separated non-negative integer item labels. Blank
-/// lines are skipped; duplicate items within a line are collapsed.
+/// \brief Parses FIMI-format text in place: one transaction per line,
+/// non-negative integer item labels separated by runs of ' ', '\t', '\v',
+/// '\f' or '\r'. A label is `[+-]?[0-9]+` and must fit in int64 ("-0" is
+/// 0). Blank lines are skipped; duplicate items within a line are
+/// collapsed. The full grammar is in docs/FORMATS.md.
 ///
-/// Fails with IOError on unreadable input and InvalidArgument on
-/// malformed tokens or negative labels.
+/// Fails with InvalidArgument "negative item label at line N" on a
+/// non-zero negative label and "malformed token at line N" on any other
+/// token outside the grammar.
+Result<LabeledDatabase> ParseFimi(std::string_view text);
+
+/// \brief Reads the whole stream, then parses it with `ParseFimi`. Fails
+/// with IOError on unreadable input.
 Result<LabeledDatabase> ReadFimi(std::istream& in);
 
 /// \brief Reads a FIMI file from disk (see `ReadFimi`).

@@ -1,6 +1,5 @@
 #include "serve/dataset_cache.h"
 
-#include <sstream>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -43,8 +42,7 @@ Result<DatasetCache::LoadOutcome> DatasetCache::LoadFromContent(
   // resident datasets. Two racing loads of the same content both parse;
   // the second insert finds the key resident and discards its copy.
   obs::CountIf("anonsafe_serve_dataset_cache_misses_total");
-  std::istringstream in(content);
-  ANONSAFE_ASSIGN_OR_RETURN(LabeledDatabase data, ReadFimi(in));
+  ANONSAFE_ASSIGN_OR_RETURN(LabeledDatabase data, ParseFimi(content));
   ANONSAFE_ASSIGN_OR_RETURN(FrequencyTable table,
                             FrequencyTable::Compute(data.database));
   FrequencyGroups groups = FrequencyGroups::Build(table);

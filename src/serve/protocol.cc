@@ -73,14 +73,15 @@ ParsedLine ParseRequestLine(const std::string& line, size_t max_line_bytes) {
     return out;
   }
   out.request.verb = verb->AsString();
-  if (const json::Value* params = doc->Find("params")) {
+  if (json::Value* params = doc->Find("params")) {
     if (!params->is_object()) {
       out.error = MakeErrorResponse(out.request.id, kErrInvalidParams,
                                     "\"params\" must be an object",
                                     out.request.schema_version);
       return out;
     }
-    out.request.params = *params;
+    // Moved, not copied: a load_dataset's inline content can be large.
+    out.request.params = std::move(*params);
   }
   // `tenant` exists only in the v2 envelope; a v1 request carrying the
   // key keeps its pre-v2 behaviour (unknown top-level keys are ignored).

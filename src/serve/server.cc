@@ -634,9 +634,11 @@ Result<std::shared_ptr<const CachedDataset>> Server::ResidentDataset(
 
 Result<json::Value> Server::HandleLoadDataset(const json::Value& params) {
   obs::ScopedTimer timer("serve.load_dataset");
-  std::string content;
+  // Inline content is parsed where the request holds it, not copied.
+  std::string file_content;
+  const std::string* content = &file_content;
   if (const json::Value* inline_content = params.Find("content")) {
-    content = inline_content->AsString();  // type-checked upstream
+    content = &inline_content->AsString();  // type-checked upstream
   } else {
     ANONSAFE_ASSIGN_OR_RETURN(std::string path, params.GetString("path"));
     std::ifstream in(path, std::ios::binary);
@@ -644,10 +646,10 @@ Result<json::Value> Server::HandleLoadDataset(const json::Value& params) {
     std::ostringstream buffer;
     buffer << in.rdbuf();
     if (in.bad()) return Status::IOError("error reading '" + path + "'");
-    content = buffer.str();
+    file_content = std::move(buffer).str();
   }
   ANONSAFE_ASSIGN_OR_RETURN(DatasetCache::LoadOutcome outcome,
-                            cache_.LoadFromContent(content));
+                            cache_.LoadFromContent(*content));
   const CachedDataset& ds = *outcome.dataset;
   json::Value result = json::Value::Object();
   result.Set("dataset", json::Value(ds.key));

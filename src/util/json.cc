@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <utility>
 
 namespace anonsafe {
 namespace json {
@@ -24,6 +25,10 @@ const Value* Value::Find(const std::string& key) const {
     if (member.first == key) return &member.second;
   }
   return nullptr;
+}
+
+Value* Value::Find(const std::string& key) {
+  return const_cast<Value*>(std::as_const(*this).Find(key));
 }
 
 Result<double> Value::GetNumber(const std::string& key) const {
@@ -268,6 +273,16 @@ class Parser {
     ++pos_;  // opening quote
     std::string out;
     while (true) {
+      // Copy the run of plain bytes up to the next quote, backslash or
+      // control character with one append.
+      size_t run_end = pos_;
+      while (run_end < text_.size()) {
+        unsigned char c = static_cast<unsigned char>(text_[run_end]);
+        if (c == '"' || c == '\\' || c < 0x20) break;
+        ++run_end;
+      }
+      out.append(text_, pos_, run_end - pos_);
+      pos_ = run_end;
       if (pos_ >= text_.size()) return Fail("unterminated string");
       unsigned char c = static_cast<unsigned char>(text_[pos_]);
       if (c == '"') {
@@ -275,11 +290,6 @@ class Parser {
         return out;
       }
       if (c < 0x20) return Fail("raw control character in string");
-      if (c != '\\') {
-        out.push_back(static_cast<char>(c));
-        ++pos_;
-        continue;
-      }
       ++pos_;  // backslash
       if (pos_ >= text_.size()) return Fail("dangling escape");
       char e = text_[pos_++];

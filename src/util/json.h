@@ -76,6 +76,7 @@ class Value {
   /// \brief Member lookup on an object; nullptr when absent or not an
   /// object.
   const Value* Find(const std::string& key) const;
+  Value* Find(const std::string& key);
 
   /// \name Checked member readers for protocol parsing. Each returns the
   /// coerced member or an InvalidArgument naming the key.

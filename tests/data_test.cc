@@ -1,11 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <sstream>
+#include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "data/database.h"
 #include "data/fimi_io.h"
 #include "data/frequency.h"
 #include "data/sampling.h"
+#include "datagen/benchmark_profiles.h"
 #include "util/rng.h"
 
 namespace anonsafe {
@@ -238,6 +244,48 @@ TEST(FimiIoTest, RejectsMalformedInput) {
   EXPECT_TRUE(ReadFimi(bad_token).status().IsInvalidArgument());
   std::istringstream negative("1 -2\n");
   EXPECT_TRUE(ReadFimi(negative).status().IsInvalidArgument());
+
+  auto error = [](const std::string& text) {
+    return ParseFimi(text).status().message();
+  };
+  // A token is [+-]?[0-9]+ fitting in int64, ended by a separator or the
+  // end of its line. A line-at-a-time stream parser let the first five
+  // through: an overflow or a lone sign at the end of a line was dropped,
+  // and a sign glued to a number started a new label.
+  EXPECT_EQ(error("1 99999999999999999999"), "malformed token at line 1");
+  EXPECT_EQ(error("2\n1 9223372036854775808\n"), "malformed token at line 2");
+  EXPECT_EQ(error("1 -"), "malformed token at line 1");
+  EXPECT_EQ(error("1 +\n2\n"), "malformed token at line 1");
+  EXPECT_EQ(error("1+2\n"), "malformed token at line 1");
+  EXPECT_EQ(error("3\n\n12-3\n"), "malformed token at line 3");
+  EXPECT_EQ(error("1 -99999999999999999999\n"), "malformed token at line 1");
+  EXPECT_EQ(error("1 - 2\n"), "malformed token at line 1");
+  EXPECT_EQ(error("1 +-2\n"), "malformed token at line 1");
+  EXPECT_EQ(error("1 0x10\n"), "malformed token at line 1");
+  EXPECT_EQ(error("1 2.5\n"), "malformed token at line 1");
+  EXPECT_EQ(error("1 -5x\n"), "malformed token at line 1");
+  EXPECT_EQ(error(std::string("1 \0 2\n", 6)), "malformed token at line 1");
+  EXPECT_EQ(error("1\n2 -2\n"), "negative item label at line 2");
+  EXPECT_EQ(error("-9223372036854775808"), "negative item label at line 1");
+}
+
+TEST(FimiIoTest, AcceptsSignsSeparatorsAndLineEndings) {
+  // "+5" and "-0" are labels; CRLF, tabs, \v, \f, blank lines and a
+  // missing final newline all load.
+  auto loaded =
+      ParseFimi("+5 -0\r\n\n\t7\v5\f+0\r\n\r\n9223372036854775807");
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->labels,
+            (std::vector<int64_t>{5, 0, 7,
+                                  std::numeric_limits<int64_t>::max()}));
+  ASSERT_EQ(loaded->database.num_transactions(), 3u);
+  EXPECT_EQ(loaded->database.transaction(0), (Transaction{0, 1}));
+  EXPECT_EQ(loaded->database.transaction(1), (Transaction{0, 1, 2}));
+  EXPECT_EQ(loaded->database.transaction(2), (Transaction{3}));
+  auto empty = ParseFimi("");
+  ASSERT_TRUE(empty.ok());
+  EXPECT_EQ(empty->database.num_items(), 0u);
+  EXPECT_EQ(empty->database.num_transactions(), 0u);
 }
 
 TEST(FimiIoTest, FileRoundTrip) {
@@ -303,6 +351,250 @@ TEST(FimiIoTest, RandomDatabaseRoundTripsExactly) {
       EXPECT_EQ(loaded->database.transaction(t), db.transaction(t));
     }
   }
+}
+
+// -------------------------------------------- FIMI parser against oracle
+
+// The line-at-a-time stream parser that `ReadFimi` used before the
+// in-place `ParseFimi`. It is the oracle for the differential and
+// mutation tests below.
+Result<LabeledDatabase> ReferenceReadFimi(std::istream& in) {
+  std::unordered_map<int64_t, ItemId> label_to_id;
+  std::vector<int64_t> labels;
+  std::vector<Transaction> transactions;
+
+  std::string line;
+  size_t line_no = 0;
+  while (std::getline(in, line)) {
+    ++line_no;
+    std::istringstream ls(line);
+    Transaction txn;
+    int64_t label;
+    while (ls >> label) {
+      if (label < 0) {
+        return Status::InvalidArgument("negative item label at line " +
+                                       std::to_string(line_no));
+      }
+      auto [it, inserted] =
+          label_to_id.emplace(label, static_cast<ItemId>(labels.size()));
+      if (inserted) labels.push_back(label);
+      txn.push_back(it->second);
+    }
+    if (!ls.eof()) {
+      return Status::InvalidArgument("malformed token at line " +
+                                     std::to_string(line_no));
+    }
+    if (!txn.empty()) transactions.push_back(std::move(txn));
+  }
+  if (in.bad()) return Status::IOError("stream read failure");
+
+  LabeledDatabase out;
+  out.labels = std::move(labels);
+  ANONSAFE_ASSIGN_OR_RETURN(
+      out.database,
+      Database::FromTransactions(out.labels.size(), std::move(transactions)));
+  return out;
+}
+
+Result<LabeledDatabase> ReferenceParse(const std::string& text) {
+  std::istringstream in(text);
+  return ReferenceReadFimi(in);
+}
+
+void ExpectSameLabeledDatabase(const LabeledDatabase& got,
+                               const LabeledDatabase& want) {
+  ASSERT_EQ(got.labels, want.labels);
+  ASSERT_EQ(got.database.num_items(), want.database.num_items());
+  ASSERT_EQ(got.database.transactions(), want.database.transactions());
+}
+
+bool IsSign(char c) { return c == '+' || c == '-'; }
+
+// True when some token of `text` is one the stream oracle may accept but
+// the grammar rejects: a lone sign, a sign glued after the first byte, or
+// a well-formed number that overflows int64.
+bool HasTokenOnlyTheOracleAccepts(const std::string& text) {
+  const std::string separators(" \t\v\f\r\n");
+  size_t pos = 0;
+  while (true) {
+    pos = text.find_first_not_of(separators, pos);
+    if (pos == std::string::npos) return false;
+    size_t end = text.find_first_of(separators, pos);
+    if (end == std::string::npos) end = text.size();
+    const std::string token = text.substr(pos, end - pos);
+    pos = end;
+    if (token.size() == 1 && IsSign(token[0])) return true;  // lone sign
+    for (size_t i = 1; i < token.size(); ++i) {
+      if (IsSign(token[i])) return true;  // glued
+    }
+    const size_t digits = IsSign(token[0]) ? 1 : 0;
+    if (token.find_first_not_of("0123456789", digits) != std::string::npos) {
+      continue;
+    }
+    std::istringstream in(token);
+    int64_t value;
+    if (!(in >> value)) return true;  // overflows int64
+  }
+}
+
+struct AgreementCounts {
+  size_t both_accept = 0;
+  size_t both_reject = 0;
+  size_t only_oracle_accepts = 0;
+};
+
+// The three rules that tie `ParseFimi` to the oracle: equal output when
+// it accepts, a rejection whenever the oracle rejects, and a rejection of
+// an input the oracle accepts only for a token outside the grammar.
+void CheckAgainstOracle(const std::string& text, AgreementCounts* counts) {
+  SCOPED_TRACE(testing::Message() << "input: \"" << text << "\"");
+  Result<LabeledDatabase> got = ParseFimi(text);
+  Result<LabeledDatabase> want = ReferenceParse(text);
+  if (got.ok()) {
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    ExpectSameLabeledDatabase(*got, *want);
+    ++counts->both_accept;
+    return;
+  }
+  ASSERT_TRUE(got.status().IsInvalidArgument()) << got.status().ToString();
+  if (!want.ok()) {
+    ASSERT_TRUE(want.status().IsInvalidArgument());
+    ++counts->both_reject;
+    return;
+  }
+  ASSERT_TRUE(HasTokenOnlyTheOracleAccepts(text)) << got.status().ToString();
+  ++counts->only_oracle_accepts;
+}
+
+std::string ToFimi(const Database& db) {
+  std::ostringstream out;
+  EXPECT_TRUE(WriteFimi(db, out).ok());
+  return out.str();
+}
+
+TEST(FimiOracleTest, StandInsMatchTheStreamParser) {
+  for (Benchmark b : {Benchmark::kConnect, Benchmark::kMushroom,
+                      Benchmark::kChess, Benchmark::kPumsb,
+                      Benchmark::kRetail, Benchmark::kAccidents}) {
+    for (uint64_t seed : {3, 101}) {
+      SCOPED_TRACE(GetBenchmarkSpec(b).name + " seed " +
+                   std::to_string(seed));
+      Rng rng(seed);
+      auto db = MakeBenchmarkDatabase(b, &rng, 0.05);
+      ASSERT_TRUE(db.ok());
+      const std::string text = ToFimi(*db);
+      auto got = ParseFimi(text);
+      auto want = ReferenceParse(text);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      ASSERT_TRUE(want.ok()) << want.status().ToString();
+      ExpectSameLabeledDatabase(*got, *want);
+    }
+  }
+}
+
+TEST(FimiOracleTest, LabelsAboveTheDenseCapKeepFirstAppearanceIds) {
+  // Relabel a stand-in so small labels interleave with 2^40, INT64_MAX
+  // and mid-sized ones: first-appearance ids must cross the dense table
+  // and the map in the oracle's order.
+  Rng rng(7);
+  auto db = MakeBenchmarkDatabase(Benchmark::kConnect, &rng, 0.05);
+  ASSERT_TRUE(db.ok());
+  auto relabel = [](ItemId id) -> int64_t {
+    switch (id % 4) {
+      case 0: return id;
+      case 1: return (int64_t{1} << 40) + id;
+      case 2: return std::numeric_limits<int64_t>::max() - id;
+      default: return int64_t{1000} * id + 7;
+    }
+  };
+  for (const std::string& tail : {std::string(), std::string("\n1 2 3\n")}) {
+    std::string text;
+    for (const Transaction& t : db->transactions()) {
+      for (size_t i = t.size(); i-- > 0;) {
+        text += std::to_string(relabel(t[i]));
+        text += i ? " " : "\n";
+      }
+    }
+    text += tail;
+    auto got = ParseFimi(text);
+    auto want = ReferenceParse(text);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ASSERT_TRUE(want.ok());
+    ExpectSameLabeledDatabase(*got, *want);
+  }
+  const std::string tiny =
+      "3 1099511627776 1\n9223372036854775807 3 0\n"
+      "1099511627776 2 9223372036854775807\n";
+  auto got = ParseFimi(tiny);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(got->labels,
+            (std::vector<int64_t>{3, int64_t{1} << 40, 1,
+                                  std::numeric_limits<int64_t>::max(), 0,
+                                  2}));
+  auto want = ReferenceParse(tiny);
+  ASSERT_TRUE(want.ok());
+  ExpectSameLabeledDatabase(*got, *want);
+}
+
+uint64_t SplitMix64(uint64_t* state) {
+  uint64_t z = (*state += 0x9e3779b97f4a7c15ull);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+  return z ^ (z >> 31);
+}
+
+TEST(FimiOracleTest, MutationsAgreeWithTheStreamParser) {
+  const std::vector<std::string> corpus = {
+      "1 2 3\n4 5\n",
+      "100 205\n205 999\n",
+      "+5 -0\t7\r\n\n8",
+      "9223372036854775807 1\n2 1099511627776\n",
+      "0 1 2 3 4 5 6 7 8 9\n9 8 7\n\n\n6 5 4 3 2 1 0\r\n",
+  };
+  const std::string bytes("0123456789 \t\v\f\r\n+-x.\0\xff", 22);
+  const std::vector<std::string> words = {
+      "-", "+", "-0", "+0", "1-", "2+3", "9223372036854775807",
+      "9223372036854775808", "-9223372036854775808", "-9223372036854775809",
+      "99999999999999999999", "1099511627776", " ", "\n", "\r\n", "\t",
+  };
+  uint64_t state = 0x5eed17;
+  auto uniform = [&](size_t bound) {
+    return static_cast<size_t>(SplitMix64(&state) % bound);
+  };
+  AgreementCounts counts;
+  constexpr int kMutants = 20000;
+  for (int iter = 0; iter < kMutants; ++iter) {
+    std::string text = corpus[uniform(corpus.size())];
+    const size_t edits = 1 + uniform(4);
+    for (size_t e = 0; e < edits; ++e) {
+      const size_t at = uniform(text.size() + 1);
+      switch (uniform(5)) {
+        case 0:  // replace a byte
+          if (at < text.size()) text[at] = bytes[uniform(bytes.size())];
+          break;
+        case 1:  // insert a byte
+          text.insert(at, 1, bytes[uniform(bytes.size())]);
+          break;
+        case 2:  // delete a byte
+          if (at < text.size()) text.erase(at, 1);
+          break;
+        case 3:  // insert a dictionary word
+          text.insert(at, words[uniform(words.size())]);
+          break;
+        default: {  // duplicate a slice
+          const size_t len = uniform(text.size() - at + 1);
+          text.insert(uniform(text.size() + 1), text.substr(at, len));
+          break;
+        }
+      }
+    }
+    CheckAgainstOracle(text, &counts);
+    if (testing::Test::HasFatalFailure()) return;
+  }
+  // Every outcome class must actually occur, or the rules checked nothing.
+  EXPECT_GT(counts.both_accept, size_t{kMutants / 10});
+  EXPECT_GT(counts.both_reject, size_t{kMutants / 10});
+  EXPECT_GT(counts.only_oracle_accepts, size_t{kMutants / 100});
 }
 
 // ---------------------------------------------------------------- Sampling

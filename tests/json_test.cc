@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 namespace anonsafe {
 namespace json {
@@ -74,6 +75,58 @@ TEST(JsonTest, ParseErrors) {
   EXPECT_FALSE(Value::Parse("1e999").ok());   // non-finite
   EXPECT_FALSE(Value::Parse("{} extra").ok());  // trailing garbage
   EXPECT_FALSE(Value::Parse("\"bad \\q escape\"").ok());
+}
+
+TEST(JsonTest, StringRunsRoundTripAtEscapeBoundaries) {
+  // ParseString copies each run of plain bytes between escapes in one
+  // piece; Dump(Parse(s)) == s pins the bytes at every run boundary.
+  std::string envelope_shape = "\"";
+  while (envelope_shape.size() < 300 * 1024) {
+    envelope_shape += std::string(83, '7') + "\\n";  // 85 bytes a line
+  }
+  envelope_shape += "\"";
+  const std::vector<std::string> docs = {
+      "\"\\nab\\t\"",                      // escapes first and last
+      "\"\\n\"",                             // an escape alone
+      "\"a\\n\\t\\\"\\\\\\u0001b\"",         // adjacent escapes
+      "\"ab\xF0\x9F\x98\x80" "cd\"",          // raw UTF-8 between runs
+      "[\"x\\\"\",\"\\\\y\",\"\"]",            // runs inside an array
+      envelope_shape,
+  };
+  for (const std::string& s : docs) {
+    auto parsed = Value::Parse(s);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    EXPECT_EQ(parsed->Dump(), s);
+  }
+  auto big = Value::Parse(envelope_shape);
+  ASSERT_TRUE(big.ok());
+  EXPECT_EQ(big->AsString().size(), (envelope_shape.size() - 2) / 85 * 84);
+
+  // A \uD83D\uDE00 surrogate pair between runs decodes to U+1F600; Dump
+  // writes the code point back as raw UTF-8.
+  auto pair = Value::Parse("\"ab\\uD83D\\uDE00cd\"");
+  ASSERT_TRUE(pair.ok());
+  EXPECT_EQ(pair->AsString(), "ab\xF0\x9F\x98\x80" "cd");
+  EXPECT_EQ(pair->Dump(), docs[3]);
+}
+
+TEST(JsonTest, StringErrorsKeepTheirTextAndOffset) {
+  auto message = [](const std::string& text) {
+    return Value::Parse(text).status().message();
+  };
+  EXPECT_EQ(message("\"" + std::string(1000, 'a')),
+            "JSON parse error at byte 1001: unterminated string");
+  EXPECT_EQ(message("{\"k\":\"" + std::string(500, 'a') + "\\n" +
+                    std::string(500, 'b')),
+            "JSON parse error at byte 1008: unterminated string");
+  EXPECT_EQ(message("\"abc\x01" "def\""),
+            "JSON parse error at byte 4: raw control character in string");
+  EXPECT_EQ(message("\"abc\\ndef\nghi\""),
+            "JSON parse error at byte 9: raw control character in string");
+  EXPECT_EQ(message("\"abc\\"),
+            "JSON parse error at byte 5: dangling escape");
+  EXPECT_EQ(message("\"abc\\q\""),
+            "JSON parse error at byte 6: invalid escape character");
 }
 
 TEST(JsonTest, DepthGuard) {
