@@ -2,8 +2,9 @@
 # Perf-regression gate for the hot-path kernels.
 #
 # Runs the gated subset of bench_perf_microbench (Ryser permanent at
-# n=20/22/24, explicit CSR graph build + Hopcroft-Karp, and the
-# AssessRisk δ-bisection macro-bench), emits BENCH_kernels.json at the
+# n=20/22/24, explicit CSR graph build + Hopcroft-Karp, the AssessRisk
+# δ-bisection macro-bench, and serve's cold load_dataset ingest of a
+# CONNECT ×0.05 stand-in), emits BENCH_kernels.json at the
 # repo root, and compares each kernel's cpu time against the checked-in
 # baseline in bench/perf_baseline.json with a ±15% gate:
 #
@@ -13,8 +14,10 @@
 #
 # The baseline file also carries `pre_opt_ns`: the same kernels measured
 # on the pre-optimization tree (vector<vector> adjacency, unmasked
-# Ryser, per-call allocation, per-probe re-stabbing). BENCH_kernels.json
-# reports speedup_vs_pre_opt = pre_opt / current for each kernel.
+# Ryser, per-call allocation, per-probe re-stabbing; for BM_LoadDataset,
+# the line-at-a-time stream FIMI parser with its copies of the content).
+# BENCH_kernels.json reports speedup_vs_pre_opt = pre_opt / current for
+# each kernel.
 #
 # The kernels are ISA-dispatched (scalar / AVX2 / AVX-512, see
 # docs/PERFORMANCE.md "SIMD dispatch"), so timings from different ISA
@@ -84,7 +87,7 @@ if ! command -v python3 >/dev/null 2>&1; then
   exit 0
 fi
 
-FILTER='BM_Permanent/(20|22|24)$|BM_PermanentBatch/12$|BM_SamplerProbe/8192$|BM_GraphBuildHK/4096$|BM_AssessRiskBisection/8192$'
+FILTER='BM_Permanent/(20|22|24)$|BM_PermanentBatch/12$|BM_SamplerProbe/8192$|BM_GraphBuildHK/4096$|BM_AssessRiskBisection/8192$|BM_LoadDataset$'
 
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT

@@ -101,7 +101,7 @@ Result<LabeledDatabase> ParseFimi(std::string_view text) {
     while (true) {
       while (p < eol && IsSeparator(*p)) ++p;
       if (p == eol) break;
-      int64_t label;
+      int64_t label = 0;
       ANONSAFE_RETURN_IF_ERROR(ReadLabel(&p, eol, line_no, &label));
       row.push_back(ids.Intern(label));
     }
