@@ -249,21 +249,21 @@ TEST(FimiIoTest, RejectsMalformedInput) {
     return ParseFimi(text).status().message();
   };
   // A token is [+-]?[0-9]+ fitting in int64, ended by a separator or the
-  // end of its line. A line-at-a-time stream parser let the first five
-  // through: an overflow or a lone sign at the end of a line was dropped,
-  // and a sign glued to a number started a new label.
+  // end of its line. A line-at-a-time stream parser loaded the first six:
+  // it dropped an overflow or a lone sign at the end of a line and split
+  // a glued sign off as a new label. It called the next two negative.
   EXPECT_EQ(error("1 99999999999999999999"), "malformed token at line 1");
   EXPECT_EQ(error("2\n1 9223372036854775808\n"), "malformed token at line 2");
+  EXPECT_EQ(error("1 -99999999999999999999\n"), "malformed token at line 1");
   EXPECT_EQ(error("1 -"), "malformed token at line 1");
   EXPECT_EQ(error("1 +\n2\n"), "malformed token at line 1");
   EXPECT_EQ(error("1+2\n"), "malformed token at line 1");
   EXPECT_EQ(error("3\n\n12-3\n"), "malformed token at line 3");
-  EXPECT_EQ(error("1 -99999999999999999999\n"), "malformed token at line 1");
+  EXPECT_EQ(error("1 -5x\n"), "malformed token at line 1");
   EXPECT_EQ(error("1 - 2\n"), "malformed token at line 1");
   EXPECT_EQ(error("1 +-2\n"), "malformed token at line 1");
   EXPECT_EQ(error("1 0x10\n"), "malformed token at line 1");
   EXPECT_EQ(error("1 2.5\n"), "malformed token at line 1");
-  EXPECT_EQ(error("1 -5x\n"), "malformed token at line 1");
   EXPECT_EQ(error(std::string("1 \0 2\n", 6)), "malformed token at line 1");
   EXPECT_EQ(error("1\n2 -2\n"), "negative item label at line 2");
   EXPECT_EQ(error("-9223372036854775808"), "negative item label at line 1");
@@ -297,6 +297,8 @@ TEST(FimiIoTest, FileRoundTrip) {
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded->database.num_transactions(), 1u);
   EXPECT_TRUE(ReadFimiFile("/no/such/file").status().IsIOError());
+  // A directory opens but cannot be read.
+  EXPECT_TRUE(ReadFimiFile(testing::TempDir()).status().IsIOError());
 }
 
 TEST(ConcatDatabasesTest, PoolsTransactionsInOrder) {
