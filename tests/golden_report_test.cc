@@ -11,8 +11,9 @@
 //  - the cached α-sweep average, with and without adversary weights;
 //  - the O-estimate with propagation off;
 //  - RecommendDefense(...).ToJson().Dump() at one thread (also on a
-//    singleton-transaction fixture whose merges fail in Apply), and the
-//    group_merge tolerance and k_anonymity plans with their supports.
+//    singleton-transaction fixture whose merges fail in Apply, and with
+//    the planner's sampler blocks preferred), and the group_merge
+//    tolerance and k_anonymity plans with their supports.
 //
 // Each row also records how far the work counters moved, which pins the
 // same work along with the same answer.
@@ -157,13 +158,13 @@ void AddReportRows(const StandIn& s, const std::vector<double>& tolerances,
 }
 
 /// The one-thread defense sweep.
-void AddRecommendRow(const std::string& name, const Database& db,
-                     RowWriter* w) {
-  w->Add("defense/" + name + "/recommend", [&]() -> std::string {
+void AddRecommendRow(const std::string& row, const Database& db,
+                     const defense::OptimizerOptions& options, RowWriter* w) {
+  w->Add(row, [&]() -> std::string {
     exec::ExecOptions eo;
     eo.threads = 1;
     exec::ExecContext ctx(eo);
-    auto frontier = defense::RecommendDefense(db, {}, &ctx);
+    auto frontier = defense::RecommendDefense(db, options, &ctx);
     if (!frontier.ok()) return "error: " + frontier.status().ToString();
     return frontier->ToJson().Dump();
   });
@@ -173,7 +174,7 @@ void AddRecommendRow(const std::string& name, const Database& db,
 /// payload adds the planned supports, which the plan JSON summarizes
 /// away).
 void AddDefenseRows(const StandIn& s, RowWriter* w) {
-  AddRecommendRow(s.name, s.db, w);
+  AddRecommendRow("defense/" + s.name + "/recommend", s.db, {}, w);
   const double n = static_cast<double>(s.table.num_items());
   const std::vector<std::pair<const char*, defense::DefenseParams>> plans = [&] {
     std::vector<std::pair<const char*, defense::DefenseParams>> v;
@@ -297,7 +298,13 @@ std::vector<std::pair<std::string, std::string>> ComputeRows() {
       singletons.AddTransactionUnchecked({x});
     }
   }
-  AddRecommendRow("singletons", singletons, &w);
+  AddRecommendRow("defense/singletons/recommend", singletons, {}, &w);
+  // MUSHROOM ×0.1 has a 68-item block, past every exact method, so
+  // prefer_sampler sends it to the planner's sampler blocks.
+  defense::OptimizerOptions prefer_sampler;
+  prefer_sampler.planner.prefer_sampler = true;
+  AddRecommendRow("defense/mushroom/recommend/prefer_sampler", mushroom.db,
+                  prefer_sampler, &w);
 
   for (const StandIn* s : {&connect, &mushroom}) {
     w.Add("oestimate/" + s->name + "/no_propagation", [&]() -> std::string {
