@@ -436,20 +436,11 @@ Status ValidatePlannerOptions(const PlannerOptions& options) {
   if (options.max_edges == 0) {
     return Status::InvalidArgument("planner max_edges must be positive");
   }
-  const SamplerOptions& so = options.block_sampler;
-  if (so.num_samples == 0) {
+  if (options.block_sampler.num_samples == 0) {
     return Status::InvalidArgument(
         "planner block_sampler.num_samples must be positive");
   }
-  if (!(so.cycle_move_fraction >= 0.0 && so.cycle_move_fraction <= 1.0)) {
-    return Status::InvalidArgument(
-        "planner block_sampler.cycle_move_fraction must be in [0, 1]");
-  }
-  if (!(so.burn_in_scale >= 0.0)) {
-    return Status::InvalidArgument(
-        "planner block_sampler.burn_in_scale must be >= 0");
-  }
-  return Status::OK();
+  return ValidateSamplerOptions(options.block_sampler);
 }
 
 Result<BlockPlan> PlanBlocks(const BipartiteGraph& graph,

@@ -32,14 +32,7 @@ size_t SamplerOptions::EffectiveBurnIn(size_t n) const {
   return scaled_sweeps > burn_in_sweeps ? scaled_sweeps : burn_in_sweeps;
 }
 
-Result<MatchingSampler> MatchingSampler::Create(
-    const FrequencyGroups& observed, const BeliefFunction& belief,
-    const SamplerOptions& options) {
-  if (observed.num_items() != belief.num_items()) {
-    return Status::InvalidArgument(
-        "observed data covers " + std::to_string(observed.num_items()) +
-        " items, belief function " + std::to_string(belief.num_items()));
-  }
+Status ValidateSamplerOptions(const SamplerOptions& options) {
   if (options.samples_per_seed == 0) {
     return Status::InvalidArgument(
         "samples_per_seed must be positive (a zero-sample chain would "
@@ -57,6 +50,18 @@ Result<MatchingSampler> MatchingSampler::Create(
         "burn_in_scale must be finite and non-negative, got " +
         std::to_string(options.burn_in_scale));
   }
+  return Status::OK();
+}
+
+Result<MatchingSampler> MatchingSampler::Create(
+    const FrequencyGroups& observed, const BeliefFunction& belief,
+    const SamplerOptions& options) {
+  if (observed.num_items() != belief.num_items()) {
+    return Status::InvalidArgument(
+        "observed data covers " + std::to_string(observed.num_items()) +
+        " items, belief function " + std::to_string(belief.num_items()));
+  }
+  ANONSAFE_RETURN_IF_ERROR(ValidateSamplerOptions(options));
   const size_t n = observed.num_items();
   if (n == 0) {
     return Status::InvalidArgument("cannot sample over an empty domain");

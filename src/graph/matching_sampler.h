@@ -55,6 +55,11 @@ struct SamplerOptions {
   size_t EffectiveBurnIn(size_t n) const;
 };
 
+/// \brief InvalidArgument unless `samples_per_seed` is positive,
+/// `cycle_move_fraction` lies in [0, 1] and `burn_in_scale` is finite and
+/// non-negative. Every sampler checks its options with it.
+Status ValidateSamplerOptions(const SamplerOptions& options);
+
 /// \brief MCMC sampler over consistent matchings of the consistency graph.
 ///
 /// The state is a matching; moves are symmetric (pair swaps, 3-cycle
@@ -73,9 +78,8 @@ struct SamplerOptions {
 class MatchingSampler {
  public:
   /// \brief Builds ranges and the seed matching. Fails on domain
-  /// mismatch, an empty domain, or malformed options
-  /// (`samples_per_seed == 0`, `cycle_move_fraction` outside [0, 1],
-  /// negative `burn_in_scale`).
+  /// mismatch, an empty domain, or options `ValidateSamplerOptions`
+  /// rejects.
   static Result<MatchingSampler> Create(const FrequencyGroups& observed,
                                         const BeliefFunction& belief,
                                         const SamplerOptions& options);

@@ -166,6 +166,7 @@ Result<ConstrainedMatchingSampler> ConstrainedMatchingSampler::Create(
     const BipartiteGraph& graph, const ItemsetBeliefFunction& belief,
     const SupportOracle& observed, const SamplerOptions& options) {
   ANONSAFE_RETURN_IF_ERROR(CheckDomains(graph, belief, observed));
+  ANONSAFE_RETURN_IF_ERROR(ValidateSamplerOptions(options));
   const size_t n = graph.num_items();
   if (n == 0) {
     return Status::InvalidArgument("cannot sample over an empty domain");

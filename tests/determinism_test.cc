@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include "belief/belief_function.h"
@@ -16,12 +18,16 @@
 #include "core/oestimate.h"
 #include "core/recipe.h"
 #include "core/simulated.h"
+#include "data/database.h"
 #include "data/frequency.h"
 #include "estimator/planner.h"
 #include "exec/exec.h"
 #include "graph/bipartite_graph.h"
 #include "graph/matching_sampler.h"
 #include "graph/permanent.h"
+#include "powerset/constrained_attack.h"
+#include "powerset/itemset_belief.h"
+#include "powerset/support_oracle.h"
 #include "util/rng.h"
 
 namespace anonsafe {
@@ -369,20 +375,55 @@ TEST(ValidationTest, SamplerRejectsMalformedOptions) {
   auto belief = MakeCompliantIntervalBelief(*table, groups.MedianGap());
   ASSERT_TRUE(belief.ok());
 
-  SamplerOptions zero_per_seed;
-  zero_per_seed.samples_per_seed = 0;
-  EXPECT_TRUE(MatchingSampler::Create(groups, *belief, zero_per_seed)
-                  .status().IsInvalidArgument());
+  // The constrained sampler's fixture: three items, no itemset
+  // constraint, every item consistent with every anonymized item.
+  Database db(3);
+  for (const Transaction& t : {Transaction{0, 2}, Transaction{1}}) {
+    ASSERT_TRUE(db.AddTransaction(t).ok());
+  }
+  auto oracle = SupportOracle::Build(db);
+  ASSERT_TRUE(oracle.ok());
+  auto graph = BipartiteGraph::Build(
+      FrequencyGroups::Build(*FrequencyTable::Compute(db)),
+      MakeIgnorantBelief(3));
+  ASSERT_TRUE(graph.ok());
+  const ItemsetBeliefFunction no_constraints(3);
 
-  SamplerOptions bad_fraction;
-  bad_fraction.cycle_move_fraction = 1.5;
-  EXPECT_TRUE(MatchingSampler::Create(groups, *belief, bad_fraction)
-                  .status().IsInvalidArgument());
+  std::vector<std::pair<const char*, SamplerOptions>> malformed(6);
+  malformed[0].first = "samples_per_seed = 0";
+  malformed[0].second.samples_per_seed = 0;
+  malformed[1].first = "cycle_move_fraction = 1.5";
+  malformed[1].second.cycle_move_fraction = 1.5;
+  malformed[2].first = "cycle_move_fraction = NaN";
+  malformed[2].second.cycle_move_fraction =
+      std::numeric_limits<double>::quiet_NaN();
+  malformed[3].first = "burn_in_scale = -1";
+  malformed[3].second.burn_in_scale = -1.0;
+  malformed[4].first = "burn_in_scale = inf";
+  malformed[4].second.burn_in_scale = std::numeric_limits<double>::infinity();
+  malformed[5].first = "burn_in_scale = NaN";
+  malformed[5].second.burn_in_scale = std::numeric_limits<double>::quiet_NaN();
+  // Only Create and the planner's validation run: a sampler built with
+  // samples_per_seed = 0 would never return from SampleCrackCounts.
+  for (const auto& [what, options] : malformed) {
+    EXPECT_TRUE(MatchingSampler::Create(groups, *belief, options)
+                    .status().IsInvalidArgument())
+        << what;
+    EXPECT_TRUE(ConstrainedMatchingSampler::Create(*graph, no_constraints,
+                                                   *oracle, options)
+                    .status().IsInvalidArgument())
+        << what;
+    PlannerOptions planner;
+    planner.block_sampler = options;
+    EXPECT_TRUE(ValidatePlannerOptions(planner).IsInvalidArgument()) << what;
+  }
 
-  SamplerOptions negative_scale;
-  negative_scale.burn_in_scale = -1.0;
-  EXPECT_TRUE(MatchingSampler::Create(groups, *belief, negative_scale)
-                  .status().IsInvalidArgument());
+  SamplerOptions valid;
+  EXPECT_TRUE(MatchingSampler::Create(groups, *belief, valid).ok());
+  EXPECT_TRUE(ConstrainedMatchingSampler::Create(*graph, no_constraints,
+                                                 *oracle, valid)
+                  .ok());
+  EXPECT_TRUE(ValidatePlannerOptions(PlannerOptions{}).ok());
 }
 
 TEST(ValidationTest, BeliefAtRejectsOutOfRangeRun) {
