@@ -12,9 +12,9 @@
 #include "exec/exec.h"
 #include "graph/edge_pruning.h"
 #include "graph/hopcroft_karp.h"
+#include "graph/matching_walk.h"
 #include "obs/metrics.h"
 #include "obs/scoped_timer.h"
-#include "util/rng.h"
 
 namespace anonsafe {
 namespace {
@@ -282,81 +282,40 @@ Status EvalPermanentBlock(const BipartiteGraph& pruned,
   return Status::OK();
 }
 
-/// Per-block MCMC fallback: swap / 3-cycle Metropolis walk over the
-/// block's perfect matchings (uniform stationary distribution, as in the
-/// whole-instance sampler), seeded with SplitSeed(seed, block index) so
-/// the estimate is deterministic and independent of evaluation order.
+/// Per-block MCMC fallback: the matching walk over the block graph's
+/// perfect matchings, from a Hopcroft–Karp seed. Its chains split off
+/// SplitSeed(seed, block index), so the estimate is deterministic and
+/// independent of evaluation order. The chains run on the caller: blocks
+/// already run in parallel.
 Status EvalSamplerBlock(const BipartiteGraph& pruned,
                         const PlannedBlock& block, const SamplerOptions& so,
                         size_t block_index, std::vector<double>* contrib) {
   const size_t k = block.items.size();
-  std::vector<std::vector<ItemId>> adjacency(k);
-  for (size_t la = 0; la < k; ++la) {
-    for (ItemId x : pruned.items_of_anon(block.anons[la])) {
-      adjacency[la].push_back(
-          static_cast<ItemId>(LocalIndex(block.items, x)));
-    }
-    std::sort(adjacency[la].begin(), adjacency[la].end());
-  }
-  auto has_edge = [&](size_t la, ItemId lx) {
-    return std::binary_search(adjacency[la].begin(), adjacency[la].end(), lx);
-  };
-
-  // Pass a copy: `has_edge` keeps reading `adjacency` during the sweeps.
-  ANONSAFE_ASSIGN_OR_RETURN(BipartiteGraph local,
-                            BipartiteGraph::FromAdjacency(k, adjacency));
+  ANONSAFE_ASSIGN_OR_RETURN(BipartiteGraph local, BlockGraph(pruned, block));
   Matching matching = HopcroftKarp(local);
   if (!matching.IsPerfect()) {
     return Status::FailedPrecondition(
         "planner block has no perfect matching after pruning");
   }
-  std::vector<ItemId> item_of_anon = std::move(matching.item_of_anon);
 
-  // Local crack pairs: item lx cracks when matched to the anon carrying
+  // Local crack pairs: anon la cracks when matched to the item carrying
   // the same global id.
-  std::vector<size_t> crack_item_of_anon(k, kNoBlock);
+  std::vector<ItemId> crack_item_of_anon(k, kInvalidItem);
   for (size_t lx = 0; lx < k; ++lx) {
     const size_t la = LocalIndex(block.anons, block.items[lx]);
-    if (la != kNoBlock) crack_item_of_anon[la] = lx;
+    if (la != kNoBlock) crack_item_of_anon[la] = static_cast<ItemId>(lx);
   }
-
-  Rng rng(exec::SplitSeed(so.exec.seed, block_index));
-  auto sweep = [&]() {
-    for (size_t move = 0; move < k; ++move) {
-      const size_t a = rng.UniformUint64(k);
-      size_t b = rng.UniformUint64(k - 1);
-      if (b >= a) ++b;
-      const ItemId xa = item_of_anon[a];
-      const ItemId xb = item_of_anon[b];
-      if (k >= 3 && rng.Bernoulli(so.cycle_move_fraction)) {
-        size_t c = rng.UniformUint64(k - 2);
-        if (c >= std::min(a, b)) ++c;
-        if (c >= std::max(a, b)) ++c;
-        const ItemId xc = item_of_anon[c];
-        if (has_edge(a, xb) && has_edge(b, xc) && has_edge(c, xa)) {
-          item_of_anon[a] = xb;
-          item_of_anon[b] = xc;
-          item_of_anon[c] = xa;
-        }
-      } else if (has_edge(a, xb) && has_edge(b, xa)) {
-        item_of_anon[a] = xb;
-        item_of_anon[b] = xa;
-      }
-    }
-  };
-
-  const size_t burn_in = so.EffectiveBurnIn(k);
-  for (size_t s = 0; s < burn_in; ++s) sweep();
   std::vector<uint64_t> crack_counts(k, 0);
-  for (size_t sample = 0; sample < so.num_samples; ++sample) {
-    for (size_t t = 0; t < so.thinning_sweeps; ++t) sweep();
-    for (size_t la = 0; la < k; ++la) {
-      const size_t lx = crack_item_of_anon[la];
-      if (lx != kNoBlock && item_of_anon[la] == static_cast<ItemId>(lx)) {
-        ++crack_counts[lx];
-      }
-    }
-  }
+  SampleMatchingChains(
+      GraphEdges{&local}, matching.item_of_anon, so,
+      exec::SplitSeed(so.exec.seed, block_index), /*ctx=*/nullptr,
+      [&](const std::vector<ItemId>& item_of_anon, size_t /*slot*/) {
+        for (size_t la = 0; la < k; ++la) {
+          if (item_of_anon[la] == crack_item_of_anon[la]) {
+            ++crack_counts[item_of_anon[la]];
+          }
+        }
+      });
   for (size_t lx = 0; lx < k; ++lx) {
     (*contrib)[block.items[lx]] =
         static_cast<double>(crack_counts[lx]) /
@@ -426,6 +385,19 @@ uint64_t SaturatingMul(uint64_t a, uint64_t b) {
 }
 
 }  // namespace
+
+Result<BipartiteGraph> BlockGraph(const BipartiteGraph& pruned,
+                                  const PlannedBlock& block) {
+  const size_t k = block.items.size();
+  std::vector<std::vector<ItemId>> adjacency(k);
+  for (size_t la = 0; la < k; ++la) {
+    for (ItemId x : pruned.items_of_anon(block.anons[la])) {
+      adjacency[la].push_back(
+          static_cast<ItemId>(LocalIndex(block.items, x)));
+    }
+  }
+  return BipartiteGraph::FromAdjacency(k, std::move(adjacency));
+}
 
 Status ValidatePlannerOptions(const PlannerOptions& options) {
   if (options.ryser_cutoff == 0 || options.ryser_cutoff > kMaxPermanentN) {

@@ -33,8 +33,8 @@ struct PlannerOptions {
   /// instead of the refined O-estimate.
   bool prefer_sampler = false;
 
-  /// Knobs for the per-block sampler fallback. Chains are seeded with
-  /// SplitSeed(block_sampler.exec.seed, block index), so results are
+  /// Knobs for the per-block sampler fallback. Block b's chains split
+  /// off SplitSeed(block_sampler.exec.seed, b), so results are
   /// deterministic and independent of evaluation order.
   SamplerOptions block_sampler;
 
@@ -75,6 +75,12 @@ struct BlockPlan {
   std::vector<PlannedBlock> blocks;
   size_t pruned_edges = 0;  ///< edges the matching cover removed
 };
+
+/// \brief The block as a graph of its own: local anonymized item `la` and
+/// local item `lx` stand for `block.anons[la]` and `block.items[lx]` of
+/// `pruned`. The planner's sampler blocks walk over it.
+Result<BipartiteGraph> BlockGraph(const BipartiteGraph& pruned,
+                                  const PlannedBlock& block);
 
 /// \brief Prunes `graph` with the matching cover, splits it into
 /// connected blocks, and classifies each block (singleton →

@@ -3,20 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <queue>
+#include <string>
 
-#include "exec/scratch.h"
+#include "graph/matching_walk.h"
 #include "graph/simd_kernels.h"
 #include "obs/scoped_timer.h"
-#include "util/rng.h"
 
 namespace anonsafe {
-
-struct MatchingSampler::ChainState {
-  Rng rng{0};
-  exec::ScratchVec<ItemId> item_of_anon;
-  exec::ScratchVec<ItemId> anon_of_item;
-  exec::ScratchVec<ItemId> unmatched_items;  // maintained when imperfect
-};
 
 size_t SamplerOptions::EffectiveBurnIn(size_t n) const {
   const double scaled = burn_in_scale * static_cast<double>(n);
@@ -127,185 +120,26 @@ Result<MatchingSampler> MatchingSampler::Create(
       }
     }
   }
-  s.ReseedState();
   return s;
 }
 
-void MatchingSampler::ReseedState() {
-  const size_t n = num_items();
-  item_of_anon_ = seed_item_of_anon_;
-  anon_of_item_.assign(n, kInvalidItem);
-  for (ItemId a = 0; a < n; ++a) {
-    if (item_of_anon_[a] != kInvalidItem) {
-      anon_of_item_[item_of_anon_[a]] = a;
-    }
-  }
-  unmatched_items_.clear();
-  for (ItemId x = 0; x < n; ++x) {
-    if (anon_of_item_[x] == kInvalidItem && item_has_range_[x]) {
-      unmatched_items_.push_back(x);
-    }
-  }
-}
-
-void MatchingSampler::InitChain(ChainState* chain,
-                                uint64_t chain_seed) const {
-  const size_t n = num_items();
-  chain->rng = Rng(chain_seed);
-  chain->item_of_anon.vec() = seed_item_of_anon_;
-  chain->anon_of_item.assign(n, kInvalidItem);
-  for (ItemId a = 0; a < n; ++a) {
-    if (chain->item_of_anon[a] != kInvalidItem) {
-      chain->anon_of_item[chain->item_of_anon[a]] = a;
-    }
-  }
-  chain->unmatched_items.clear();
-  for (ItemId x = 0; x < n; ++x) {
-    if (chain->anon_of_item[x] == kInvalidItem && item_has_range_[x]) {
-      chain->unmatched_items.push_back(x);
-    }
-  }
-}
-
-void MatchingSampler::SweepChain(ChainState* chain) const {
-  const size_t n = num_items();
-  Rng& rng_ = chain->rng;
-  std::vector<ItemId>& item_of_anon_ = chain->item_of_anon.vec();
-  std::vector<ItemId>& anon_of_item_ = chain->anon_of_item.vec();
-  std::vector<ItemId>& unmatched_items_ = chain->unmatched_items.vec();
-  // One move attempt per anonymized item. The partner is drawn uniformly
-  // per step rather than from a permutation as in the paper's Section 7.1
-  // procedure: pairing i with P(i) makes every 2-cycle of P swap and then
-  // un-swap the same pair within one sweep (at n = 2 the chain would
-  // never leave its seed at all).
-  for (size_t i = 0; i < n; ++i) {
-    const auto a = static_cast<ItemId>(i);
-    const auto b = static_cast<ItemId>(rng_.UniformUint64(n));
-
-    const double u = rng_.UniformDouble();
-
-    // Replacement move: swap a matched item for an unmatched one. Only
-    // meaningful when the matching is imperfect.
-    if (!unmatched_items_.empty() && u < 0.3) {
-      size_t pick = rng_.UniformUint64(unmatched_items_.size());
-      ItemId y = unmatched_items_[pick];
-      ItemId x = item_of_anon_[a];
-      if (x != kInvalidItem && x != y && Consistent(a, y)) {
-        item_of_anon_[a] = y;
-        anon_of_item_[y] = a;
-        anon_of_item_[x] = kInvalidItem;
-        unmatched_items_[pick] = x;
-      }
-      continue;
-    }
-
-    // 3-cycle rotation: reaches matchings that pair swaps cannot.
-    if (u < options_.cycle_move_fraction && n >= 3) {
-      const auto c = static_cast<ItemId>(rng_.UniformUint64(n));
-      if (a == b || b == c || a == c) continue;
-      ItemId x = item_of_anon_[a], y = item_of_anon_[b],
-             z = item_of_anon_[c];
-      if (x == kInvalidItem || y == kInvalidItem || z == kInvalidItem) {
-        continue;
-      }
-      if (Consistent(a, z) && Consistent(b, x) && Consistent(c, y)) {
-        item_of_anon_[a] = z;
-        item_of_anon_[b] = x;
-        item_of_anon_[c] = y;
-        anon_of_item_[z] = a;
-        anon_of_item_[x] = b;
-        anon_of_item_[y] = c;
-      }
-      continue;
-    }
-
-    // Pair move (the paper's swap), with single-edge transfers when one
-    // endpoint is unmatched.
-    if (a == b) continue;
-    ItemId x = item_of_anon_[a];
-    ItemId y = item_of_anon_[b];
-    if (x != kInvalidItem && y != kInvalidItem) {
-      if (Consistent(a, y) && Consistent(b, x)) {
-        item_of_anon_[a] = y;
-        item_of_anon_[b] = x;
-        anon_of_item_[y] = a;
-        anon_of_item_[x] = b;
-      }
-    } else if (x != kInvalidItem && y == kInvalidItem) {
-      if (Consistent(b, x)) {
-        item_of_anon_[b] = x;
-        item_of_anon_[a] = kInvalidItem;
-        anon_of_item_[x] = b;
-      }
-    } else if (x == kInvalidItem && y != kInvalidItem) {
-      if (Consistent(a, y)) {
-        item_of_anon_[a] = y;
-        item_of_anon_[b] = kInvalidItem;
-        anon_of_item_[y] = a;
-      }
-    }
-  }
-}
-
-size_t MatchingSampler::CountCracksOf(const ChainState& chain,
-                                      const uint8_t* interest) const {
-  return internal::Kernels().count_fixed_points(chain.item_of_anon.data(),
-                                                interest, num_items());
-}
-
 std::vector<size_t> MatchingSampler::SampleImpl(
-    const std::vector<bool>* interest, exec::ExecContext* ctx) const {
+    const uint8_t* interest, exec::ExecContext* ctx) const {
   obs::ScopedTimer timer("graph.sampler_sample");
   obs::CountIf("anonsafe_sampler_samples_total", options_.num_samples);
   if (timer.tracing()) {
     timer.Annotate("samples", std::to_string(options_.num_samples));
   }
-  const size_t total = options_.num_samples;
-  const size_t per_chain = options_.samples_per_seed;
-  const size_t num_chains =
-      total == 0 ? 0 : (total + per_chain - 1) / per_chain;
-  const size_t burn_in = options_.EffectiveBurnIn(num_items());
-  const uint64_t master_seed = options_.exec.seed;
-
-  // Widen the interest mask to bytes once, outside the parallel loop, so
-  // every probe reads a flat array (vector<bool> cannot be streamed).
-  std::vector<uint8_t> interest_bytes;
-  const uint8_t* interest_ptr = nullptr;
-  if (interest != nullptr) {
-    interest_bytes.resize(interest->size());
-    for (size_t i = 0; i < interest->size(); ++i) {
-      interest_bytes[i] = (*interest)[i] ? 1 : 0;
-    }
-    interest_ptr = interest_bytes.data();
-  }
-
-  // Chains are fully independent: chain c always runs the RNG stream
-  // SplitSeed(master_seed, c) and writes into its own output slots, so
-  // the vector below is the same whatever the thread count.
-  std::vector<size_t> samples(total, 0);
-  Status st = exec::ParallelForChunks(
-      ctx, num_chains, /*grain=*/1,
-      [&](size_t c, size_t /*end*/) {
-        ChainState chain;
-        InitChain(&chain, exec::SplitSeed(master_seed, c));
-        for (size_t sweep = 0; sweep < burn_in; ++sweep) {
-          SweepChain(&chain);
-        }
-        const size_t begin = c * per_chain;
-        const size_t count =
-            per_chain < total - begin ? per_chain : total - begin;
-        for (size_t s = 0; s < count; ++s) {
-          if (s > 0) {
-            for (size_t sweep = 0; sweep < options_.thinning_sweeps;
-                 ++sweep) {
-              SweepChain(&chain);
-            }
-          }
-          samples[begin + s] = CountCracksOf(chain, interest_ptr);
-        }
-        return Status::OK();
+  // Every chain writes its own slots, so the vector is the same whatever
+  // the thread count. The crack count is the dispatched SIMD fixed-point
+  // probe.
+  std::vector<size_t> samples(options_.num_samples, 0);
+  SampleMatchingChains(
+      edges(), seed_item_of_anon_, options_, options_.exec.seed, ctx,
+      [&](const std::vector<ItemId>& item_of_anon, size_t slot) {
+        samples[slot] = internal::Kernels().count_fixed_points(
+            item_of_anon.data(), interest, item_of_anon.size());
       });
-  (void)st;  // the body cannot fail
   return samples;
 }
 
@@ -319,20 +153,10 @@ Result<std::vector<size_t>> MatchingSampler::SampleCrackCounts(
   if (interest.size() != num_items()) {
     return Status::InvalidArgument("interest mask size mismatch");
   }
-  return SampleImpl(&interest, ctx);
-}
-
-bool MatchingSampler::CurrentStateConsistent() const {
-  const size_t n = num_items();
-  std::vector<bool> used(n, false);
-  for (ItemId a = 0; a < n; ++a) {
-    ItemId x = item_of_anon_[a];
-    if (x == kInvalidItem) continue;
-    if (x >= n || used[x] || !Consistent(a, x)) return false;
-    if (anon_of_item_[x] != a) return false;
-    used[x] = true;
-  }
-  return true;
+  // Widen the mask to bytes once, so every probe reads a flat array
+  // (vector<bool> cannot be streamed).
+  const std::vector<uint8_t> interest_bytes(interest.begin(), interest.end());
+  return SampleImpl(interest_bytes.data(), ctx);
 }
 
 }  // namespace anonsafe

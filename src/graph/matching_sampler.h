@@ -2,13 +2,16 @@
 #define ANONSAFE_GRAPH_MATCHING_SAMPLER_H_
 
 #include <cstdint>
+#include <initializer_list>
 #include <vector>
 
 #include "belief/belief_function.h"
 #include "data/frequency.h"
 #include "data/types.h"
 #include "exec/exec.h"
+#include "graph/bipartite_graph.h"
 #include "util/result.h"
+#include "util/status.h"
 
 namespace anonsafe {
 
@@ -19,14 +22,14 @@ namespace anonsafe {
 /// changes a sane configuration.
 inline constexpr size_t kMaxBurnInSweeps = size_t{1} << 40;
 
-/// \brief Knobs of the MCMC matching sampler (Section 7.1 of the paper).
+/// \brief Knobs of the MCMC matching samplers (Section 7.1 of the paper).
 ///
-/// One *sweep* draws a random permutation P of the anonymized items and
-/// attempts one move per item — the paper's "iteration". The paper used
-/// 100,000 scramble iterations, thinning of 10,000 and 250 samples per
-/// seed on a 2005-era machine; the defaults here are scaled to keep bench
-/// runs interactive while preserving the estimator's accuracy (tests
-/// validate it against exact permanents). All values are overridable.
+/// One *sweep* attempts one move per anonymized item — the paper's
+/// "iteration". The paper used 100,000 scramble iterations, thinning of
+/// 10,000 and 250 samples per seed on a 2005-era machine; the defaults
+/// here are scaled to keep bench runs interactive while preserving the
+/// estimator's accuracy (tests validate it against exact permanents). All
+/// values are overridable.
 struct SamplerOptions {
   size_t burn_in_sweeps = 300;    ///< minimum scramble sweeps before the
                                   ///< first sample of a seed
@@ -60,14 +63,47 @@ struct SamplerOptions {
 /// non-negative. Every sampler checks its options with it.
 Status ValidateSamplerOptions(const SamplerOptions& options);
 
-/// \brief MCMC sampler over consistent matchings of the consistency graph.
-///
-/// The state is a matching; moves are symmetric (pair swaps, 3-cycle
-/// rotations, and — when the matching is not perfect — single-edge
-/// transfers), each accepted iff the result stays consistent, so the
-/// stationary distribution is uniform over the reachable matchings.
-/// Consistency checks are O(1) via the contiguous group-range
-/// representation, making a sweep O(n).
+/// \brief MatchingSampler's edge test, O(1) over the contiguous
+/// group-range representation: anonymized item a may take item x iff a's
+/// observed frequency group lies in the group range x's belief interval
+/// stabs. A view of the sampler's flat columns.
+struct IntervalEdges {
+  const size_t* group_of_anon;
+  const size_t* item_lo;
+  const size_t* item_hi;
+  const uint8_t* item_has_range;
+
+  bool HasEdge(ItemId anon, ItemId item) const {
+    return item_has_range[item] != 0 &&
+           item_lo[item] <= group_of_anon[anon] &&
+           group_of_anon[anon] <= item_hi[item];
+  }
+  bool Matchable(ItemId item) const { return item_has_range[item] != 0; }
+  bool Accepts(const std::vector<ItemId>& /*anon_of_item*/,
+               std::initializer_list<ItemId> /*moved*/) const {
+    return true;
+  }
+};
+
+/// \brief Edge test of a consistency graph held as a `BipartiteGraph`
+/// (the planner's block graphs).
+struct GraphEdges {
+  const BipartiteGraph* graph;
+
+  bool HasEdge(ItemId anon, ItemId item) const {
+    return graph->HasEdge(anon, item);
+  }
+  bool Matchable(ItemId item) const {
+    return graph->item_outdegree(item) > 0;
+  }
+  bool Accepts(const std::vector<ItemId>& /*anon_of_item*/,
+               std::initializer_list<ItemId> /*moved*/) const {
+    return true;
+  }
+};
+
+/// \brief MCMC sampler over consistent matchings of the consistency graph:
+/// the `MatchingWalk` over `IntervalEdges`, so a sweep is O(n).
 ///
 /// Seeding: the identity matching (every item cracked) when it is
 /// consistent — exactly the paper's procedure — otherwise a maximum
@@ -107,35 +143,21 @@ class MatchingSampler {
       const std::vector<bool>& interest,
       exec::ExecContext* ctx = nullptr) const;
 
-  /// \brief Validates that the current state is a consistent matching
-  /// (test hook). Sampling itself runs on private per-chain copies and
-  /// never perturbs this state.
-  bool CurrentStateConsistent() const;
+  /// \brief The walk's inputs: its edge test and the seed matching every
+  /// chain starts from.
+  IntervalEdges edges() const {
+    return {group_of_anon_.data(), item_lo_.data(), item_hi_.data(),
+            item_has_range_.data()};
+  }
+  const std::vector<ItemId>& seed_item_of_anon() const {
+    return seed_item_of_anon_;
+  }
 
  private:
-  /// Mutable state of one independent MCMC chain; defined in the .cc so
-  /// the scratch-pool machinery stays out of the public headers. The
-  /// buffers come from the thread-local scratch pool: a worker running
-  /// many chains recycles one trio of allocations instead of three
-  /// mallocs per chain.
-  struct ChainState;
-
   MatchingSampler() = default;
 
-  void ReseedState();
-  void InitChain(ChainState* chain, uint64_t chain_seed) const;
-  void SweepChain(ChainState* chain) const;
-  bool Consistent(ItemId anon, ItemId item) const {
-    return item_has_range_[item] != 0 &&
-           item_lo_[item] <= group_of_anon_[anon] &&
-           group_of_anon_[anon] <= item_hi_[item];
-  }
-  /// Crack-frequency probe over a chain's current matching; dispatched to
-  /// the SIMD fixed-point kernel. `interest` is an optional byte mask
-  /// (nullptr = all items).
-  size_t CountCracksOf(const ChainState& chain,
-                       const uint8_t* interest) const;
-  std::vector<size_t> SampleImpl(const std::vector<bool>* interest,
+  /// `interest` is an optional byte mask (nullptr = all items).
+  std::vector<size_t> SampleImpl(const uint8_t* interest,
                                  exec::ExecContext* ctx) const;
 
   SamplerOptions options_;
@@ -148,11 +170,6 @@ class MatchingSampler {
   std::vector<uint8_t> item_has_range_;
   std::vector<ItemId> seed_item_of_anon_;  // seed matching
   size_t seed_size_ = 0;
-
-  // Legacy in-place state, kept for the CurrentStateConsistent hook.
-  std::vector<ItemId> item_of_anon_;
-  std::vector<ItemId> anon_of_item_;
-  std::vector<ItemId> unmatched_items_;
 };
 
 }  // namespace anonsafe

@@ -4,6 +4,8 @@
 #include <string>
 
 #include "graph/hopcroft_karp.h"
+#include "graph/matching_walk.h"
+#include "util/rng.h"
 
 namespace anonsafe {
 namespace {
@@ -172,18 +174,17 @@ Result<ConstrainedMatchingSampler> ConstrainedMatchingSampler::Create(
     return Status::InvalidArgument("cannot sample over an empty domain");
   }
 
-  ConstrainedMatchingSampler s(graph, belief, observed, options);
+  ConstrainedMatchingSampler s({{&graph}, &belief, &observed}, options);
 
   // Seed 1: the identity assignment.
-  std::vector<ItemId> identity(n);
-  for (ItemId x = 0; x < n; ++x) identity[x] = x;
+  std::vector<ItemId> seed_anon_of_item(n);
+  for (ItemId x = 0; x < n; ++x) seed_anon_of_item[x] = x;
   bool identity_ok = true;
   for (ItemId x = 0; x < n && identity_ok; ++x) {
     identity_ok = graph.HasEdge(x, x);
   }
   if (identity_ok &&
-      SatisfiesItemsetConstraints(belief, observed, identity)) {
-    s.seed_anon_of_item_ = identity;
+      SatisfiesItemsetConstraints(belief, observed, seed_anon_of_item)) {
     s.seed_is_identity_ = true;
   } else {
     // Seed 2: Hopcroft-Karp + bounded min-conflicts repair.
@@ -224,121 +225,40 @@ Result<ConstrainedMatchingSampler> ConstrainedMatchingSampler::Create(
           "no consistent seed mapping found (" + std::to_string(current) +
           " itemset constraints still violated after repair)");
     }
-    s.seed_anon_of_item_ = std::move(state);
+    seed_anon_of_item = std::move(state);
   }
-
-  s.anon_of_item_ = s.seed_anon_of_item_;
-  s.item_of_anon_.assign(n, kInvalidItem);
+  s.seed_item_of_anon_.resize(n);
   for (ItemId x = 0; x < n; ++x) {
-    s.item_of_anon_[s.anon_of_item_[x]] = x;
+    s.seed_item_of_anon_[seed_anon_of_item[x]] = x;
   }
   return s;
 }
 
-bool ConstrainedMatchingSampler::ConstraintHolds(
-    size_t constraint_index) const {
-  return EvaluateConstraint(belief_.constraints()[constraint_index],
-                            observed_, anon_of_item_);
-}
-
-bool ConstrainedMatchingSampler::ConstraintsHoldFor(ItemId item) const {
-  for (size_t c : belief_.ConstraintsOf(item)) {
-    if (!ConstraintHolds(c)) return false;
+bool ItemsetConstrainedEdges::Accepts(
+    const std::vector<ItemId>& anon_of_item,
+    std::initializer_list<ItemId> moved) const {
+  for (ItemId x : moved) {
+    for (size_t c : belief->ConstraintsOf(x)) {
+      if (!EvaluateConstraint(belief->constraints()[c], *observed,
+                              anon_of_item)) {
+        return false;
+      }
+    }
   }
   return true;
 }
 
-void ConstrainedMatchingSampler::Sweep() {
-  const size_t n = num_items();
-  for (size_t step = 0; step < n; ++step) {
-    const auto a = static_cast<ItemId>(step);
-    const auto b = static_cast<ItemId>(rng_.UniformUint64(n));
-
-    if (rng_.UniformDouble() < options_.cycle_move_fraction && n >= 3) {
-      const auto c = static_cast<ItemId>(rng_.UniformUint64(n));
-      if (a == b || b == c || a == c) continue;
-      ItemId x = item_of_anon_[a], y = item_of_anon_[b],
-             z = item_of_anon_[c];
-      if (!graph_.HasEdge(a, z) || !graph_.HasEdge(b, x) ||
-          !graph_.HasEdge(c, y)) {
-        continue;
-      }
-      // Tentatively rotate, verify the touched itemset constraints,
-      // revert on failure.
-      anon_of_item_[z] = a;
-      anon_of_item_[x] = b;
-      anon_of_item_[y] = c;
-      if (ConstraintsHoldFor(x) && ConstraintsHoldFor(y) &&
-          ConstraintsHoldFor(z)) {
-        item_of_anon_[a] = z;
-        item_of_anon_[b] = x;
-        item_of_anon_[c] = y;
-      } else {
-        anon_of_item_[x] = a;
-        anon_of_item_[y] = b;
-        anon_of_item_[z] = c;
-      }
-      continue;
-    }
-
-    if (a == b) continue;
-    ItemId x = item_of_anon_[a], y = item_of_anon_[b];
-    if (!graph_.HasEdge(a, y) || !graph_.HasEdge(b, x)) continue;
-    anon_of_item_[x] = b;
-    anon_of_item_[y] = a;
-    if (ConstraintsHoldFor(x) && ConstraintsHoldFor(y)) {
-      item_of_anon_[a] = y;
-      item_of_anon_[b] = x;
-    } else {
-      anon_of_item_[x] = a;
-      anon_of_item_[y] = b;
-    }
-  }
-}
-
-std::vector<size_t> ConstrainedMatchingSampler::SampleCrackCounts() {
-  const size_t n = num_items();
-  const size_t burn_in = options_.EffectiveBurnIn(n);
-  std::vector<size_t> samples;
-  samples.reserve(options_.num_samples);
-  auto count_cracks = [&]() {
-    size_t cracks = 0;
-    for (ItemId a = 0; a < n; ++a) {
-      if (item_of_anon_[a] == a) ++cracks;
-    }
-    return cracks;
-  };
-  while (samples.size() < options_.num_samples) {
-    // Reseed.
-    anon_of_item_ = seed_anon_of_item_;
-    item_of_anon_.assign(n, kInvalidItem);
-    for (ItemId x = 0; x < n; ++x) item_of_anon_[anon_of_item_[x]] = x;
-    for (size_t sweep = 0; sweep < burn_in; ++sweep) Sweep();
-    for (size_t s = 0; s < options_.samples_per_seed &&
-                       samples.size() < options_.num_samples;
-         ++s) {
-      if (s > 0) {
-        for (size_t sweep = 0; sweep < options_.thinning_sweeps; ++sweep) {
-          Sweep();
+std::vector<size_t> ConstrainedMatchingSampler::SampleCrackCounts() const {
+  std::vector<size_t> samples(options_.num_samples, 0);
+  SampleMatchingChains(
+      edges_, seed_item_of_anon_, options_, options_.exec.seed,
+      /*ctx=*/nullptr,
+      [&](const std::vector<ItemId>& item_of_anon, size_t slot) {
+        for (ItemId a = 0; a < item_of_anon.size(); ++a) {
+          if (item_of_anon[a] == a) ++samples[slot];
         }
-      }
-      samples.push_back(count_cracks());
-    }
-  }
+      });
   return samples;
-}
-
-bool ConstrainedMatchingSampler::CurrentStateConsistent() const {
-  const size_t n = num_items();
-  std::vector<bool> used(n, false);
-  for (ItemId x = 0; x < n; ++x) {
-    ItemId a = anon_of_item_[x];
-    if (a == kInvalidItem || a >= n || used[a]) return false;
-    if (item_of_anon_[a] != x) return false;
-    if (!graph_.HasEdge(a, x)) return false;
-    used[a] = true;
-  }
-  return SatisfiesItemsetConstraints(belief_, observed_, anon_of_item_);
 }
 
 }  // namespace anonsafe

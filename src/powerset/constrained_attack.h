@@ -1,6 +1,7 @@
 #ifndef ANONSAFE_POWERSET_CONSTRAINED_ATTACK_H_
 #define ANONSAFE_POWERSET_CONSTRAINED_ATTACK_H_
 
+#include <initializer_list>
 #include <vector>
 
 #include "graph/bipartite_graph.h"
@@ -9,7 +10,6 @@
 #include "powerset/itemset_belief.h"
 #include "powerset/support_oracle.h"
 #include "util/result.h"
-#include "util/rng.h"
 
 namespace anonsafe {
 
@@ -31,59 +31,59 @@ Result<CrackDistribution> EnumerateItemsetConstrainedDistribution(
     const ItemsetBeliefFunction& belief,
     uint64_t max_matchings = 5'000'000);
 
+/// \brief The constrained sampler's consistency: the item-level edges
+/// of `graph`, and on every moved state the itemset constraints of
+/// `belief` that contain a moved item.
+struct ItemsetConstrainedEdges : GraphEdges {
+  const ItemsetBeliefFunction* belief;
+  const SupportOracle* observed;
+
+  bool Accepts(const std::vector<ItemId>& anon_of_item,
+               std::initializer_list<ItemId> moved) const;
+};
+
 /// \brief MCMC sampler over mappings consistent with both levels — the
 /// powerset generalization of `MatchingSampler` for domains where
-/// enumeration is infeasible.
+/// enumeration is infeasible: the `MatchingWalk` over
+/// `ItemsetConstrainedEdges`, whose stationary distribution is uniform
+/// over the reachable consistent mappings.
 ///
-/// Moves are the same symmetric pair swaps and 3-cycle rotations, now
-/// accepted only when the item-level edges AND all itemset constraints
-/// touching the moved items stay satisfied; the stationary distribution
-/// is uniform over the reachable consistent mappings. Seeding: the
-/// identity when consistent (the compliant case — itemset constraints
-/// containing the true frequencies are satisfied by the truth);
-/// otherwise a bounded min-conflicts repair from a Hopcroft–Karp
+/// Seeding: the identity when consistent (the compliant case — itemset
+/// constraints containing the true frequencies are satisfied by the
+/// truth); otherwise a bounded min-conflicts repair from a Hopcroft–Karp
 /// matching, failing with FailedPrecondition when no consistent seed is
-/// found.
+/// found. The sampler keeps pointers to `graph`, `belief` and `observed`,
+/// which must outlive it.
 class ConstrainedMatchingSampler {
  public:
   static Result<ConstrainedMatchingSampler> Create(
       const BipartiteGraph& graph, const ItemsetBeliefFunction& belief,
       const SupportOracle& observed, const SamplerOptions& options);
 
-  size_t num_items() const { return item_of_anon_.size(); }
+  size_t num_items() const { return seed_item_of_anon_.size(); }
   bool seed_is_identity() const { return seed_is_identity_; }
 
-  /// \brief Draws `options.num_samples` crack counts (fixed points).
-  std::vector<size_t> SampleCrackCounts();
+  /// \brief Draws `options.num_samples` crack counts (fixed points). Chain
+  /// c runs on the stream SplitSeed(exec.seed, c). The chains run in order
+  /// on the caller: the support oracle memoizes without a lock.
+  std::vector<size_t> SampleCrackCounts() const;
 
-  /// \brief Test hook: current state satisfies both consistency levels.
-  bool CurrentStateConsistent() const;
+  /// \brief The walk's inputs: its consistency policy and the seed
+  /// mapping every chain starts from.
+  const ItemsetConstrainedEdges& edges() const { return edges_; }
+  const std::vector<ItemId>& seed_item_of_anon() const {
+    return seed_item_of_anon_;
+  }
 
  private:
-  ConstrainedMatchingSampler(const BipartiteGraph& graph,
-                             const ItemsetBeliefFunction& belief,
-                             const SupportOracle& observed,
+  ConstrainedMatchingSampler(const ItemsetConstrainedEdges& edges,
                              const SamplerOptions& options)
-      : graph_(graph),
-        belief_(belief),
-        observed_(observed),
-        options_(options),
-        rng_(options.exec.seed) {}
+      : edges_(edges), options_(options) {}
 
-  bool ConstraintHolds(size_t constraint_index) const;
-  bool ConstraintsHoldFor(ItemId item) const;
-  void Sweep();
-
-  const BipartiteGraph& graph_;
-  const ItemsetBeliefFunction& belief_;
-  const SupportOracle& observed_;
+  ItemsetConstrainedEdges edges_;
   SamplerOptions options_;
-  Rng rng_;
   bool seed_is_identity_ = false;
-
-  std::vector<ItemId> seed_anon_of_item_;
-  std::vector<ItemId> item_of_anon_;
-  std::vector<ItemId> anon_of_item_;
+  std::vector<ItemId> seed_item_of_anon_;
 };
 
 }  // namespace anonsafe

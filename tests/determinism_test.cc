@@ -141,7 +141,6 @@ TEST(DeterminismTest, SamplerChainsBitIdenticalAcrossThreadCounts) {
     std::vector<size_t> parallel = sampler->SampleCrackCounts(&ctx);
     EXPECT_EQ(parallel, sequential) << threads << " threads";
   }
-  EXPECT_TRUE(sampler->CurrentStateConsistent());
 }
 
 TEST(DeterminismTest, SimulatedCracksBitIdenticalAcrossThreadCounts) {

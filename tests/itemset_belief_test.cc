@@ -212,7 +212,6 @@ TEST_P(ConstrainedSamplerTest, MatchesConstrainedEnumeration) {
   ASSERT_TRUE(sampler.ok());
   EXPECT_TRUE(sampler->seed_is_identity());  // compliant constraints
   std::vector<size_t> counts = sampler->SampleCrackCounts();
-  EXPECT_TRUE(sampler->CurrentStateConsistent());
   double mean = 0.0;
   for (size_t c : counts) mean += static_cast<double>(c);
   mean /= static_cast<double>(counts.size());
@@ -265,7 +264,6 @@ TEST(ConstrainedSamplerTest, MinConflictsRepairFindsNonIdentitySeed) {
   ASSERT_TRUE(sampler.ok());
   EXPECT_FALSE(sampler->seed_is_identity());
   std::vector<size_t> counts = sampler->SampleCrackCounts();
-  EXPECT_TRUE(sampler->CurrentStateConsistent());
   // Item 1 can never be cracked (the constraint forbids anon 1 as its
   // image when 0 maps correctly... verified weakly: cracks <= 3).
   for (size_t c : counts) EXPECT_LE(c, 3u);

@@ -1,14 +1,22 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "belief/builders.h"
 #include "core/direct_method.h"
 #include "core/simulated.h"
 #include "data/frequency.h"
+#include "datagen/quest.h"
+#include "estimator/planner.h"
 #include "graph/bipartite_graph.h"
 #include "graph/hopcroft_karp.h"
 #include "graph/matching_sampler.h"
+#include "graph/matching_walk.h"
+#include "mining/miner.h"
+#include "powerset/constrained_attack.h"
+#include "powerset/itemset_belief.h"
+#include "powerset/support_oracle.h"
 #include "util/rng.h"
 #include "util/stats.h"
 
@@ -27,7 +35,6 @@ TEST(SamplerTest, CompliantBeliefSeedsWithIdentity) {
   auto sampler = MatchingSampler::Create(groups, *beta, opt);
   ASSERT_TRUE(sampler.ok());
   EXPECT_TRUE(sampler->seed_is_perfect());
-  EXPECT_TRUE(sampler->CurrentStateConsistent());
 }
 
 TEST(SamplerTest, NonCompliantBeliefUsesGreedySeed) {
@@ -44,7 +51,6 @@ TEST(SamplerTest, NonCompliantBeliefUsesGreedySeed) {
   ASSERT_TRUE(sampler.ok());
   EXPECT_FALSE(sampler->seed_is_perfect());
   EXPECT_EQ(sampler->seed_size(), 2u);
-  EXPECT_TRUE(sampler->CurrentStateConsistent());
 }
 
 TEST(SamplerTest, EmptyDomainFails) {
@@ -60,22 +66,138 @@ TEST(SamplerTest, EmptyDomainFails) {
 
 // ----------------------------------------------------- Statistical checks
 
+/// Walks from `seed` and checks the state at the seed and after each of
+/// 200 sweeps: item_of_anon and anon_of_item are inverse, every matched
+/// pair passes the edge test, the matched count stays the seed's, and
+/// `holds(anon_of_item)` (the policy's own consistency) is true.
+template <typename Edges, typename Holds>
+void ExpectSweepsStayConsistent(const Edges& edges,
+                                const std::vector<ItemId>& seed,
+                                const Holds& holds) {
+  const size_t n = seed.size();
+  size_t seed_size = 0;
+  for (ItemId x : seed) seed_size += x != kInvalidItem ? 1 : 0;
+  MatchingWalk<Edges> walk(edges, seed, /*stream_seed=*/17,
+                           /*cycle_move_fraction=*/0.4);
+  bool moved = false;
+  for (size_t sweep = 0; sweep <= 200; ++sweep) {
+    if (sweep > 0) walk.Sweep();
+    const std::vector<ItemId>& item_of_anon = walk.item_of_anon();
+    const std::vector<ItemId>& anon_of_item = walk.anon_of_item();
+    size_t matched = 0;
+    for (ItemId a = 0; a < n; ++a) {
+      const ItemId x = item_of_anon[a];
+      if (x == kInvalidItem) continue;
+      ++matched;
+      ASSERT_LT(x, n) << "sweep " << sweep;
+      ASSERT_EQ(anon_of_item[x], a) << "sweep " << sweep;
+      ASSERT_TRUE(edges.HasEdge(a, x))
+          << "sweep " << sweep << ": anon " << a << " took item " << x;
+    }
+    for (ItemId x = 0; x < n; ++x) {
+      const ItemId a = anon_of_item[x];
+      if (a == kInvalidItem) continue;
+      ASSERT_LT(a, n) << "sweep " << sweep;
+      ASSERT_EQ(item_of_anon[a], x) << "sweep " << sweep;
+    }
+    ASSERT_EQ(matched, seed_size) << "sweep " << sweep;
+    ASSERT_TRUE(holds(anon_of_item)) << "sweep " << sweep;
+    moved = moved || item_of_anon != seed;
+  }
+  EXPECT_TRUE(moved) << "the walk never left its seed";
+}
+
 TEST(SamplerTest, SamplesStayConsistentMatchings) {
-  auto table = FrequencyTable::FromSupports({2, 3, 5, 5, 7, 7, 7}, 10);
+  const auto edges_only = [](const std::vector<ItemId>&) { return true; };
+
+  // Interval edges from an imperfect greedy seed: 24 singleton groups,
+  // each item believing its own frequency +-0.06, except items 0-3, which
+  // all believe only anonymized item 10's 0.3. Three of them stay
+  // unmatched, so replacements and transfers run beside swaps and
+  // 3-cycles.
+  std::vector<SupportCount> supports;
+  std::vector<BeliefInterval> intervals;
+  for (size_t i = 0; i < 24; ++i) {
+    supports.push_back(10 + 5 * i);
+    const double f = static_cast<double>(supports.back()) / 200.0;
+    intervals.push_back(i < 4 ? BeliefInterval{0.29, 0.31}
+                              : BeliefInterval{f - 0.06, f + 0.06});
+  }
+  auto table = FrequencyTable::FromSupports(supports, 200);
   ASSERT_TRUE(table.ok());
   FrequencyGroups groups = FrequencyGroups::Build(*table);
-  auto beta = MakeCompliantIntervalBelief(*table, 0.21);
+  auto beta = BeliefFunction::Create(std::move(intervals));
   ASSERT_TRUE(beta.ok());
-  SamplerOptions opt;
-  opt.num_samples = 50;
-  opt.burn_in_sweeps = 20;
-  opt.thinning_sweeps = 3;
-  auto sampler = MatchingSampler::Create(groups, *beta, opt);
+  auto sampler = MatchingSampler::Create(groups, *beta, SamplerOptions{});
   ASSERT_TRUE(sampler.ok());
-  std::vector<size_t> counts = sampler->SampleCrackCounts();
-  EXPECT_EQ(counts.size(), 50u);
-  EXPECT_TRUE(sampler->CurrentStateConsistent());
-  for (size_t c : counts) EXPECT_LE(c, 7u);
+  ASSERT_FALSE(sampler->seed_is_perfect());
+  ExpectSweepsStayConsistent(sampler->edges(), sampler->seed_item_of_anon(),
+                             edges_only);
+
+  // A planner sampler block: three groups of four, every inner item
+  // consistent with all of them, one block past a cutoff of 4.
+  std::vector<SupportCount> block_supports;
+  for (SupportCount s : {10, 20, 30}) {
+    for (int i = 0; i < 4; ++i) block_supports.push_back(s);
+  }
+  auto block_table = FrequencyTable::FromSupports(block_supports, 100);
+  ASSERT_TRUE(block_table.ok());
+  FrequencyGroups block_groups = FrequencyGroups::Build(*block_table);
+  std::vector<BeliefInterval> block_intervals(12, {0.1, 0.3});
+  block_intervals[0] = {0.1, 0.1};
+  block_intervals[11] = {0.3, 0.3};
+  auto block_belief = BeliefFunction::Create(std::move(block_intervals));
+  ASSERT_TRUE(block_belief.ok());
+  auto graph = BipartiteGraph::Build(block_groups, *block_belief);
+  ASSERT_TRUE(graph.ok());
+  PlannerOptions planner;
+  planner.ryser_cutoff = 4;
+  planner.prefer_sampler = true;
+  auto plan = PlanBlocks(*graph, block_groups, planner);
+  ASSERT_TRUE(plan.ok());
+  ASSERT_EQ(plan->blocks.size(), 1u);
+  ASSERT_EQ(plan->blocks[0].method, BlockMethod::kSampler);
+  auto block = BlockGraph(plan->pruned, plan->blocks[0]);
+  ASSERT_TRUE(block.ok());
+  Matching block_seed = HopcroftKarp(*block);
+  ASSERT_TRUE(block_seed.IsPerfect());
+  ExpectSweepsStayConsistent(GraphEdges{&*block}, block_seed.item_of_anon,
+                             edges_only);
+
+  // The itemset-constrained fixture of itemset_belief_test: a Quest
+  // database with its four most frequent itemsets known to +-0.05.
+  QuestParams params;
+  params.num_items = 8;
+  params.num_transactions = 60;
+  params.avg_txn_size = 3.0;
+  params.seed = 1;
+  auto db = GenerateQuestDatabase(params);
+  ASSERT_TRUE(db.ok());
+  auto quest_table = FrequencyTable::Compute(*db);
+  ASSERT_TRUE(quest_table.ok());
+  auto oracle = SupportOracle::Build(*db);
+  ASSERT_TRUE(oracle.ok());
+  auto item_belief = MakeCompliantIntervalBelief(*quest_table, 0.1);
+  ASSERT_TRUE(item_belief.ok());
+  auto item_graph = BipartiteGraph::Build(
+      FrequencyGroups::Build(*quest_table), *item_belief);
+  ASSERT_TRUE(item_graph.ok());
+  MiningOptions mining;
+  mining.min_support = 0.1;
+  mining.max_itemset_size = 3;
+  auto frequent = MineFPGrowth(*db, mining);
+  ASSERT_TRUE(frequent.ok());
+  auto itemsets = MakeCompliantItemsetBelief(*oracle, *frequent, 4, 0.05);
+  ASSERT_TRUE(itemsets.ok());
+  ASSERT_GT(itemsets->num_constraints(), 0u);
+  auto constrained = ConstrainedMatchingSampler::Create(
+      *item_graph, *itemsets, *oracle, SamplerOptions{});
+  ASSERT_TRUE(constrained.ok());
+  ExpectSweepsStayConsistent(
+      constrained->edges(), constrained->seed_item_of_anon(),
+      [&](const std::vector<ItemId>& anon_of_item) {
+        return SatisfiesItemsetConstraints(*itemsets, *oracle, anon_of_item);
+      });
 }
 
 TEST(SamplerTest, IgnorantBeliefMeanNearOne) {
