@@ -3,8 +3,9 @@
 #
 # Runs the gated subset of bench_perf_microbench (Ryser permanent at
 # n=20/22/24, explicit CSR graph build + Hopcroft-Karp, the AssessRisk
-# δ-bisection macro-bench, and serve's cold load_dataset ingest of a
-# CONNECT ×0.05 stand-in), emits BENCH_kernels.json at the
+# δ-bisection macro-bench, serve's cold load_dataset ingest of a
+# CONNECT ×0.05 stand-in, and eight sweeps of the MCMC matching walk at
+# n=8192), emits BENCH_kernels.json at the
 # repo root, and compares each kernel's cpu time against the checked-in
 # baseline in bench/perf_baseline.json with a ±15% gate:
 #
@@ -87,7 +88,7 @@ if ! command -v python3 >/dev/null 2>&1; then
   exit 0
 fi
 
-FILTER='BM_Permanent/(20|22|24)$|BM_PermanentBatch/12$|BM_SamplerProbe/8192$|BM_GraphBuildHK/4096$|BM_AssessRiskBisection/8192$|BM_LoadDataset$'
+FILTER='BM_Permanent/(20|22|24)$|BM_PermanentBatch/12$|BM_SamplerProbe/8192$|BM_SamplerSweep/8192$|BM_GraphBuildHK/4096$|BM_AssessRiskBisection/8192$|BM_LoadDataset$'
 
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
