@@ -130,9 +130,8 @@ std::vector<size_t> MatchingSampler::SampleImpl(
   if (timer.tracing()) {
     timer.Annotate("samples", std::to_string(options_.num_samples));
   }
-  // Every chain writes its own slots, so the vector is the same whatever
-  // the thread count. The crack count is the dispatched SIMD fixed-point
-  // probe.
+  // Every chain writes only its own slots, so the vector is the same
+  // whatever the thread count.
   std::vector<size_t> samples(options_.num_samples, 0);
   SampleMatchingChains(
       edges(), seed_item_of_anon_, options_, options_.exec.seed, ctx,

@@ -68,13 +68,6 @@ class ConstrainedMatchingSampler {
   /// on the caller: the support oracle memoizes without a lock.
   std::vector<size_t> SampleCrackCounts() const;
 
-  /// \brief The walk's inputs: its consistency policy and the seed
-  /// mapping every chain starts from.
-  const ItemsetConstrainedEdges& edges() const { return edges_; }
-  const std::vector<ItemId>& seed_item_of_anon() const {
-    return seed_item_of_anon_;
-  }
-
  private:
   ConstrainedMatchingSampler(const ItemsetConstrainedEdges& edges,
                              const SamplerOptions& options)

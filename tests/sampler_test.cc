@@ -165,7 +165,8 @@ TEST(SamplerTest, SamplesStayConsistentMatchings) {
                              edges_only);
 
   // The itemset-constrained fixture of itemset_belief_test: a Quest
-  // database with its four most frequent itemsets known to +-0.05.
+  // database with its four most frequent itemsets known to +-0.05. The
+  // constraints are compliant, so the walk starts at the identity.
   QuestParams params;
   params.num_items = 8;
   params.num_transactions = 60;
@@ -190,11 +191,10 @@ TEST(SamplerTest, SamplesStayConsistentMatchings) {
   auto itemsets = MakeCompliantItemsetBelief(*oracle, *frequent, 4, 0.05);
   ASSERT_TRUE(itemsets.ok());
   ASSERT_GT(itemsets->num_constraints(), 0u);
-  auto constrained = ConstrainedMatchingSampler::Create(
-      *item_graph, *itemsets, *oracle, SamplerOptions{});
-  ASSERT_TRUE(constrained.ok());
+  std::vector<ItemId> identity(params.num_items);
+  for (ItemId x = 0; x < identity.size(); ++x) identity[x] = x;
   ExpectSweepsStayConsistent(
-      constrained->edges(), constrained->seed_item_of_anon(),
+      ItemsetConstrainedEdges{{&*item_graph}, &*itemsets, &*oracle}, identity,
       [&](const std::vector<ItemId>& anon_of_item) {
         return SatisfiesItemsetConstraints(*itemsets, *oracle, anon_of_item);
       });
