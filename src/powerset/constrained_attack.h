@@ -65,7 +65,8 @@ class ConstrainedMatchingSampler {
 
   /// \brief Draws `options.num_samples` crack counts (fixed points). Chain
   /// c runs on the stream SplitSeed(exec.seed, c). The chains run in order
-  /// on the caller: the support oracle memoizes without a lock.
+  /// on the caller: the support oracle and the belief's constraint index
+  /// fill their caches without a lock.
   std::vector<size_t> SampleCrackCounts() const;
 
  private:
