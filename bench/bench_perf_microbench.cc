@@ -268,7 +268,7 @@ void BM_LoadDataset(benchmark::State& state) {
     const json::Value& content = *request->Find("params")->Find("content");
     serve::DatasetCache cache(1);
     auto outcome = cache.LoadFromContent(content.AsString());
-    benchmark::DoNotOptimize(outcome->dataset->groups.num_groups());
+    benchmark::DoNotOptimize(outcome->dataset->data.groups().num_groups());
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(line.size()));

@@ -60,7 +60,9 @@ int main() {
       std::vector<double> alphas, cracks;
       double sim_cracks = -1.0;
       for (int rep = 0; rep < kReps; ++rep) {
-        auto sample = SampleFraction(ds->database, p, &rng);
+        auto picked = SampleFraction(ds->database, p, &rng);
+        if (!picked.ok()) continue;
+        auto sample = CountedDatabase::Count(std::move(*picked));
         if (!sample.ok()) continue;
         auto belief = MakeBeliefFromSample(*sample);
         if (!belief.ok()) continue;

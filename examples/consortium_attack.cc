@@ -53,7 +53,9 @@ int main() {
   std::cout << "Released to consortium: " << released->DebugString() << "\n";
 
   // -- 3. The partner's similar data: a 20% sample of the same market.
-  auto partner_data = SampleFraction(*db, 0.20, &rng);
+  auto picked = SampleFraction(*db, 0.20, &rng);
+  if (!picked.ok()) return Fail(picked.status());
+  auto partner_data = CountedDatabase::Count(std::move(*picked));
   if (!partner_data.ok()) return Fail(partner_data.status());
   double partner_delta = 0.0;
   auto partner_belief = MakeBeliefFromSample(*partner_data, &partner_delta);

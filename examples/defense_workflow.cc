@@ -99,7 +99,9 @@ int main() {
   if (!defended.ok()) return Fail(defended.status());
 
   // -- 4. Re-assess.
-  auto after = AssessRiskOnDatabase(*defended, recipe);
+  auto counted = CountedDatabase::Count(std::move(*defended));
+  if (!counted.ok()) return Fail(counted.status());
+  auto after = AssessRisk(*counted, recipe);
   if (!after.ok()) return Fail(after.status());
   std::cout << "[3] Recipe verdict on the defended data: "
             << ToString(after->decision) << "\n    " << after->Summary()
@@ -110,7 +112,7 @@ int main() {
   mining.min_support = 0.1;
   mining.max_itemset_size = 2;
   auto patterns_before = MineFPGrowth(*db, mining);
-  auto patterns_after = MineFPGrowth(*defended, mining);
+  auto patterns_after = MineFPGrowth(counted->database(), mining);
   if (!patterns_before.ok()) return Fail(patterns_before.status());
   if (!patterns_after.ok()) return Fail(patterns_after.status());
   std::cout << "[4] Mining fidelity at min_support=" << mining.min_support

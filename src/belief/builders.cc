@@ -45,22 +45,14 @@ BeliefInterval MakeNonCompliantInterval(const BeliefInterval& iv, double f,
 
 namespace {
 
-Result<BeliefFunction> BuildFromSample(const Database& sample,
+Result<BeliefFunction> BuildFromSample(const CountedDatabase& sample,
                                        bool use_average_gap,
                                        double* delta_out) {
-  ANONSAFE_ASSIGN_OR_RETURN(FrequencyTable table,
-                            FrequencyTable::Compute(sample));
-  FrequencyGroups groups = FrequencyGroups::Build(table);
+  const FrequencyGroups& groups = sample.groups();
   double delta = use_average_gap ? groups.GapSummary().mean
                                  : groups.MedianGap();
   if (delta_out != nullptr) *delta_out = delta;
-
-  std::vector<BeliefInterval> intervals(table.num_items());
-  for (ItemId x = 0; x < table.num_items(); ++x) {
-    double f = table.frequency(x);
-    intervals[x] = {std::max(0.0, f - delta), std::min(1.0, f + delta)};
-  }
-  return BeliefFunction::Create(std::move(intervals));
+  return MakeCompliantIntervalBelief(sample.table(), delta);
 }
 
 }  // namespace
@@ -73,12 +65,8 @@ BeliefFunction MakeIgnorantBelief(size_t num_items) {
 }
 
 Result<BeliefFunction> MakePointValuedBelief(const FrequencyTable& truth) {
-  std::vector<BeliefInterval> intervals(truth.num_items());
-  for (ItemId x = 0; x < truth.num_items(); ++x) {
-    double f = truth.frequency(x);
-    intervals[x] = {f, f};
-  }
-  return BeliefFunction::Create(std::move(intervals));
+  // [f - 0, f + 0] clamped to [0, 1] is [f, f] bit for bit.
+  return MakeCompliantIntervalBelief(truth, 0.0);
 }
 
 Result<BeliefFunction> MakeCompliantIntervalBelief(
@@ -134,13 +122,13 @@ Result<AlphaCompliantBelief> MakeAlphaCompliantBelief(
   return out;
 }
 
-Result<BeliefFunction> MakeBeliefFromSample(const Database& sample,
+Result<BeliefFunction> MakeBeliefFromSample(const CountedDatabase& sample,
                                             double* delta_out) {
   return BuildFromSample(sample, /*use_average_gap=*/false, delta_out);
 }
 
 Result<BeliefFunction> MakeBeliefFromSampleAverageGap(
-    const Database& sample, double* delta_out) {
+    const CountedDatabase& sample, double* delta_out) {
   return BuildFromSample(sample, /*use_average_gap=*/true, delta_out);
 }
 

@@ -61,20 +61,21 @@ Result<AlphaCompliantBelief> MakeAlphaCompliantBelief(
     Rng* rng);
 
 /// \brief A belief function built from *similar data*: frequencies are
-/// estimated from `sample` and intervals take half-width equal to the
-/// sample's own median frequency gap δ'_med (Fig. 13 steps a–c).
+/// the counted `sample`'s and intervals take half-width equal to the
+/// sample's own median frequency gap δ'_med (Fig. 13 steps a–c) — the
+/// compliant interval belief of the sample at δ'_med.
 ///
 /// Exactly what a consortium partner or competitor holding a subset of
 /// the owner's transactions would compute. `delta_out` (optional)
 /// receives the sampled δ'_med.
-Result<BeliefFunction> MakeBeliefFromSample(const Database& sample,
+Result<BeliefFunction> MakeBeliefFromSample(const CountedDatabase& sample,
                                             double* delta_out = nullptr);
 
 /// \brief Variant of `MakeBeliefFromSample` using the sampled *average*
 /// gap as the width. Section 7.4 shows this width is misleadingly wide —
 /// compliancy saturates near 0.99 for every sample size.
 Result<BeliefFunction> MakeBeliefFromSampleAverageGap(
-    const Database& sample, double* delta_out = nullptr);
+    const CountedDatabase& sample, double* delta_out = nullptr);
 
 }  // namespace anonsafe
 

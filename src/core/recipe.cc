@@ -105,13 +105,12 @@ Status CheckEstimatorForAdversary(EstimatorKind estimator,
 }
 
 /// \brief The cross-call cache behind repeated AssessRisk runs on one
-/// table. Every entry is a deterministic function of (table, adversary
-/// spec, seed, runs), so a reader can safely compute with a snapshot
-/// taken under the lock while another request fills the remaining slots.
+/// counted database. Every entry is a deterministic function of (table,
+/// adversary spec, seed, runs), so a reader can safely compute with a
+/// snapshot taken under the lock while another request fills the
+/// remaining slots.
 struct RecipeArtifacts {
   std::mutex mu;
-
-  std::shared_ptr<const FrequencyGroups> groups;  // of the table
 
   // Bound adversary model, keyed on the adversary spec and the δ it was
   // bound at — requests alternating adversaries rebuild rather than
@@ -136,7 +135,6 @@ namespace {
 
 /// Consistent snapshot of the artifact pointers (cheap: shared_ptr copies).
 struct ArtifactsView {
-  std::shared_ptr<const FrequencyGroups> groups;
   std::shared_ptr<const adversary::AdversaryModel> model;
   double base_delta_med = 0.0;
   std::shared_ptr<const AlphaCompliancySweep> sweep;
@@ -149,7 +147,6 @@ ArtifactsView SnapshotArtifacts(RecipeArtifacts* artifacts,
   ArtifactsView view;
   if (artifacts == nullptr) return view;
   std::lock_guard<std::mutex> lock(artifacts->mu);
-  view.groups = artifacts->groups;
   if (artifacts->adversary_key == adversary_key) {
     view.model = artifacts->model;
     view.base_delta_med = artifacts->base_delta_med;
@@ -170,12 +167,13 @@ Status CheckCancelled(const exec::ExecContext* ctx) {
   return Status::OK();
 }
 
-/// The Fig. 8 recipe. With a non-null `interest` every quantity is
-/// restricted to the items of interest (AssessRiskForItems, which has
-/// validated the mask): the crack budget is τ·|interest|, step 2 uses
-/// the Lemma 4 worst case instead of g, and steps 6-9 pass the mask to
-/// the O-estimate.
+/// The Fig. 8 recipe on `table` and its groups. With a non-null
+/// `interest` every quantity is restricted to the items of interest
+/// (AssessRiskForItems, which has validated the mask): the crack budget
+/// is τ·|interest|, step 2 uses the Lemma 4 worst case instead of g, and
+/// steps 6-9 pass the mask to the O-estimate.
 Result<RecipeResult> RunRecipe(const FrequencyTable& table,
+                               const FrequencyGroups& groups,
                                const std::vector<bool>* interest,
                                const RecipeOptions& options,
                                exec::ExecContext* external_ctx,
@@ -220,23 +218,6 @@ Result<RecipeResult> RunRecipe(const FrequencyTable& table,
 
   ArtifactsView cached =
       SnapshotArtifacts(artifacts, exec_options, adversary_key);
-  std::shared_ptr<const FrequencyGroups> groups_ptr = cached.groups;
-  if (groups_ptr == nullptr) {
-    obs::ScopedTimer build_timer("recipe.group_build");
-    groups_ptr = std::make_shared<const FrequencyGroups>(
-        FrequencyGroups::Build(table));
-    if (artifacts != nullptr) {
-      std::lock_guard<std::mutex> lock(artifacts->mu);
-      if (artifacts->groups == nullptr) {
-        artifacts->groups = groups_ptr;
-      } else {
-        groups_ptr = artifacts->groups;  // another request won the race
-      }
-    }
-  } else {
-    obs::CountIf("anonsafe_recipe_artifact_hits_total");
-  }
-  const FrequencyGroups& groups = *groups_ptr;
   out.num_groups = groups.num_groups();
 
   // Steps 1-2: the point-valued worst case (Lemma 3, or its Lemma 4
@@ -411,17 +392,19 @@ Result<RecipeResult> RunRecipe(const FrequencyTable& table,
 
 }  // namespace
 
-Result<RecipeResult> AssessRisk(const FrequencyTable& table,
+Result<RecipeResult> AssessRisk(const CountedDatabase& data,
                                 const RecipeOptions& options,
                                 exec::ExecContext* ctx,
                                 RecipeArtifacts* artifacts) {
-  return RunRecipe(table, /*interest=*/nullptr, options, ctx, artifacts);
+  return RunRecipe(data.table(), data.groups(), /*interest=*/nullptr,
+                   options, ctx, artifacts);
 }
 
-Result<RecipeResult> AssessRiskOnDatabase(const Database& db,
-                                          const RecipeOptions& options) {
-  ANONSAFE_ASSIGN_OR_RETURN(FrequencyTable table, FrequencyTable::Compute(db));
-  return AssessRisk(table, options);
+Result<RecipeResult> AssessRisk(const FrequencyTable& table,
+                                const RecipeOptions& options,
+                                exec::ExecContext* ctx) {
+  return RunRecipe(table, FrequencyGroups::Build(table), /*interest=*/nullptr,
+                   options, ctx, /*artifacts=*/nullptr);
 }
 
 Result<RecipeResult> AssessRiskForItems(const FrequencyTable& table,
@@ -438,8 +421,8 @@ Result<RecipeResult> AssessRiskForItems(const FrequencyTable& table,
   if (std::find(interest.begin(), interest.end(), true) == interest.end()) {
     return Status::InvalidArgument("interest mask selects no items");
   }
-  return RunRecipe(table, &interest, options, /*ctx=*/nullptr,
-                   /*artifacts=*/nullptr);
+  return RunRecipe(table, FrequencyGroups::Build(table), &interest, options,
+                   /*ctx=*/nullptr, /*artifacts=*/nullptr);
 }
 
 }  // namespace anonsafe

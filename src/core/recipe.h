@@ -7,7 +7,6 @@
 
 #include "adversary/adversary.h"
 #include "core/oestimate.h"
-#include "data/database.h"
 #include "data/frequency.h"
 #include "estimator/estimator.h"
 #include "estimator/planner.h"
@@ -124,12 +123,13 @@ struct RecipeResult {
 };
 
 /// \brief Reusable artifacts of repeated `AssessRisk` calls on the *same*
-/// frequency table: the frequency grouping, the δ_med compliant interval
-/// belief, and the α-sweep with its probe stab cache (the PR 3 cache).
-/// All cached pieces are deterministic functions of (table, exec.seed,
-/// exec.runs), so replaying them is bit-identical to recomputing — a
-/// resident service keeps one per cached dataset and repeated risk
-/// probes skip the group build and the 2n interval stabs.
+/// counted database: the bound adversary model (the δ_med compliant
+/// interval belief by default) and the α-sweep with its probe stab
+/// cache. All cached pieces are deterministic functions of (table,
+/// exec.seed, exec.runs), so replaying them is bit-identical to
+/// recomputing — a resident service keeps one per cached dataset and
+/// repeated risk probes skip the bind and the 2n interval stabs. The
+/// table and groups themselves live in the `CountedDatabase`.
 ///
 /// Opaque on purpose: the definition lives in recipe.cc so the public
 /// header does not leak the internal alpha-sweep machinery. Create with
@@ -141,27 +141,29 @@ struct RecipeArtifacts;
 std::shared_ptr<RecipeArtifacts> MakeRecipeArtifacts();
 
 /// \brief Runs the Assess-Risk recipe of Figure 8 on the (anonymized)
-/// frequency table. All quantities are computable owner-side before
-/// release; by frequency-preservation the anonymized and original tables
-/// give identical results.
+/// database's table and groups. All quantities are computable owner-side
+/// before release; by frequency-preservation the anonymized and original
+/// tables give identical results.
 ///
 /// `ctx` (optional) supplies an external execution context: the caller
 /// keeps ownership and may `RequestCancel()` it from another thread
 /// (deadline watchdogs, shutdown); the recipe then stops between phases
 /// and returns Cancelled. Null means a private context is built from
 /// `options.exec` — values are identical either way. `artifacts`
-/// (optional) caches work across repeated calls on the same table; pass
-/// the same instance only with the same table and the same `exec.seed` /
-/// `exec.runs` — entries are keyed on those knobs and recomputed on
-/// mismatch.
-Result<RecipeResult> AssessRisk(const FrequencyTable& table,
+/// (optional) caches work across repeated calls on the same database;
+/// pass the same instance only with the same database — entries are
+/// keyed on the adversary and `exec.seed` / `exec.runs` and recomputed
+/// on mismatch.
+Result<RecipeResult> AssessRisk(const CountedDatabase& data,
                                 const RecipeOptions& options = {},
                                 exec::ExecContext* ctx = nullptr,
                                 RecipeArtifacts* artifacts = nullptr);
 
-/// \brief Convenience overload counting frequencies from a database.
-Result<RecipeResult> AssessRiskOnDatabase(const Database& db,
-                                          const RecipeOptions& options = {});
+/// \brief The recipe on a bare frequency table (no database behind it):
+/// builds the table's groups once and runs the same recipe.
+Result<RecipeResult> AssessRisk(const FrequencyTable& table,
+                                const RecipeOptions& options = {},
+                                exec::ExecContext* ctx = nullptr);
 
 /// \brief The recipe restricted to *items of interest* (the Lemma 2/4
 /// scenario: the owner only cares about, say, the best-selling products

@@ -3,7 +3,6 @@
 #include <sstream>
 
 #include "core/exact_formulas.h"
-#include "data/frequency.h"
 #include "util/table_printer.h"
 
 namespace anonsafe {
@@ -263,30 +262,28 @@ Result<RiskReport> RiskReport::FromJson(const json::Value& v) {
   return report;
 }
 
-Result<RiskReport> BuildRiskReport(const Database& db,
+Result<RiskReport> BuildRiskReport(const CountedDatabase& data,
                                    const RiskReportOptions& options,
                                    exec::ExecContext* ctx,
                                    RecipeArtifacts* artifacts) {
-  ANONSAFE_ASSIGN_OR_RETURN(FrequencyTable table, FrequencyTable::Compute(db));
-  FrequencyGroups groups = FrequencyGroups::Build(table);
-
+  const FrequencyGroups& groups = data.groups();
   RiskReport report;
-  report.num_items = db.num_items();
-  report.num_transactions = db.num_transactions();
+  report.num_items = data.database().num_items();
+  report.num_transactions = data.database().num_transactions();
   report.num_groups = groups.num_groups();
   report.num_singleton_groups = groups.num_singleton_groups();
   report.median_gap = groups.MedianGap();
   report.mean_gap = groups.GapSummary().mean;
-  report.ignorant_expected_cracks = IgnorantExpectedCracks(db.num_items());
+  report.ignorant_expected_cracks = IgnorantExpectedCracks(report.num_items);
   report.point_valued_expected_cracks = PointValuedExpectedCracks(groups);
 
   ANONSAFE_ASSIGN_OR_RETURN(report.recipe,
-                            AssessRisk(table, options.recipe, ctx, artifacts));
+                            AssessRisk(data, options.recipe, ctx, artifacts));
 
   if (options.include_similarity_curve) {
     ANONSAFE_ASSIGN_OR_RETURN(
         report.similarity_curve,
-        SimilarityBySampling(db, options.similarity, ctx));
+        SimilarityBySampling(data, options.similarity, ctx));
     if (report.recipe.decision == RecipeDecision::kAlphaBound) {
       for (const SimilarityPoint& p : report.similarity_curve) {
         if (p.mean_alpha >= report.recipe.alpha_max) {
@@ -297,6 +294,12 @@ Result<RiskReport> BuildRiskReport(const Database& db,
     }
   }
   return report;
+}
+
+Result<RiskReport> BuildRiskReport(const Database& db,
+                                   const RiskReportOptions& options) {
+  ANONSAFE_ASSIGN_OR_RETURN(CountedDatabase data, CountedDatabase::Count(db));
+  return BuildRiskReport(data, options);
 }
 
 }  // namespace anonsafe

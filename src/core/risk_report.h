@@ -67,16 +67,21 @@ struct RiskReport {
 };
 
 /// \brief Computes the composite report for a database the owner intends
-/// to anonymize and release.
+/// to anonymize and release, reading its table and groups from `data`.
 ///
 /// `ctx` (optional) is observed for cooperative cancellation and is
 /// passed through to the recipe and the similarity sweep; `artifacts`
 /// (optional) caches recipe work across repeated calls on the same
 /// dataset (see RecipeArtifacts).
-Result<RiskReport> BuildRiskReport(const Database& db,
+Result<RiskReport> BuildRiskReport(const CountedDatabase& data,
                                    const RiskReportOptions& options = {},
                                    exec::ExecContext* ctx = nullptr,
                                    RecipeArtifacts* artifacts = nullptr);
+
+/// \brief The report of an uncounted database: copies and counts `db`
+/// once, then builds the same report.
+Result<RiskReport> BuildRiskReport(const Database& db,
+                                   const RiskReportOptions& options = {});
 
 }  // namespace anonsafe
 

@@ -1,7 +1,6 @@
 #include "core/similarity.h"
 
 #include "belief/builders.h"
-#include "data/frequency.h"
 #include "data/sampling.h"
 #include "obs/scoped_timer.h"
 #include "util/rng.h"
@@ -11,7 +10,7 @@
 namespace anonsafe {
 
 Result<std::vector<SimilarityPoint>> SimilarityBySampling(
-    const Database& db, const SimilarityOptions& options,
+    const CountedDatabase& data, const SimilarityOptions& options,
     exec::ExecContext* ctx) {
   if (options.samples_per_fraction == 0) {
     return Status::InvalidArgument("samples_per_fraction must be positive");
@@ -21,7 +20,6 @@ Result<std::vector<SimilarityPoint>> SimilarityBySampling(
   }
   obs::ScopedTimer loop_timer("core.similarity_sampling");
   obs::CountIf("anonsafe_similarity_runs_total");
-  ANONSAFE_ASSIGN_OR_RETURN(FrequencyTable truth, FrequencyTable::Compute(db));
 
   Rng rng(options.exec.seed);
   std::vector<SimilarityPoint> curve;
@@ -39,8 +37,10 @@ Result<std::vector<SimilarityPoint>> SimilarityBySampling(
     }
     std::vector<double> alphas, deltas, group_counts;
     for (size_t rep = 0; rep < options.samples_per_fraction; ++rep) {
-      ANONSAFE_ASSIGN_OR_RETURN(Database sample,
-                                SampleFraction(db, p, &rng));
+      ANONSAFE_ASSIGN_OR_RETURN(Database picked,
+                                SampleFraction(data.database(), p, &rng));
+      ANONSAFE_ASSIGN_OR_RETURN(CountedDatabase sample,
+                                CountedDatabase::Count(std::move(picked)));
       double delta = 0.0;
       Result<BeliefFunction> belief =
           options.use_average_gap
@@ -48,13 +48,11 @@ Result<std::vector<SimilarityPoint>> SimilarityBySampling(
               : MakeBeliefFromSample(sample, &delta);
       ANONSAFE_RETURN_IF_ERROR(belief.status());
       ANONSAFE_ASSIGN_OR_RETURN(double alpha,
-                                belief->ComplianceFraction(truth));
-      ANONSAFE_ASSIGN_OR_RETURN(FrequencyTable sample_table,
-                                FrequencyTable::Compute(sample));
+                                belief->ComplianceFraction(data.table()));
       alphas.push_back(alpha);
       deltas.push_back(delta);
-      group_counts.push_back(static_cast<double>(
-          FrequencyGroups::Build(sample_table).num_groups()));
+      group_counts.push_back(
+          static_cast<double>(sample.groups().num_groups()));
     }
     SimilarityPoint point;
     point.sample_fraction = p;
@@ -69,6 +67,13 @@ Result<std::vector<SimilarityPoint>> SimilarityBySampling(
     curve.push_back(point);
   }
   return curve;
+}
+
+Result<std::vector<SimilarityPoint>> SimilarityBySampling(
+    const Database& db, const SimilarityOptions& options,
+    exec::ExecContext* ctx) {
+  ANONSAFE_ASSIGN_OR_RETURN(CountedDatabase data, CountedDatabase::Count(db));
+  return SimilarityBySampling(data, options, ctx);
 }
 
 json::Value SimilarityCurveToJson(const std::vector<SimilarityPoint>& curve) {

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "obs/metrics.h"
+
 namespace anonsafe {
 
 Result<FrequencyTable> FrequencyTable::Compute(const Database& db) {
@@ -10,6 +12,7 @@ Result<FrequencyTable> FrequencyTable::Compute(const Database& db) {
     return Status::InvalidArgument(
         "cannot compute frequencies of an empty database");
   }
+  obs::CountIf("anonsafe_frequency_counts_total");
   std::vector<SupportCount> supports(db.num_items(), 0);
   for (const Transaction& t : db.transactions()) {
     for (ItemId x : t) supports[x] += 1;
@@ -38,6 +41,7 @@ FrequencyGroups FrequencyGroups::Build(const FrequencyTable& table) {
 FrequencyGroups FrequencyGroups::FromSupports(
     const std::vector<SupportCount>& supports, size_t num_transactions) {
   assert(num_transactions > 0);
+  obs::CountIf("anonsafe_group_builds_total");
   const size_t n = supports.size();
 
   // Sort item ids by (support, id); equal supports become one group.
@@ -133,6 +137,12 @@ size_t FrequencyGroups::FindGroupBySupport(SupportCount support) const {
                              support);
   if (it == group_supports_.end() || *it != support) return num_groups();
   return static_cast<size_t>(it - group_supports_.begin());
+}
+
+Result<CountedDatabase> CountedDatabase::Count(Database db) {
+  ANONSAFE_ASSIGN_OR_RETURN(FrequencyTable table, FrequencyTable::Compute(db));
+  FrequencyGroups groups = FrequencyGroups::Build(table);
+  return CountedDatabase(std::move(db), std::move(table), std::move(groups));
 }
 
 }  // namespace anonsafe

@@ -2,6 +2,7 @@
 #define ANONSAFE_DATA_FREQUENCY_H_
 
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "data/database.h"
@@ -156,6 +157,36 @@ class FrequencyGroups {
   std::vector<size_t> group_of_item_;              // item -> group index
   std::vector<size_t> size_prefix_;                // size_prefix_[g+1] = sum sizes 0..g
   size_t num_transactions_ = 0;
+};
+
+/// \brief A database with its frequency table and frequency groups: the
+/// one owner of a dataset's counts.
+///
+/// `Count` is the only constructor, and it counts the database once, so
+/// the three always agree. Every layer that reads a resident or loaded
+/// database's table or groups reads them from here instead of
+/// recounting.
+class CountedDatabase {
+ public:
+  /// Takes the database (move it in to avoid a copy), counts its
+  /// supports and builds its groups. Fails like `FrequencyTable::Compute`
+  /// on an empty database.
+  static Result<CountedDatabase> Count(Database db);
+
+  const Database& database() const { return database_; }
+  const FrequencyTable& table() const { return table_; }
+  const FrequencyGroups& groups() const { return groups_; }
+
+ private:
+  CountedDatabase(Database database, FrequencyTable table,
+                  FrequencyGroups groups)
+      : database_(std::move(database)),
+        table_(std::move(table)),
+        groups_(std::move(groups)) {}
+
+  Database database_;
+  FrequencyTable table_;
+  FrequencyGroups groups_;
 };
 
 }  // namespace anonsafe

@@ -24,14 +24,15 @@ SupportCount WeightedMedianSupport(const FrequencyGroups& groups,
   return groups.group_support(last);
 }
 
-/// The merge core: every run of groups whose consecutive gaps are all
-/// below `min_gap` collapses onto the run's weighted median support.
+/// The merge core: every run of `table`'s groups whose consecutive gaps
+/// are all below `min_gap` collapses onto the run's weighted median
+/// support.
 Result<defense::DefensePlan> MergeBelowGapPlan(const FrequencyTable& table,
+                                               const FrequencyGroups& groups,
                                                double min_gap) {
   if (min_gap < 0.0) {
     return Status::InvalidArgument("gap threshold must be >= 0");
   }
-  FrequencyGroups groups = FrequencyGroups::Build(table);
 
   defense::DefensePlan plan;
   plan.groups_before = groups.num_groups();
@@ -199,7 +200,7 @@ class GroupMergeScheme final : public DefenseScheme {
     }
     Result<DefensePlan> plan =
         gap != nullptr
-            ? MergeBelowGapPlan(table, *gap)
+            ? MergeBelowGapPlan(table, FrequencyGroups::Build(table), *gap)
             : ToleranceSearchPlan(
                   table, *tolerance, params.GetOr("point_valued", 0.0) != 0.0,
                   static_cast<size_t>(params.GetOr("iters", 24.0)));
@@ -222,21 +223,22 @@ Result<DefensePlan> BisectMergeGap(
     const FrequencyTable& table, size_t iters,
     const std::function<Result<bool>(const DefensePlan&)>& passes,
     const std::function<Status(const DefensePlan&)>& unreachable) {
+  const FrequencyGroups groups = FrequencyGroups::Build(table);
   ANONSAFE_ASSIGN_OR_RETURN(DefensePlan lo_plan,
-                            MergeBelowGapPlan(table, 0.0));
+                            MergeBelowGapPlan(table, groups, 0.0));
   ANONSAFE_ASSIGN_OR_RETURN(bool lo_passes, passes(lo_plan));
   if (lo_passes) return lo_plan;  // already safe, no perturbation
 
   double lo = 0.0;
-  double hi = FullMergeGap(FrequencyGroups::Build(table),
-                           table.num_transactions());
-  ANONSAFE_ASSIGN_OR_RETURN(DefensePlan hi_plan, MergeBelowGapPlan(table, hi));
+  double hi = FullMergeGap(groups, table.num_transactions());
+  ANONSAFE_ASSIGN_OR_RETURN(DefensePlan hi_plan,
+                            MergeBelowGapPlan(table, groups, hi));
   ANONSAFE_ASSIGN_OR_RETURN(bool hi_passes, passes(hi_plan));
   if (!hi_passes) return unreachable(hi_plan);
   for (size_t iter = 0; iter < iters; ++iter) {
     double mid = (lo + hi) / 2.0;
     ANONSAFE_ASSIGN_OR_RETURN(DefensePlan mid_plan,
-                              MergeBelowGapPlan(table, mid));
+                              MergeBelowGapPlan(table, groups, mid));
     ANONSAFE_ASSIGN_OR_RETURN(bool ok, passes(mid_plan));
     if (ok) {
       hi = mid;

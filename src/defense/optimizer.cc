@@ -118,7 +118,7 @@ json::Value DefenseFrontier::ToJson() const {
   return obj;
 }
 
-Result<DefenseFrontier> RecommendDefense(const Database& db,
+Result<DefenseFrontier> RecommendDefense(const CountedDatabase& data,
                                          const OptimizerOptions& options,
                                          exec::ExecContext* ctx) {
   obs::ScopedTimer timer("defense.recommend");
@@ -126,10 +126,9 @@ Result<DefenseFrontier> RecommendDefense(const Database& db,
   const uint64_t seed =
       ctx != nullptr ? ctx->seed() : exec::ExecOptions{}.seed;
 
-  ANONSAFE_ASSIGN_OR_RETURN(FrequencyTable before,
-                            FrequencyTable::Compute(db));
+  const FrequencyTable& before = data.table();
   // Shared read-only by every candidate's realization walk.
-  const internal::HolderIndex index(db);
+  const internal::HolderIndex index(data.database());
 
   DefenseFrontier result;
   result.num_items = before.num_items();
@@ -264,6 +263,13 @@ Result<DefenseFrontier> RecommendDefense(const Database& db,
     timer.Annotate("frontier", std::to_string(result.frontier.size()));
   }
   return result;
+}
+
+Result<DefenseFrontier> RecommendDefense(const Database& db,
+                                         const OptimizerOptions& options,
+                                         exec::ExecContext* ctx) {
+  ANONSAFE_ASSIGN_OR_RETURN(CountedDatabase data, CountedDatabase::Count(db));
+  return RecommendDefense(data, options, ctx);
 }
 
 }  // namespace defense

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "data/database.h"
+#include "data/frequency.h"
 #include "defense/scheme.h"
 #include "defense/utility.h"
 #include "estimator/planner.h"
@@ -87,16 +88,22 @@ struct DefenseFrontier {
   json::Value ToJson() const;
 };
 
-/// \brief The sweep: enumerates every registered scheme's `ParamSpace`,
-/// plans each candidate, realizes it on transaction sizes alone (the
-/// walk `Apply` runs, over one holder index of `db` that every
-/// candidate shares), scores the after-table (expected cracks via the
-/// estimator planner, information loss via `ComputeUtilityLoss`), and
-/// extracts the Pareto frontier. Candidates evaluate in parallel on
-/// `ctx`, whose seed is the sweep's master seed (a null context means
-/// `exec::ExecOptions{}`: sequential, default seed); the frontier is
-/// bit-identical at any thread count. Returns Cancelled when `ctx` is
-/// cancelled mid-sweep.
+/// \brief The sweep: enumerates every registered scheme's `ParamSpace`
+/// over `data`'s table, plans each candidate, realizes it on transaction
+/// sizes alone (the walk `Apply` runs, over one holder index of the
+/// database that every candidate shares), scores the after-table
+/// (expected cracks via the estimator planner, information loss via
+/// `ComputeUtilityLoss`), and extracts the Pareto frontier. Candidates
+/// evaluate in parallel on `ctx`, whose seed is the sweep's master seed
+/// (a null context means `exec::ExecOptions{}`: sequential, default
+/// seed); the frontier is bit-identical at any thread count. Returns
+/// Cancelled when `ctx` is cancelled mid-sweep.
+Result<DefenseFrontier> RecommendDefense(const CountedDatabase& data,
+                                         const OptimizerOptions& options = {},
+                                         exec::ExecContext* ctx = nullptr);
+
+/// \brief The sweep of an uncounted database: copies and counts `db`
+/// once, then runs the same sweep.
 Result<DefenseFrontier> RecommendDefense(const Database& db,
                                          const OptimizerOptions& options = {},
                                          exec::ExecContext* ctx = nullptr);

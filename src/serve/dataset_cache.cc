@@ -42,13 +42,11 @@ Result<DatasetCache::LoadOutcome> DatasetCache::LoadFromContent(
   // resident datasets. Two racing loads of the same content both parse;
   // the second insert finds the key resident and discards its copy.
   obs::CountIf("anonsafe_serve_dataset_cache_misses_total");
-  ANONSAFE_ASSIGN_OR_RETURN(LabeledDatabase data, ParseFimi(content));
-  ANONSAFE_ASSIGN_OR_RETURN(FrequencyTable table,
-                            FrequencyTable::Compute(data.database));
-  FrequencyGroups groups = FrequencyGroups::Build(table);
-  auto entry = std::make_shared<CachedDataset>(CachedDataset{
-      key, std::move(data), std::move(table), std::move(groups),
-      MakeRecipeArtifacts()});
+  ANONSAFE_ASSIGN_OR_RETURN(LabeledDatabase parsed, ParseFimi(content));
+  ANONSAFE_ASSIGN_OR_RETURN(CountedDatabase data,
+                            CountedDatabase::Count(std::move(parsed.database)));
+  auto entry = std::make_shared<CachedDataset>(
+      CachedDataset{key, std::move(data), MakeRecipeArtifacts()});
 
   std::lock_guard<std::mutex> lock(mu_);
   for (auto it = entries_.begin(); it != entries_.end(); ++it) {

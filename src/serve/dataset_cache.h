@@ -14,17 +14,16 @@
 namespace anonsafe {
 namespace serve {
 
-/// \brief One resident dataset: the parsed database, its frequency
-/// structures, and the recipe artifact cache (frequency groups, base
-/// belief, α-sweep + probe stab cache) that repeated `assess_risk`
-/// requests replay instead of rebuilding. Entries are immutable once
-/// published (the artifact cache is internally locked), so any number of
-/// concurrent requests may share one.
+/// \brief One resident dataset: the parsed database counted once at
+/// load, and the recipe artifact cache (bound adversary model, α-sweep +
+/// probe stab cache) that repeated `assess_risk` requests replay instead
+/// of rebuilding. Every verb reads the table and groups from `data`; none
+/// recounts. Entries are immutable once published (the artifact cache is
+/// internally locked), so any number of concurrent requests may share
+/// one.
 struct CachedDataset {
   std::string key;            ///< content hash, the protocol handle
-  LabeledDatabase data;
-  FrequencyTable table;
-  FrequencyGroups groups;
+  CountedDatabase data;
   std::shared_ptr<RecipeArtifacts> artifacts;
 };
 

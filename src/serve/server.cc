@@ -63,7 +63,7 @@ Result<json::Value> RunOneBatchItem(const CachedDataset& ds,
   ANONSAFE_ASSIGN_OR_RETURN(RiskReportOptions options, BindAssessRisk(item));
   ANONSAFE_ASSIGN_OR_RETURN(
       RiskReport report,
-      BuildRiskReport(ds.data.database, options, ctx, ds.artifacts.get()));
+      BuildRiskReport(ds.data, options, ctx, ds.artifacts.get()));
   return report.ToJson();
 }
 
@@ -655,10 +655,11 @@ Result<json::Value> Server::HandleLoadDataset(const json::Value& params) {
   result.Set("dataset", json::Value(ds.key));
   result.Set("cached", json::Value(outcome.hit));
   result.Set("num_items",
-             json::Value(uint64_t{ds.data.database.num_items()}));
+             json::Value(uint64_t{ds.data.database().num_items()}));
   result.Set("num_transactions",
-             json::Value(uint64_t{ds.data.database.num_transactions()}));
-  result.Set("num_groups", json::Value(uint64_t{ds.groups.num_groups()}));
+             json::Value(uint64_t{ds.data.database().num_transactions()}));
+  result.Set("num_groups",
+             json::Value(uint64_t{ds.data.groups().num_groups()}));
   return result;
 }
 
@@ -672,7 +673,7 @@ Result<json::Value> Server::HandleAssessRisk(const json::Value& params,
   ANONSAFE_ASSIGN_OR_RETURN(RiskReportOptions options, BindAssessRisk(params));
   ANONSAFE_ASSIGN_OR_RETURN(
       RiskReport report,
-      BuildRiskReport(ds->data.database, options, ctx, ds->artifacts.get()));
+      BuildRiskReport(ds->data, options, ctx, ds->artifacts.get()));
   json::Value result = json::Value::Object();
   result.Set("dataset", json::Value(ds->key));
   result.Set("report", report.ToJson());
@@ -756,7 +757,7 @@ Result<json::Value> Server::HandleRecommendDefense(const json::Value& params,
   // `recommend-defense --json` at the same seed, for any thread count.
   ANONSAFE_ASSIGN_OR_RETURN(
       defense::DefenseFrontier frontier,
-      defense::RecommendDefense(ds->data.database, bound.optimizer, ctx));
+      defense::RecommendDefense(ds->data, bound.optimizer, ctx));
   json::Value result = json::Value::Object();
   result.Set("dataset", json::Value(ds->key));
   result.Set("frontier", frontier.ToJson());
@@ -769,12 +770,14 @@ Result<json::Value> Server::HandleOEstimate(const json::Value& params,
   ANONSAFE_ASSIGN_OR_RETURN(std::shared_ptr<const CachedDataset> ds,
                             ResidentDataset(params));
   ANONSAFE_ASSIGN_OR_RETURN(OEstimateRequest bound, BindOEstimate(params));
-  const double delta = bound.delta.value_or(ds->groups.MedianGap());
-  ANONSAFE_ASSIGN_OR_RETURN(BeliefFunction belief,
-                            MakeCompliantIntervalBelief(ds->table, delta));
+  const FrequencyGroups& groups = ds->data.groups();
+  const double delta = bound.delta.value_or(groups.MedianGap());
+  ANONSAFE_ASSIGN_OR_RETURN(
+      BeliefFunction belief,
+      MakeCompliantIntervalBelief(ds->data.table(), delta));
   ANONSAFE_ASSIGN_OR_RETURN(
       OEstimateResult oe,
-      ComputeOEstimate(ds->groups, belief, bound.oestimate, ctx));
+      ComputeOEstimate(groups, belief, bound.oestimate, ctx));
   json::Value result = json::Value::Object();
   result.Set("dataset", json::Value(ds->key));
   result.Set("delta", json::Value(delta));
@@ -796,7 +799,7 @@ Result<json::Value> Server::HandleSimilarity(const json::Value& params,
   ANONSAFE_ASSIGN_OR_RETURN(SimilarityOptions options, BindSimilarity(params));
   ANONSAFE_ASSIGN_OR_RETURN(
       std::vector<SimilarityPoint> curve,
-      SimilarityBySampling(ds->data.database, options, ctx));
+      SimilarityBySampling(ds->data, options, ctx));
   json::Value result = json::Value::Object();
   result.Set("dataset", json::Value(ds->key));
   result.Set("curve", SimilarityCurveToJson(curve));

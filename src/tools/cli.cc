@@ -133,21 +133,32 @@ Result<json::Value> ParamsFromFlags(
   return params;
 }
 
+/// A FIMI file counted once: its source labels and the owner of its
+/// database, table and groups.
+struct CountedFile {
+  std::vector<int64_t> labels;
+  CountedDatabase data;
+};
+
+Result<CountedFile> LoadCounted(const std::string& path) {
+  ANONSAFE_ASSIGN_OR_RETURN(LabeledDatabase file, ReadFimiFile(path));
+  ANONSAFE_ASSIGN_OR_RETURN(CountedDatabase data,
+                            CountedDatabase::Count(std::move(file.database)));
+  return CountedFile{std::move(file.labels), std::move(data)};
+}
+
 Status RunStats(const CliInvocation& cli, std::ostream& out) {
   ANONSAFE_RETURN_IF_ERROR(RequirePositional(cli, 1));
   ANONSAFE_RETURN_IF_ERROR(CheckFlags(cli, {}));
-  ANONSAFE_ASSIGN_OR_RETURN(LabeledDatabase data,
-                            ReadFimiFile(cli.positional[0]));
-  ANONSAFE_ASSIGN_OR_RETURN(FrequencyTable table,
-                            FrequencyTable::Compute(data.database));
-  FrequencyGroups groups = FrequencyGroups::Build(table);
+  ANONSAFE_ASSIGN_OR_RETURN(CountedFile file, LoadCounted(cli.positional[0]));
+  const Database& db = file.data.database();
+  const FrequencyGroups& groups = file.data.groups();
   Summary gaps = groups.GapSummary();
 
   TablePrinter t({"statistic", "value"});
-  t.AddRow({"items", TablePrinter::Fmt(data.database.num_items())});
-  t.AddRow({"transactions",
-            TablePrinter::Fmt(data.database.num_transactions())});
-  t.AddRow({"occurrences", TablePrinter::Fmt(data.database.TotalSize())});
+  t.AddRow({"items", TablePrinter::Fmt(db.num_items())});
+  t.AddRow({"transactions", TablePrinter::Fmt(db.num_transactions())});
+  t.AddRow({"occurrences", TablePrinter::Fmt(db.TotalSize())});
   t.AddRow({"frequency groups", TablePrinter::Fmt(groups.num_groups())});
   t.AddRow({"singleton groups",
             TablePrinter::Fmt(groups.num_singleton_groups())});
@@ -166,11 +177,9 @@ Status RunAssess(const CliInvocation& cli, std::ostream& out) {
   ANONSAFE_ASSIGN_OR_RETURN(RiskReportOptions bound,
                             serve::BindAssessRisk(params));
   const RecipeOptions& options = bound.recipe;
-  ANONSAFE_ASSIGN_OR_RETURN(LabeledDatabase data,
-                            ReadFimiFile(cli.positional[0]));
-  ANONSAFE_ASSIGN_OR_RETURN(FrequencyTable table,
-                            FrequencyTable::Compute(data.database));
-  ANONSAFE_ASSIGN_OR_RETURN(RecipeResult result, AssessRisk(table, options));
+  ANONSAFE_ASSIGN_OR_RETURN(CountedFile file, LoadCounted(cli.positional[0]));
+  ANONSAFE_ASSIGN_OR_RETURN(RecipeResult result,
+                            AssessRisk(file.data, options));
   out << "decision: " << ToString(result.decision) << "\n"
       << result.Summary() << "\n";
   if (result.adversary != "interval" ||
@@ -204,11 +213,9 @@ Status RunPlan(const CliInvocation& cli, std::ostream& out) {
                             serve::BindAssessRisk(params));
   const PlannerOptions& options = defense.optimizer.planner;
   const RecipeOptions& recipe = report.recipe;
-  ANONSAFE_ASSIGN_OR_RETURN(LabeledDatabase data,
-                            ReadFimiFile(cli.positional[0]));
-  ANONSAFE_ASSIGN_OR_RETURN(FrequencyTable table,
-                            FrequencyTable::Compute(data.database));
-  FrequencyGroups groups = FrequencyGroups::Build(table);
+  ANONSAFE_ASSIGN_OR_RETURN(CountedFile file, LoadCounted(cli.positional[0]));
+  const FrequencyTable& table = file.data.table();
+  const FrequencyGroups& groups = file.data.groups();
   const double delta = belief.delta.value_or(groups.MedianGap());
 
   const adversary::Adversary& adv =
@@ -256,10 +263,9 @@ Status RunReport(const CliInvocation& cli, std::ostream& out) {
       ParamsFromFlags(cli, serve::VerbParams().assess_risk, {"json"}));
   ANONSAFE_ASSIGN_OR_RETURN(RiskReportOptions options,
                             serve::BindAssessRisk(params));
-  ANONSAFE_ASSIGN_OR_RETURN(LabeledDatabase data,
-                            ReadFimiFile(cli.positional[0]));
+  ANONSAFE_ASSIGN_OR_RETURN(CountedFile file, LoadCounted(cli.positional[0]));
   ANONSAFE_ASSIGN_OR_RETURN(RiskReport report,
-                            BuildRiskReport(data.database, options));
+                            BuildRiskReport(file.data, options));
   if (cli.flags.count("json") > 0) {
     // The same document the serve `assess_risk` verb embeds — one emitter,
     // so CLI and server output are bit-identical (see docs/SERVER.md).
@@ -369,10 +375,9 @@ Status RunSimilarity(const CliInvocation& cli, std::ostream& out) {
       ParamsFromFlags(cli, serve::VerbParams().similarity));
   ANONSAFE_ASSIGN_OR_RETURN(SimilarityOptions options,
                             serve::BindSimilarity(params));
-  ANONSAFE_ASSIGN_OR_RETURN(LabeledDatabase data,
-                            ReadFimiFile(cli.positional[0]));
+  ANONSAFE_ASSIGN_OR_RETURN(CountedFile file, LoadCounted(cli.positional[0]));
   ANONSAFE_ASSIGN_OR_RETURN(std::vector<SimilarityPoint> curve,
-                            SimilarityBySampling(data.database, options));
+                            SimilarityBySampling(file.data, options));
   out << SimilarityCurveTable(curve);
   return Status::OK();
 }
@@ -417,11 +422,9 @@ Status RunRisk(const CliInvocation& cli, std::ostream& out) {
   ANONSAFE_RETURN_IF_ERROR(RequirePositional(cli, 1));
   ANONSAFE_RETURN_IF_ERROR(CheckFlags(cli, {"top"}));
   ANONSAFE_ASSIGN_OR_RETURN(uint64_t top, FlagAsUint64(cli, "top", 20));
-  ANONSAFE_ASSIGN_OR_RETURN(LabeledDatabase data,
-                            ReadFimiFile(cli.positional[0]));
-  ANONSAFE_ASSIGN_OR_RETURN(FrequencyTable table,
-                            FrequencyTable::Compute(data.database));
-  FrequencyGroups groups = FrequencyGroups::Build(table);
+  ANONSAFE_ASSIGN_OR_RETURN(CountedFile file, LoadCounted(cli.positional[0]));
+  const FrequencyTable& table = file.data.table();
+  const FrequencyGroups& groups = file.data.groups();
   ANONSAFE_ASSIGN_OR_RETURN(
       BeliefFunction belief,
       MakeCompliantIntervalBelief(table, groups.MedianGap()));
@@ -435,8 +438,7 @@ Status RunRisk(const CliInvocation& cli, std::ostream& out) {
   for (size_t r = 0; r < report.ranked.size() && r < top; ++r) {
     const ItemRisk& risk = report.ranked[r];
     t.AddRow({TablePrinter::Fmt(r + 1),
-              TablePrinter::Fmt(static_cast<int64_t>(
-                  data.labels[risk.item])),
+              TablePrinter::Fmt(file.labels[risk.item]),
               TablePrinter::Fmt(risk.crack_probability, 4),
               TablePrinter::Fmt(risk.outdegree),
               risk.forced ? "yes" : ""});
@@ -511,13 +513,11 @@ Status RunMine(const CliInvocation& cli, std::ostream& out) {
 Status RunBelief(const CliInvocation& cli, std::ostream& out) {
   ANONSAFE_RETURN_IF_ERROR(RequirePositional(cli, 2));
   ANONSAFE_RETURN_IF_ERROR(CheckFlags(cli, {"delta"}));
-  ANONSAFE_ASSIGN_OR_RETURN(LabeledDatabase data,
-                            ReadFimiFile(cli.positional[0]));
-  ANONSAFE_ASSIGN_OR_RETURN(FrequencyTable table,
-                            FrequencyTable::Compute(data.database));
-  FrequencyGroups groups = FrequencyGroups::Build(table);
+  ANONSAFE_ASSIGN_OR_RETURN(CountedFile file, LoadCounted(cli.positional[0]));
+  const FrequencyTable& table = file.data.table();
   ANONSAFE_ASSIGN_OR_RETURN(
-      double delta, FlagAsDouble(cli, "delta", groups.MedianGap()));
+      double delta,
+      FlagAsDouble(cli, "delta", file.data.groups().MedianGap()));
   ANONSAFE_ASSIGN_OR_RETURN(BeliefFunction belief,
                             MakeCompliantIntervalBelief(table, delta));
   ANONSAFE_RETURN_IF_ERROR(
@@ -535,11 +535,9 @@ Status RunAttack(const CliInvocation& cli, std::ostream& out) {
   ANONSAFE_RETURN_IF_ERROR(RequirePositional(cli, 2));
   ANONSAFE_RETURN_IF_ERROR(CheckFlags(cli, {"top"}));
   ANONSAFE_ASSIGN_OR_RETURN(uint64_t top, FlagAsUint64(cli, "top", 10));
-  ANONSAFE_ASSIGN_OR_RETURN(LabeledDatabase data,
-                            ReadFimiFile(cli.positional[0]));
-  ANONSAFE_ASSIGN_OR_RETURN(FrequencyTable table,
-                            FrequencyTable::Compute(data.database));
-  FrequencyGroups groups = FrequencyGroups::Build(table);
+  ANONSAFE_ASSIGN_OR_RETURN(CountedFile file, LoadCounted(cli.positional[0]));
+  const FrequencyTable& table = file.data.table();
+  const FrequencyGroups& groups = file.data.groups();
   ANONSAFE_ASSIGN_OR_RETURN(
       BeliefFunction belief,
       ReadBeliefFunctionFile(cli.positional[1], table.num_items()));
@@ -571,8 +569,7 @@ Status RunAttack(const CliInvocation& cli, std::ostream& out) {
   for (size_t r = 0; r < risk.ranked.size() && r < top; ++r) {
     const ItemRisk& item_risk = risk.ranked[r];
     t.AddRow({TablePrinter::Fmt(r + 1),
-              TablePrinter::Fmt(static_cast<int64_t>(
-                  data.labels[item_risk.item])),
+              TablePrinter::Fmt(file.labels[item_risk.item]),
               TablePrinter::Fmt(item_risk.crack_probability, 4),
               TablePrinter::Fmt(item_risk.outdegree)});
   }
@@ -590,10 +587,8 @@ Status RunDefend(const CliInvocation& cli, std::ostream& out) {
   if (auto it = cli.flags.find("mode"); it != cli.flags.end()) {
     mode = it->second;
   }
-  ANONSAFE_ASSIGN_OR_RETURN(LabeledDatabase data,
-                            ReadFimiFile(cli.positional[0]));
-  ANONSAFE_ASSIGN_OR_RETURN(FrequencyTable table,
-                            FrequencyTable::Compute(data.database));
+  ANONSAFE_ASSIGN_OR_RETURN(CountedFile file, LoadCounted(cli.positional[0]));
+  const FrequencyTable& table = file.data.table();
   Rng rng(seed);
 
   if (mode == "merge") {
@@ -604,7 +599,7 @@ Status RunDefend(const CliInvocation& cli, std::ostream& out) {
     ANONSAFE_ASSIGN_OR_RETURN(defense::DefensePlan plan,
                               scheme->Plan(table, params));
     ANONSAFE_ASSIGN_OR_RETURN(Database defended,
-                              scheme->Apply(data.database, plan, &rng));
+                              scheme->Apply(file.data.database(), plan, &rng));
     ANONSAFE_RETURN_IF_ERROR(WriteFimiFile(defended, cli.positional[1]));
     out << "merge defense: " << plan.groups_before << " -> "
         << plan.groups_after << " frequency groups, "
@@ -620,7 +615,7 @@ Status RunDefend(const CliInvocation& cli, std::ostream& out) {
     ANONSAFE_ASSIGN_OR_RETURN(defense::DefensePlan plan,
                               scheme->Plan(table, params));
     ANONSAFE_ASSIGN_OR_RETURN(Database defended,
-                              scheme->Apply(data.database, plan, &rng));
+                              scheme->Apply(file.data.database(), plan, &rng));
     ANONSAFE_RETURN_IF_ERROR(WriteFimiFile(defended, cli.positional[1]));
     out << "suppression defense: dropped " << plan.suppressed.size()
         << " of " << plan.items_before << " items ("
@@ -642,12 +637,11 @@ Status RunRecommendDefense(const CliInvocation& cli, std::ostream& out) {
                       {"json", "csv"}));
   ANONSAFE_ASSIGN_OR_RETURN(serve::DefenseRequest request,
                             serve::BindRecommendDefense(params));
-  ANONSAFE_ASSIGN_OR_RETURN(LabeledDatabase data,
-                            ReadFimiFile(cli.positional[0]));
+  ANONSAFE_ASSIGN_OR_RETURN(CountedFile file, LoadCounted(cli.positional[0]));
   exec::ExecContext ctx(request.exec);
   ANONSAFE_ASSIGN_OR_RETURN(
       defense::DefenseFrontier frontier,
-      defense::RecommendDefense(data.database, request.optimizer, &ctx));
+      defense::RecommendDefense(file.data, request.optimizer, &ctx));
 
   if (cli.flags.count("json") > 0) {
     out << frontier.ToJson().Dump() << "\n";

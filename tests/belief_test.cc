@@ -240,7 +240,9 @@ TEST(BuildersTest, BeliefFromSampleUsesSampledMedianGap) {
   ASSERT_TRUE(profile.ok());
   auto db = GenerateDatabase(*profile, &rng);
   ASSERT_TRUE(db.ok());
-  auto sample = SampleFraction(*db, 0.5, &rng);
+  auto picked = SampleFraction(*db, 0.5, &rng);
+  ASSERT_TRUE(picked.ok());
+  auto sample = CountedDatabase::Count(std::move(*picked));
   ASSERT_TRUE(sample.ok());
 
   double delta = -1.0;
@@ -248,10 +250,8 @@ TEST(BuildersTest, BeliefFromSampleUsesSampledMedianGap) {
   ASSERT_TRUE(beta.ok());
   EXPECT_GT(delta, 0.0);
   // Intervals centered on sampled frequencies with half-width delta.
-  auto sample_table = FrequencyTable::Compute(*sample);
-  ASSERT_TRUE(sample_table.ok());
   for (ItemId x = 0; x < beta->num_items(); ++x) {
-    double f = sample_table->frequency(x);
+    double f = sample->table().frequency(x);
     EXPECT_TRUE(beta->IsCompliantFor(x, f));
     EXPECT_NEAR(beta->interval(x).hi - beta->interval(x).lo,
                 std::min(1.0, f + delta) - std::max(0.0, f - delta), 1e-12);

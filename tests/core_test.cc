@@ -10,6 +10,7 @@
 #include "core/similarity.h"
 #include "data/frequency.h"
 #include "datagen/profile.h"
+#include "obs/metrics.h"
 #include "util/rng.h"
 
 namespace anonsafe {
@@ -446,8 +447,18 @@ TEST(RiskReportTest, WithoutSimilarityCurve) {
   ASSERT_TRUE(db.ok());
   RiskReportOptions opt;
   opt.include_similarity_curve = false;
+  obs::SetMetricsEnabled(true);
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  obs::Counter* counts = registry.GetCounter("anonsafe_frequency_counts_total");
+  obs::Counter* builds = registry.GetCounter("anonsafe_group_builds_total");
+  const uint64_t counts_before = counts->value();
+  const uint64_t builds_before = builds->value();
   auto report = BuildRiskReport(*db, opt);
   ASSERT_TRUE(report.ok());
+  // The one-shot report counts and groups its database once; the recipe
+  // reads the same groups.
+  EXPECT_EQ(counts->value() - counts_before, 1u);
+  EXPECT_EQ(builds->value() - builds_before, 1u);
   EXPECT_TRUE(report->similarity_curve.empty());
   EXPECT_EQ(report->ToText().find("Similarity by sampling"),
             std::string::npos);

@@ -7,6 +7,7 @@
 #include "data/frequency.h"
 #include "defense/k_anonymity.h"
 #include "defense/scheme.h"
+#include "obs/metrics.h"
 #include "util/rng.h"
 
 namespace anonsafe {
@@ -174,6 +175,21 @@ TEST(DefensePlanBehaviorTest, KAnonymityPlanReachesK) {
                                              table.num_transactions());
   ASSERT_TRUE(merged.ok());
   EXPECT_GE(FrequencyKAnonymity(FrequencyGroups::Build(*merged)), 3u);
+}
+
+TEST(DefensePlanBehaviorTest, KAnonymityBisectionGroupsItsInputOnce) {
+  FrequencyTable table = Fixture();
+  DefenseParams p;
+  p.Set("k", 3.0);
+  p.Set("iters", 24.0);
+  obs::SetMetricsEnabled(true);
+  obs::Counter* builds =
+      obs::MetricsRegistry::Global().GetCounter("anonsafe_group_builds_total");
+  const uint64_t before = builds->value();
+  ASSERT_TRUE(DefenseScheme::Find("k_anonymity")->Plan(table, p).ok());
+  // One build of the input, then one per tested merge: the unmerged
+  // plan, the full merge and 24 bisection steps.
+  EXPECT_EQ(builds->value() - before, 27u);
 }
 
 TEST(DefensePlanBehaviorTest, KAnonymityValidation) {

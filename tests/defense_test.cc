@@ -329,7 +329,9 @@ TEST(DefenseIntegrationTest, DefendedDatabasePassesTheRecipe) {
                          ->Apply(*db, *report, &rng);
   ASSERT_TRUE(defended_db.ok());
 
-  auto after = AssessRiskOnDatabase(*defended_db, recipe);
+  auto defended = CountedDatabase::Count(std::move(*defended_db));
+  ASSERT_TRUE(defended.ok());
+  auto after = AssessRisk(*defended, recipe);
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after->decision, RecipeDecision::kDiscloseAtPointValued);
 }

@@ -42,7 +42,9 @@ TEST(EndToEndAttackTest, SampleBasedAttackMatchesPrediction) {
   // Partner holds a 30% sample and builds its belief function.
   auto partner_data = SampleFraction(*db, 0.30, &rng);
   ASSERT_TRUE(partner_data.ok());
-  auto partner_belief = MakeBeliefFromSample(*partner_data);
+  auto partner_sample = CountedDatabase::Count(std::move(*partner_data));
+  ASSERT_TRUE(partner_sample.ok());
+  auto partner_belief = MakeBeliefFromSample(*partner_sample);
   ASSERT_TRUE(partner_belief.ok());
 
   // Attack frame: re-index the belief into the released id space (the
@@ -95,8 +97,12 @@ TEST(EndToEndInvarianceTest, RecipeInvariantUnderAnonymization) {
 
   RecipeOptions options;
   options.tolerance = 0.1;
-  auto original = AssessRiskOnDatabase(*db, options);
-  auto anonymized = AssessRiskOnDatabase(*anon_db, options);
+  auto counted = CountedDatabase::Count(std::move(*db));
+  auto anon_counted = CountedDatabase::Count(std::move(*anon_db));
+  ASSERT_TRUE(counted.ok());
+  ASSERT_TRUE(anon_counted.ok());
+  auto original = AssessRisk(*counted, options);
+  auto anonymized = AssessRisk(*anon_counted, options);
   ASSERT_TRUE(original.ok());
   ASSERT_TRUE(anonymized.ok());
   EXPECT_EQ(original->decision, anonymized->decision);

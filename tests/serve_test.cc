@@ -16,7 +16,9 @@
 #include <thread>
 #include <vector>
 
+#include "core/similarity.h"
 #include "obs/log.h"
+#include "obs/metrics.h"
 #include "serve/protocol.h"
 #include "serve/transport.h"
 #include "tools/cli.h"
@@ -211,6 +213,58 @@ TEST(ServeTest, RepeatedAssessReusesRecipeArtifacts) {
   ASSERT_TRUE(prometheus.ok());
   EXPECT_NE(prometheus->find("anonsafe_recipe_artifact_hits_total"),
             std::string::npos);
+}
+
+/// (frequency counts, group builds) made so far in this process.
+std::pair<uint64_t, uint64_t> CountsAndGroupBuilds() {
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  return {registry.GetCounter("anonsafe_frequency_counts_total")->value(),
+          registry.GetCounter("anonsafe_group_builds_total")->value()};
+}
+
+/// The counts and group builds one request makes.
+std::pair<uint64_t, uint64_t> WorkOf(Server& server,
+                                     const std::string& line) {
+  const auto before = CountsAndGroupBuilds();
+  json::Value response = Send(server, line);
+  EXPECT_TRUE(IsOk(response)) << response.Dump();
+  const auto after = CountsAndGroupBuilds();
+  return {after.first - before.first, after.second - before.second};
+}
+
+TEST(ServeTest, ResidentDatasetIsCountedOnceAtLoad) {
+  using Work = std::pair<uint64_t, uint64_t>;
+  Server server;  // metrics on
+  const auto before = CountsAndGroupBuilds();
+  const std::string key = LoadDataset(server);
+  const auto loaded = CountsAndGroupBuilds();
+  EXPECT_EQ(Work(loaded.first - before.first, loaded.second - before.second),
+            Work(1, 1));
+
+  const std::string head =
+      "{\"schema_version\":2,\"id\":2,\"params\":{\"dataset\":\"" + key +
+      "\"";
+  const std::string assess =
+      head + ",\"include_similarity_curve\":false},\"verb\":\"assess_risk\"}";
+  EXPECT_EQ(WorkOf(server, assess), Work(0, 0));
+  EXPECT_EQ(WorkOf(server, assess), Work(0, 0));  // repeat
+  EXPECT_EQ(WorkOf(server, head + ",\"items\":["
+                                  "{\"tolerance\":0.1,"
+                                  "\"include_similarity_curve\":false},"
+                                  "{\"tolerance\":0.2,"
+                                  "\"include_similarity_curve\":false},"
+                                  "{\"tolerance\":0.3,"
+                                  "\"include_similarity_curve\":false}]},"
+                                  "\"verb\":\"assess_risk_batch\"}"),
+            Work(0, 0));
+  EXPECT_EQ(WorkOf(server, head + "},\"verb\":\"oestimate\"}"), Work(0, 0));
+  // One count and one group build per sample, none of the dataset.
+  const uint64_t samples = SimilarityOptions{}.sample_fractions.size() * 2;
+  EXPECT_EQ(WorkOf(server, head + ",\"samples_per_fraction\":2},"
+                                  "\"verb\":\"similarity\"}"),
+            Work(samples, samples));
+  EXPECT_EQ(
+      WorkOf(server, head + "},\"verb\":\"recommend_defense\"}").first, 0u);
 }
 
 TEST(ServeTest, OEstimateAndSimilarityVerbs) {
