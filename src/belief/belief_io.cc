@@ -18,11 +18,13 @@ Result<BeliefFunction> ReadBeliefFunction(std::istream& in,
     // Strip comments.
     size_t hash = line.find('#');
     if (hash != std::string::npos) line.resize(hash);
+    if (line.find_first_not_of(" \t\n\v\f\r") == std::string::npos) {
+      continue;  // blank / comment-only line
+    }
     std::istringstream ls(line);
     long long item;
     double lo, hi;
-    if (!(ls >> item)) continue;  // blank / comment-only line
-    if (!(ls >> lo >> hi)) {
+    if (!(ls >> item >> lo >> hi)) {
       return Status::InvalidArgument(
           "belief line " + std::to_string(line_no) +
           ": expected '<item> <lo> <hi>'");

@@ -1,11 +1,28 @@
 #include "core/risk_report.h"
 
+#include <cmath>
 #include <sstream>
 
 #include "core/exact_formulas.h"
 #include "util/table_printer.h"
 
 namespace anonsafe {
+namespace {
+
+/// A count field of a report document: a whole number in [0, 2^53], the
+/// range where a JSON number holds every integer exactly.
+Result<size_t> GetCount(const json::Value& v, const std::string& field) {
+  ANONSAFE_ASSIGN_OR_RETURN(double value, v.GetNumber(field));
+  if (!(value >= 0.0 && value <= 9007199254740992.0) ||
+      value != std::floor(value)) {
+    return Status::InvalidArgument("field '" + field +
+                                   "' must be a whole number in [0, 2^53], "
+                                   "got " + json::NumberToString(value));
+  }
+  return static_cast<size_t>(value);
+}
+
+}  // namespace
 
 std::string RiskReport::ToText() const {
   std::ostringstream oss;
@@ -166,14 +183,12 @@ Result<RiskReport> RiskReport::FromJson(const json::Value& v) {
   }
 
   RiskReport report;
-  ANONSAFE_ASSIGN_OR_RETURN(double n, v.GetNumber("num_items"));
-  report.num_items = static_cast<size_t>(n);
-  ANONSAFE_ASSIGN_OR_RETURN(double m, v.GetNumber("num_transactions"));
-  report.num_transactions = static_cast<size_t>(m);
-  ANONSAFE_ASSIGN_OR_RETURN(double g, v.GetNumber("num_groups"));
-  report.num_groups = static_cast<size_t>(g);
-  ANONSAFE_ASSIGN_OR_RETURN(double sg, v.GetNumber("num_singleton_groups"));
-  report.num_singleton_groups = static_cast<size_t>(sg);
+  ANONSAFE_ASSIGN_OR_RETURN(report.num_items, GetCount(v, "num_items"));
+  ANONSAFE_ASSIGN_OR_RETURN(report.num_transactions,
+                            GetCount(v, "num_transactions"));
+  ANONSAFE_ASSIGN_OR_RETURN(report.num_groups, GetCount(v, "num_groups"));
+  ANONSAFE_ASSIGN_OR_RETURN(report.num_singleton_groups,
+                            GetCount(v, "num_singleton_groups"));
   ANONSAFE_ASSIGN_OR_RETURN(report.median_gap, v.GetNumber("median_gap"));
   ANONSAFE_ASSIGN_OR_RETURN(report.mean_gap, v.GetNumber("mean_gap"));
   ANONSAFE_ASSIGN_OR_RETURN(report.ignorant_expected_cracks,
@@ -190,10 +205,10 @@ Result<RiskReport> RiskReport::FromJson(const json::Value& v) {
     return Status::InvalidArgument("unknown recipe decision '" + decision +
                                    "'");
   }
-  ANONSAFE_ASSIGN_OR_RETURN(double rn, r->GetNumber("num_items"));
-  report.recipe.num_items = static_cast<size_t>(rn);
-  ANONSAFE_ASSIGN_OR_RETURN(double rg, r->GetNumber("num_groups"));
-  report.recipe.num_groups = static_cast<size_t>(rg);
+  ANONSAFE_ASSIGN_OR_RETURN(report.recipe.num_items,
+                            GetCount(*r, "num_items"));
+  ANONSAFE_ASSIGN_OR_RETURN(report.recipe.num_groups,
+                            GetCount(*r, "num_groups"));
   ANONSAFE_ASSIGN_OR_RETURN(report.recipe.delta_med,
                             r->GetNumber("delta_med"));
   ANONSAFE_ASSIGN_OR_RETURN(report.recipe.interval_oe,
@@ -224,12 +239,9 @@ Result<RiskReport> RiskReport::FromJson(const json::Value& v) {
       blocks != nullptr && blocks->is_array()) {
     for (const json::Value& block : blocks->items()) {
       BlockProvenance b;
-      ANONSAFE_ASSIGN_OR_RETURN(double idx, block.GetNumber("block"));
-      b.block = static_cast<size_t>(idx);
-      ANONSAFE_ASSIGN_OR_RETURN(double size, block.GetNumber("size"));
-      b.size = static_cast<size_t>(size);
-      ANONSAFE_ASSIGN_OR_RETURN(double edges, block.GetNumber("num_edges"));
-      b.num_edges = static_cast<size_t>(edges);
+      ANONSAFE_ASSIGN_OR_RETURN(b.block, GetCount(block, "block"));
+      ANONSAFE_ASSIGN_OR_RETURN(b.size, GetCount(block, "size"));
+      ANONSAFE_ASSIGN_OR_RETURN(b.num_edges, GetCount(block, "num_edges"));
       ANONSAFE_ASSIGN_OR_RETURN(std::string method,
                                 block.GetString("method"));
       ANONSAFE_ASSIGN_OR_RETURN(b.method, ParseBlockMethod(method));

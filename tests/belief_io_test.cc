@@ -68,6 +68,16 @@ TEST(BeliefIoTest, RejectsMalformedLines) {
     std::istringstream in("0 0.1 1.2\n");
     EXPECT_TRUE(ReadBeliefFunction(in, 2).status().IsInvalidArgument());
   }
+  // A first token that is not an item id fails the line; only blank and
+  // comment-only lines are skipped.
+  for (const char* bad : {"abc 0.9 1.0", "99999999999999999999 0 1"}) {
+    std::istringstream in(std::string("0 0.1 0.2\n# note\n \t\n") + bad +
+                          "\n");
+    auto status = ReadBeliefFunction(in, 2).status();
+    EXPECT_TRUE(status.IsInvalidArgument()) << bad;
+    EXPECT_NE(status.message().find("belief line 4"), std::string::npos)
+        << status.message();
+  }
 }
 
 TEST(BeliefIoTest, RoundTripPreservesIntervals) {

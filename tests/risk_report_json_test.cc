@@ -89,6 +89,38 @@ TEST(RiskReportJsonTest, RejectsMissingSchemaVersionAndNonObjects) {
   EXPECT_FALSE(RiskReport::FromJson(json::Value::Object()).ok());
 }
 
+TEST(RiskReportJsonTest, RejectsCountsThatAreNotWholeNumbers) {
+  RiskReportOptions options;
+  options.recipe.estimator = EstimatorKind::kAuto;  // carries blocks
+  options.include_similarity_curve = false;
+  auto report = BuildRiskReport(SmallDb(), options);
+  ASSERT_TRUE(report.ok());
+  const json::Value doc = report->ToJson();
+  ASSERT_TRUE(RiskReport::FromJson(doc).ok());
+  ASSERT_FALSE(report->recipe.interval_blocks.empty());
+
+  for (double bad : {-1.0, 2.5, 1e30}) {
+    json::Value top = doc;
+    top.Set("num_items", json::Value(bad));
+    Status status = RiskReport::FromJson(top).status();
+    EXPECT_TRUE(status.IsInvalidArgument()) << bad;
+    EXPECT_NE(status.message().find("'num_items'"), std::string::npos)
+        << status.message();
+
+    json::Value in_block = doc;
+    json::Value* recipe = in_block.Find("recipe");
+    json::Value block = recipe->Find("interval_blocks")->items()[0];
+    block.Set("size", json::Value(bad));
+    json::Value blocks = json::Value::Array();
+    blocks.Append(std::move(block));
+    recipe->Set("interval_blocks", std::move(blocks));
+    status = RiskReport::FromJson(in_block).status();
+    EXPECT_TRUE(status.IsInvalidArgument()) << bad;
+    EXPECT_NE(status.message().find("'size'"), std::string::npos)
+        << status.message();
+  }
+}
+
 TEST(RiskReportJsonTest, CurveOmittedWhenDisabled) {
   RiskReportOptions options;
   options.include_similarity_curve = false;
