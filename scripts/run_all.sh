@@ -17,8 +17,10 @@ if [[ "${1:-}" == "--fast" ]]; then
   echo "[fast mode: ANONSAFE_SCALE=0.2, ANONSAFE_SIM=0]"
 fi
 
-cmake -B build -G Ninja
-cmake --build build
+# The tier-1 configure line: a second generator on the same build/
+# tree makes CMake stop before any test runs.
+cmake -B build -S .
+cmake --build build -j "$(nproc)"
 
 ctest --test-dir build 2>&1 | tee test_output.txt
 
@@ -38,6 +40,7 @@ scripts/check_defense.sh
 scripts/check_adversary.sh
 scripts/check_plan.sh
 scripts/check_tsan.sh
+scripts/check_asan.sh
 scripts/check_perf.sh
 
 {
