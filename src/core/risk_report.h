@@ -78,8 +78,7 @@ Result<RiskReport> BuildRiskReport(const CountedDatabase& data,
                                    exec::ExecContext* ctx = nullptr,
                                    RecipeArtifacts* artifacts = nullptr);
 
-/// \brief The report of an uncounted database: copies and counts `db`
-/// once, then builds the same report.
+/// \brief Counts a copy of `db` once, then builds the same report.
 Result<RiskReport> BuildRiskReport(const Database& db,
                                    const RiskReportOptions& options = {});
 

@@ -4,7 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "data/database.h"
 #include "data/frequency.h"
 #include "exec/exec.h"
 #include "util/json.h"
@@ -49,17 +48,13 @@ struct SimilarityPoint {
 /// if a modest sample already achieves α above α_max, "similar data"
 /// suffices to breach the tolerance and the owner should not disclose.
 ///
-/// Compliancy is measured against `data`'s own table; each sample is
-/// counted and grouped once.
-///
 /// `ctx` (optional) is observed for cooperative cancellation between
 /// fractions; values never depend on it (the sampling RNG is private).
 Result<std::vector<SimilarityPoint>> SimilarityBySampling(
     const CountedDatabase& data, const SimilarityOptions& options = {},
     exec::ExecContext* ctx = nullptr);
 
-/// \brief The curve of an uncounted database: copies and counts `db`
-/// once, then runs the same sweep.
+/// \brief Counts a copy of `db` once, then runs the same sweep.
 Result<std::vector<SimilarityPoint>> SimilarityBySampling(
     const Database& db, const SimilarityOptions& options = {},
     exec::ExecContext* ctx = nullptr);

@@ -141,8 +141,7 @@ size_t FrequencyGroups::FindGroupBySupport(SupportCount support) const {
 
 Result<CountedDatabase> CountedDatabase::Count(Database db) {
   ANONSAFE_ASSIGN_OR_RETURN(FrequencyTable table, FrequencyTable::Compute(db));
-  FrequencyGroups groups = FrequencyGroups::Build(table);
-  return CountedDatabase(std::move(db), std::move(table), std::move(groups));
+  return CountedDatabase(std::move(db), std::move(table));
 }
 
 }  // namespace anonsafe

@@ -159,18 +159,13 @@ class FrequencyGroups {
   size_t num_transactions_ = 0;
 };
 
-/// \brief A database with its frequency table and frequency groups: the
-/// one owner of a dataset's counts.
-///
-/// `Count` is the only constructor, and it counts the database once, so
-/// the three always agree. Every layer that reads a resident or loaded
-/// database's table or groups reads them from here instead of
-/// recounting.
+/// \brief The one owner of a database's counts: the database, its
+/// frequency table and its frequency groups. `Count` is the only way to
+/// build one, and it counts the database once, so the three always agree.
 class CountedDatabase {
  public:
-  /// Takes the database (move it in to avoid a copy), counts its
-  /// supports and builds its groups. Fails like `FrequencyTable::Compute`
-  /// on an empty database.
+  /// Counts `db` (move it in to avoid a copy) and groups its supports.
+  /// Fails like `FrequencyTable::Compute` on an empty database.
   static Result<CountedDatabase> Count(Database db);
 
   const Database& database() const { return database_; }
@@ -178,11 +173,10 @@ class CountedDatabase {
   const FrequencyGroups& groups() const { return groups_; }
 
  private:
-  CountedDatabase(Database database, FrequencyTable table,
-                  FrequencyGroups groups)
+  CountedDatabase(Database database, FrequencyTable table)
       : database_(std::move(database)),
         table_(std::move(table)),
-        groups_(std::move(groups)) {}
+        groups_(FrequencyGroups::Build(table_)) {}
 
   Database database_;
   FrequencyTable table_;

@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "data/database.h"
 #include "data/frequency.h"
 #include "defense/scheme.h"
 #include "defense/utility.h"
@@ -102,8 +101,7 @@ Result<DefenseFrontier> RecommendDefense(const CountedDatabase& data,
                                          const OptimizerOptions& options = {},
                                          exec::ExecContext* ctx = nullptr);
 
-/// \brief The sweep of an uncounted database: copies and counts `db`
-/// once, then runs the same sweep.
+/// \brief Counts a copy of `db` once, then runs the same sweep.
 Result<DefenseFrontier> RecommendDefense(const Database& db,
                                          const OptimizerOptions& options = {},
                                          exec::ExecContext* ctx = nullptr);

@@ -770,14 +770,13 @@ Result<json::Value> Server::HandleOEstimate(const json::Value& params,
   ANONSAFE_ASSIGN_OR_RETURN(std::shared_ptr<const CachedDataset> ds,
                             ResidentDataset(params));
   ANONSAFE_ASSIGN_OR_RETURN(OEstimateRequest bound, BindOEstimate(params));
-  const FrequencyGroups& groups = ds->data.groups();
-  const double delta = bound.delta.value_or(groups.MedianGap());
+  const double delta = bound.delta.value_or(ds->data.groups().MedianGap());
   ANONSAFE_ASSIGN_OR_RETURN(
       BeliefFunction belief,
       MakeCompliantIntervalBelief(ds->data.table(), delta));
   ANONSAFE_ASSIGN_OR_RETURN(
       OEstimateResult oe,
-      ComputeOEstimate(groups, belief, bound.oestimate, ctx));
+      ComputeOEstimate(ds->data.groups(), belief, bound.oestimate, ctx));
   json::Value result = json::Value::Object();
   result.Set("dataset", json::Value(ds->key));
   result.Set("delta", json::Value(delta));
