@@ -24,11 +24,9 @@ SupportCount WeightedMedianSupport(const FrequencyGroups& groups,
   return groups.group_support(last);
 }
 
-/// The merge core: every run of `table`'s groups whose consecutive gaps
-/// are all below `min_gap` collapses onto the run's weighted median
-/// support.
-Result<defense::DefensePlan> MergeBelowGapPlan(const FrequencyTable& table,
-                                               const FrequencyGroups& groups,
+/// The merge core: every run of groups whose consecutive gaps are all
+/// below `min_gap` collapses onto the run's weighted median support.
+Result<defense::DefensePlan> MergeBelowGapPlan(const FrequencyGroups& groups,
                                                double min_gap) {
   if (min_gap < 0.0) {
     return Status::InvalidArgument("gap threshold must be >= 0");
@@ -37,15 +35,11 @@ Result<defense::DefensePlan> MergeBelowGapPlan(const FrequencyTable& table,
   defense::DefensePlan plan;
   plan.groups_before = groups.num_groups();
   plan.merged_gap = min_gap;
-  plan.items_before = table.num_items();
-  plan.items_after = table.num_items();
-  plan.new_supports.resize(table.num_items());
+  plan.items_before = groups.num_items();
+  plan.items_after = groups.num_items();
+  plan.new_supports.resize(groups.num_items());
 
   uint64_t total_support = 0;
-  for (ItemId x = 0; x < table.num_items(); ++x) {
-    total_support += table.support(x);
-  }
-
   size_t run_start = 0;
   size_t groups_after = 0;
   for (size_t g = 0; g < groups.num_groups(); ++g) {
@@ -59,6 +53,7 @@ Result<defense::DefensePlan> MergeBelowGapPlan(const FrequencyTable& table,
       for (ItemId x : groups.group_items(h)) {
         plan.new_supports[x] = merged;
         uint64_t old_support = groups.group_support(h);
+        total_support += old_support;
         plan.l1_distortion += old_support > merged ? old_support - merged
                                                    : merged - old_support;
       }
@@ -77,9 +72,9 @@ Result<defense::DefensePlan> MergeBelowGapPlan(const FrequencyTable& table,
 
 /// The threshold that merges every run: above twice the widest gap
 /// (plus two supports' worth of slack), so no gap stays at or above it.
-double FullMergeGap(const FrequencyGroups& groups, size_t num_transactions) {
+double FullMergeGap(const FrequencyGroups& groups) {
   return groups.GapSummary().max * 2.0 +
-         2.0 / static_cast<double>(num_transactions);
+         2.0 / static_cast<double>(groups.num_transactions());
 }
 
 /// The tolerance core: the smallest-distortion merge whose perturbed
@@ -99,11 +94,8 @@ Result<defense::DefensePlan> ToleranceSearchPlan(const FrequencyTable& table,
   }
 
   auto passes = [&](const defense::DefensePlan& plan) -> Result<bool> {
-    ANONSAFE_ASSIGN_OR_RETURN(
-        FrequencyTable merged,
-        FrequencyTable::FromSupports(plan.new_supports,
-                                     table.num_transactions()));
-    FrequencyGroups groups = FrequencyGroups::Build(merged);
+    const FrequencyGroups groups = FrequencyGroups::FromSupports(
+        plan.new_supports, table.num_transactions());
     if (point_valued) {
       return static_cast<double>(groups.num_groups()) <= budget;
     }
@@ -168,7 +160,7 @@ class GroupMergeScheme final : public DefenseScheme {
     for (size_t i = 0; i + 1 < gaps.size(); ++i) {
       thresholds.push_back((gaps[i] + gaps[i + 1]) / 2.0);
     }
-    thresholds.push_back(FullMergeGap(groups, table.num_transactions()));
+    thresholds.push_back(FullMergeGap(groups));
     constexpr size_t kMaxThresholds = 8;
     const size_t n = thresholds.size();
     if (n <= kMaxThresholds) {
@@ -200,7 +192,7 @@ class GroupMergeScheme final : public DefenseScheme {
     }
     Result<DefensePlan> plan =
         gap != nullptr
-            ? MergeBelowGapPlan(table, FrequencyGroups::Build(table), *gap)
+            ? MergeBelowGapPlan(FrequencyGroups::Build(table), *gap)
             : ToleranceSearchPlan(
                   table, *tolerance, params.GetOr("point_valued", 0.0) != 0.0,
                   static_cast<size_t>(params.GetOr("iters", 24.0)));
@@ -224,21 +216,19 @@ Result<DefensePlan> BisectMergeGap(
     const std::function<Result<bool>(const DefensePlan&)>& passes,
     const std::function<Status(const DefensePlan&)>& unreachable) {
   const FrequencyGroups groups = FrequencyGroups::Build(table);
-  ANONSAFE_ASSIGN_OR_RETURN(DefensePlan lo_plan,
-                            MergeBelowGapPlan(table, groups, 0.0));
+  ANONSAFE_ASSIGN_OR_RETURN(DefensePlan lo_plan, MergeBelowGapPlan(groups, 0.0));
   ANONSAFE_ASSIGN_OR_RETURN(bool lo_passes, passes(lo_plan));
   if (lo_passes) return lo_plan;  // already safe, no perturbation
 
   double lo = 0.0;
-  double hi = FullMergeGap(groups, table.num_transactions());
-  ANONSAFE_ASSIGN_OR_RETURN(DefensePlan hi_plan,
-                            MergeBelowGapPlan(table, groups, hi));
+  double hi = FullMergeGap(groups);
+  ANONSAFE_ASSIGN_OR_RETURN(DefensePlan hi_plan, MergeBelowGapPlan(groups, hi));
   ANONSAFE_ASSIGN_OR_RETURN(bool hi_passes, passes(hi_plan));
   if (!hi_passes) return unreachable(hi_plan);
   for (size_t iter = 0; iter < iters; ++iter) {
     double mid = (lo + hi) / 2.0;
     ANONSAFE_ASSIGN_OR_RETURN(DefensePlan mid_plan,
-                              MergeBelowGapPlan(table, groups, mid));
+                              MergeBelowGapPlan(groups, mid));
     ANONSAFE_ASSIGN_OR_RETURN(bool ok, passes(mid_plan));
     if (ok) {
       hi = mid;

@@ -20,25 +20,19 @@ Result<defense::DefensePlan> PlanKAnonymityMerge(const FrequencyTable& table,
         std::to_string(n));
   }
 
-  auto anonymity_of =
-      [&](const defense::DefensePlan& plan) -> Result<size_t> {
-    ANONSAFE_ASSIGN_OR_RETURN(
-        FrequencyTable merged,
-        FrequencyTable::FromSupports(plan.new_supports,
-                                     table.num_transactions()));
-    return FrequencyKAnonymity(FrequencyGroups::Build(merged));
+  auto anonymity_of = [&](const defense::DefensePlan& plan) {
+    return FrequencyKAnonymity(FrequencyGroups::FromSupports(
+        plan.new_supports, table.num_transactions()));
   };
   return defense::internal::BisectMergeGap(
       table, iters,
       [&](const defense::DefensePlan& plan) -> Result<bool> {
-        ANONSAFE_ASSIGN_OR_RETURN(size_t anonymity, anonymity_of(plan));
-        return anonymity >= k;
+        return anonymity_of(plan) >= k;
       },
       [&](const defense::DefensePlan& full) -> Status {
-        ANONSAFE_ASSIGN_OR_RETURN(size_t full_k, anonymity_of(full));
         return Status::FailedPrecondition(
-            "even a full merge yields only " + std::to_string(full_k) +
-            "-anonymity");
+            "even a full merge yields only " +
+            std::to_string(anonymity_of(full)) + "-anonymity");
       });
 }
 
