@@ -66,6 +66,11 @@
 # it hard-fails if the planner stopped being exact on the fixture or if
 # the beyond-cutoff instance (n = 48 > kMaxPermanentN, largest block 12)
 # lost its exact provenance-tagged answer.
+#
+# Every section runs, in this order: kernels (the gate, then the per-ISA
+# sweep), serve, defense, adversary, planner. A failing gate stops only
+# its own section; the script then goes on with the next one and exits
+# non-zero at the end, naming every section that failed.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -88,6 +93,7 @@ if ! command -v python3 >/dev/null 2>&1; then
   exit 0
 fi
 
+section_kernels() {
 FILTER='BM_Permanent/(20|22|24)$|BM_PermanentBatch/12$|BM_SamplerProbe/8192$|BM_SamplerSweep/8192$|BM_GraphBuildHK/4096$|BM_AssessRiskBisection/8192$|BM_LoadDataset$'
 
 raw="$(mktemp)"
@@ -272,6 +278,7 @@ for isa, e in sorted(sweep.items()):
              if "speedup_vs_pre_opt" in e else "")
     print(f"check_perf: isa sweep {isa}: {e['cpu_time_ns']:.0f}ns{speed}")
 PY
+}
 
 # ---------------------------------------------------- serve load harness
 # bench_serve drives the epoll event loop with 1k+ concurrent loopback
@@ -280,6 +287,7 @@ PY
 # sandbox has no loopback TCP), batch-of-16 < 3x one assess_risk, and
 # batch items bit-identical to sequential singles. Emits
 # BENCH_serve.json.
+section_serve() {
 SERVE_BENCH="${SERVE_BENCH:-build/bench/bench_serve}"
 if [[ -x "$SERVE_BENCH" ]]; then
   serve_raw="$(mktemp)"
@@ -332,6 +340,7 @@ PY
 else
   echo "check_perf: serve SKIP ($SERVE_BENCH not built)" >&2
 fi
+}
 
 # ---------------------------------------------- defense sweep harness
 # bench_defense runs the full RecommendDefense sweep on the CONNECT
@@ -339,6 +348,7 @@ fi
 # frontier documents are byte-identical and the frontier is non-empty;
 # the thread speedup is recorded informationally (coarse-grained sweep,
 # machine-dependent). Emits BENCH_defense.json.
+section_defense() {
 DEFENSE_BENCH="${DEFENSE_BENCH:-build/bench/bench_defense}"
 if [[ -x "$DEFENSE_BENCH" ]]; then
   defense_raw="$(mktemp)"
@@ -380,6 +390,7 @@ PY
 else
   echo "check_perf: defense SKIP ($DEFENSE_BENCH not built)" >&2
 fi
+}
 
 # ------------------------------------------- adversary registry harness
 # bench_adversary runs the Figure 8 recipe once per registered adversary
@@ -391,6 +402,7 @@ fi
 # registry-indirection regression on the bisection hot path is what it
 # catches). Non-default adversaries are informational (vs_interval
 # overhead ratio). Emits BENCH_adversary.json.
+section_adversary() {
 ADVERSARY_BENCH="${ADVERSARY_BENCH:-build/bench/bench_adversary}"
 if [[ -x "$ADVERSARY_BENCH" ]]; then
   adversary_raw="$(mktemp)"
@@ -446,15 +458,17 @@ PY
 else
   echo "check_perf: adversary SKIP ($ADVERSARY_BENCH not built)" >&2
 fi
+}
 
 # ------------------------------------------------ planner vs monolithic
+section_planner() {
 if [[ ! -x "$PLANNER_BENCH" ]]; then
   echo "check_perf: planner SKIP ($PLANNER_BENCH not built)" >&2
   exit 0
 fi
 
 planner_raw="$(mktemp)"
-trap 'rm -f "$raw" "$planner_raw"; rm -rf "$sweep_dir"' EXIT
+trap 'rm -f "$planner_raw"' EXIT
 
 # BM_DirectMonolithic/2 pays a whole-graph n=24 permanent per item probe
 # (seconds per iteration), so a single repetition is all we take.
@@ -530,3 +544,25 @@ if failures:
     sys.exit(1)
 print(f"check_perf: OK ({out_path} written)")
 PY
+}
+
+# ------------------------------------------------------------ sections
+# Each section runs in its own subshell under set -e, so a failure ends
+# that section alone and is recorded here. (The section bodies above
+# are not indented, which keeps their heredoc terminators at column 0.)
+FAILED=()
+for section in kernels serve defense adversary planner; do
+  set +e
+  ( set -e; "section_$section" )
+  rc=$?
+  set -e
+  if (( rc != 0 )); then
+    echo "check_perf: section $section failed (exit $rc)" >&2
+    FAILED+=("$section")
+  fi
+done
+if (( ${#FAILED[@]} > 0 )); then
+  echo "check_perf: FAIL: ${#FAILED[@]} section(s) failed: ${FAILED[*]}" >&2
+  exit 1
+fi
+echo "check_perf: OK (every section passed)"

@@ -348,10 +348,14 @@ Result<RecipeResult> RunRecipe(const FrequencyTable& table,
         sweep->MakeProbeCache(groups));
     if (artifacts != nullptr) {
       std::lock_guard<std::mutex> lock(artifacts->mu);
-      artifacts->sweep_seed = exec_options.seed;
-      artifacts->sweep_runs = exec_options.runs;
-      artifacts->sweep = sweep;
-      artifacts->probes = probe_cache;
+      // A concurrent request may have bound another adversary's model
+      // since the snapshot; the sweep is cached only beside its own.
+      if (artifacts->model == model) {
+        artifacts->sweep_seed = exec_options.seed;
+        artifacts->sweep_runs = exec_options.runs;
+        artifacts->sweep = sweep;
+        artifacts->probes = probe_cache;
+      }
     }
   } else {
     obs::CountIf("anonsafe_recipe_artifact_hits_total");

@@ -25,13 +25,10 @@ SupportCount WeightedMedianSupport(const FrequencyGroups& groups,
 }
 
 /// The merge core: every run of groups whose consecutive gaps are all
-/// below `min_gap` collapses onto the run's weighted median support.
-Result<defense::DefensePlan> MergeBelowGapPlan(const FrequencyGroups& groups,
-                                               double min_gap) {
-  if (min_gap < 0.0) {
-    return Status::InvalidArgument("gap threshold must be >= 0");
-  }
-
+/// below `min_gap` (finite, >= 0) collapses onto the run's weighted
+/// median support.
+defense::DefensePlan MergeBelowGapPlan(const FrequencyGroups& groups,
+                                       double min_gap) {
   defense::DefensePlan plan;
   plan.groups_before = groups.num_groups();
   plan.merged_gap = min_gap;
@@ -190,12 +187,17 @@ class GroupMergeScheme final : public DefenseScheme {
       return Status::InvalidArgument(
           "group_merge takes exactly one of 'gap' or 'tolerance'");
     }
+    if (gap != nullptr && !(std::isfinite(*gap) && *gap >= 0.0)) {
+      return Status::InvalidArgument("gap must be finite and >= 0; got " +
+                                     json::NumberToString(*gap));
+    }
+    ANONSAFE_ASSIGN_OR_RETURN(size_t iters, internal::BisectIters(params));
     Result<DefensePlan> plan =
         gap != nullptr
             ? MergeBelowGapPlan(FrequencyGroups::Build(table), *gap)
             : ToleranceSearchPlan(
                   table, *tolerance, params.GetOr("point_valued", 0.0) != 0.0,
-                  static_cast<size_t>(params.GetOr("iters", 24.0)));
+                  iters);
     if (!plan.ok()) return plan.status();
     plan->scheme = name();
     plan->params = params;
@@ -216,19 +218,18 @@ Result<DefensePlan> BisectMergeGap(
     const std::function<Result<bool>(const DefensePlan&)>& passes,
     const std::function<Status(const DefensePlan&)>& unreachable) {
   const FrequencyGroups groups = FrequencyGroups::Build(table);
-  ANONSAFE_ASSIGN_OR_RETURN(DefensePlan lo_plan, MergeBelowGapPlan(groups, 0.0));
+  DefensePlan lo_plan = MergeBelowGapPlan(groups, 0.0);
   ANONSAFE_ASSIGN_OR_RETURN(bool lo_passes, passes(lo_plan));
   if (lo_passes) return lo_plan;  // already safe, no perturbation
 
   double lo = 0.0;
   double hi = FullMergeGap(groups);
-  ANONSAFE_ASSIGN_OR_RETURN(DefensePlan hi_plan, MergeBelowGapPlan(groups, hi));
+  DefensePlan hi_plan = MergeBelowGapPlan(groups, hi);
   ANONSAFE_ASSIGN_OR_RETURN(bool hi_passes, passes(hi_plan));
   if (!hi_passes) return unreachable(hi_plan);
   for (size_t iter = 0; iter < iters; ++iter) {
     double mid = (lo + hi) / 2.0;
-    ANONSAFE_ASSIGN_OR_RETURN(DefensePlan mid_plan,
-                              MergeBelowGapPlan(groups, mid));
+    DefensePlan mid_plan = MergeBelowGapPlan(groups, mid);
     ANONSAFE_ASSIGN_OR_RETURN(bool ok, passes(mid_plan));
     if (ok) {
       hi = mid;

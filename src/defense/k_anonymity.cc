@@ -1,6 +1,7 @@
 #include "defense/k_anonymity.h"
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 #include <utility>
 
@@ -12,13 +13,19 @@ namespace {
 /// The cheapest group merge whose perturbed profile is at least
 /// k-anonymous.
 Result<defense::DefensePlan> PlanKAnonymityMerge(const FrequencyTable& table,
-                                                 size_t k, size_t iters) {
+                                                 double k_param,
+                                                 size_t iters) {
   const size_t n = table.num_items();
-  if (k < 1 || k > n) {
-    return Status::InvalidArgument(
-        "k must lie in [1, n]; got k=" + std::to_string(k) + " for n=" +
-        std::to_string(n));
+  if (k_param != std::floor(k_param)) {
+    return Status::InvalidArgument("k must be a whole number; got k=" +
+                                   json::NumberToString(k_param));
   }
+  if (!(k_param >= 1.0 && k_param <= static_cast<double>(n))) {
+    return Status::InvalidArgument(
+        "k must lie in [1, n]; got k=" + json::NumberToString(k_param) +
+        " for n=" + std::to_string(n));
+  }
+  const auto k = static_cast<size_t>(k_param);
 
   auto anonymity_of = [&](const defense::DefensePlan& plan) {
     return FrequencyKAnonymity(FrequencyGroups::FromSupports(
@@ -86,9 +93,8 @@ class KAnonymityScheme final : public DefenseScheme {
     ANONSAFE_RETURN_IF_ERROR(CheckAllowedParams(params, {"k", "iters"},
                                                 "defense scheme", name()));
     ANONSAFE_ASSIGN_OR_RETURN(double k, params.Get("k"));
-    Result<DefensePlan> plan = PlanKAnonymityMerge(
-        table, static_cast<size_t>(k),
-        static_cast<size_t>(params.GetOr("iters", 24.0)));
+    ANONSAFE_ASSIGN_OR_RETURN(size_t iters, internal::BisectIters(params));
+    Result<DefensePlan> plan = PlanKAnonymityMerge(table, k, iters);
     if (!plan.ok()) return plan.status();
     plan->scheme = name();
     plan->params = params;

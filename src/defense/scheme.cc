@@ -1,7 +1,10 @@
 #include "defense/scheme.h"
 
 #include <algorithm>
+#include <cmath>
 #include <string>
+
+#include "obs/metrics.h"
 
 namespace anonsafe {
 namespace defense {
@@ -63,11 +66,33 @@ Result<Database> DefenseScheme::Apply(const Database& db,
 
 namespace internal {
 
+Result<size_t> CountParam(const DefenseParams& params, const char* name,
+                          double fallback, size_t lo, size_t hi) {
+  const double value = params.GetOr(name, fallback);
+  if (!(value >= static_cast<double>(lo) &&
+        value <= static_cast<double>(hi)) ||
+      value != std::floor(value)) {
+    return Status::InvalidArgument(
+        std::string(name) + " must be a whole number in [" +
+        std::to_string(lo) + ", " + std::to_string(hi) + "]; got " +
+        json::NumberToString(value));
+  }
+  return static_cast<size_t>(value);
+}
+
+Result<size_t> BisectIters(const DefenseParams& params) {
+  return CountParam(params, "iters", 24.0, 0, 64);
+}
+
 HolderIndex::HolderIndex(const Database& db)
-    : holders_(db.num_items()), sizes_(db.num_transactions()) {
+    : holders_(db.num_items()),
+      sizes_(db.num_transactions()),
+      largest_(db.num_transactions(), 0) {
   for (size_t t = 0; t < sizes_.size(); ++t) {
-    sizes_[t] = db.transaction(t).size();
-    for (ItemId x : db.transaction(t)) holders_[x].push_back(t);
+    const Transaction& txn = db.transaction(t);
+    sizes_[t] = txn.size();
+    if (!txn.empty()) largest_[t] = txn.back();  // transactions are sorted
+    for (ItemId x : txn) holders_[x].push_back(t);
   }
 }
 
@@ -76,6 +101,46 @@ Result<FrequencyTable> Realized::Table() const {
     return FrequencyTable::Compute(Database(supports.size()));
   }
   return FrequencyTable::FromSupports(supports, num_transactions);
+}
+
+namespace {
+
+void CountWalk(bool walked) {
+  if (!obs::MetricsEnabled()) return;
+  static obs::Counter* const kWalked =
+      obs::MetricsRegistry::Global().GetCounterWithLabels(
+          "anonsafe_defense_walks_total", {{"path", "walked"}},
+          "support-plan realizations by path");
+  static obs::Counter* const kSkipped =
+      obs::MetricsRegistry::Global().GetCounterWithLabels(
+          "anonsafe_defense_walks_total", {{"path", "skipped"}},
+          "support-plan realizations by path");
+  (walked ? kWalked : kSkipped)->Increment();
+}
+
+}  // namespace
+
+bool NoDrawCanFail(const HolderIndex& index,
+                   const std::vector<SupportCount>& targets) {
+  const size_t n = index.num_items();
+  const size_t m = index.num_transactions();
+  // keeps[t]: t holds an item that does not lose, so it has size 2 or
+  // more at the turn of every losing item it holds.
+  std::vector<bool> keeps(m, false);
+  for (ItemId x = 0; x < n; ++x) {
+    if (targets[x] < index.holders(x).size()) continue;
+    for (size_t t : index.holders(x)) keeps[t] = true;
+  }
+  // exposed[x]: holders that may be down to size 1 at x's turn.
+  std::vector<size_t> exposed(n, 0);
+  for (size_t t = 0; t < m; ++t) {
+    if (index.sizes()[t] > 0 && !keeps[t]) ++exposed[index.largest(t)];
+  }
+  // x keeps holders - exposed, and needs holders - target of them.
+  for (ItemId x = 0; x < n; ++x) {
+    if (targets[x] < exposed[x]) return false;
+  }
+  return true;
 }
 
 Result<Realized> Realize(const HolderIndex& index, const DefensePlan& plan,
@@ -120,6 +185,12 @@ Result<Realized> Realize(const HolderIndex& index, const DefensePlan& plan,
           "target support exceeds the number of transactions");
     }
   }
+  out.supports = plan.new_supports;
+  out.num_transactions = m;
+  const bool walk = txns != nullptr || !NoDrawCanFail(index, out.supports);
+  CountWalk(walk);
+  if (!walk) return out;
+
   std::vector<size_t> picks;
   for (ItemId x = 0; x < n; ++x) {
     const std::vector<size_t>& holders = index.holders(x);
@@ -167,8 +238,6 @@ Result<Realized> Realize(const HolderIndex& index, const DefensePlan& plan,
       }
     }
   }
-  out.supports = plan.new_supports;
-  out.num_transactions = m;
   return out;
 }
 

@@ -129,6 +129,17 @@ std::unique_ptr<DefenseScheme> MakeKAnonymityScheme();
 std::unique_ptr<DefenseScheme> MakeGroupMergeScheme();
 std::unique_ptr<DefenseScheme> MakeSuppressionScheme();
 
+/// The defense parameter `name` (`fallback` when absent) as a count:
+/// InvalidArgument naming it unless it is a whole number in [lo, hi].
+/// Checked before any cast, since `DefenseParams::FromJson` reads
+/// recorded values from outside the program.
+Result<size_t> CountParam(const DefenseParams& params, const char* name,
+                          double fallback, size_t lo, size_t hi);
+
+/// `BisectMergeGap`'s halvings, the `iters` parameter: 24 by default, at
+/// most 64 (far below any 1/m of the gap interval).
+Result<size_t> BisectIters(const DefenseParams& params);
+
 /// Bisects the gap threshold between no merge and a full merge
 /// (defined in group_merge.cc) for the mildest merge plan that `passes`:
 /// the unmerged plan when it already passes, otherwise the smallest
@@ -141,10 +152,10 @@ Result<DefensePlan> BisectMergeGap(
     const std::function<Status(const DefensePlan&)>& unreachable);
 
 /// \brief Who holds what in one database, built once and shared
-/// read-only: every item's holder transactions (ascending) and every
-/// transaction's size. Realizing a plan edits items in id order, and
-/// editing item y touches only y's occurrences, so item x's holders in
-/// the partly edited database are still its list here.
+/// read-only: every item's holder transactions (ascending), every
+/// transaction's size and its largest item. Realizing a plan edits items
+/// in id order, and editing item y touches only y's occurrences, so item
+/// x's holders in the partly edited database are still its list here.
 class HolderIndex {
  public:
   explicit HolderIndex(const Database& db);
@@ -153,10 +164,13 @@ class HolderIndex {
   size_t num_transactions() const { return sizes_.size(); }
   const std::vector<size_t>& holders(ItemId x) const { return holders_[x]; }
   const std::vector<size_t>& sizes() const { return sizes_; }
+  /// Transaction t's largest item; 0 for an empty transaction.
+  ItemId largest(size_t t) const { return largest_[t]; }
 
  private:
   std::vector<std::vector<size_t>> holders_;
   std::vector<size_t> sizes_;
+  std::vector<ItemId> largest_;
 };
 
 /// \brief What realizing a plan leaves: every item's support, and the
@@ -179,8 +193,23 @@ struct Realized {
 /// database is needed; when `txns` (a copy of the indexed database's
 /// transactions) is given, every edit is also made there. Fails with
 /// InvalidArgument on a malformed or unrealizable plan.
+///
+/// Without `txns`, a support plan that no draw can fail
+/// (`NoDrawCanFail`) is not walked: the walk's result is then its
+/// targets over m, and `rng` draws nothing. Each support plan bumps
+/// `anonsafe_defense_walks_total{path="walked"|"skipped"}`.
 Result<Realized> Realize(const HolderIndex& index, const DefensePlan& plan,
                          Rng* rng, std::vector<Transaction>* txns = nullptr);
+
+/// \brief Whether every draw of the walk realizes `targets` (a support
+/// plan of the indexed database's size, each at most m). A holder of a
+/// losing item x is down to size 1 at x's turn only if x is its largest
+/// item and every other item it holds loses support too; when each
+/// losing item keeps at least its loss in holders outside that set, no
+/// loss can empty a transaction. One pass over the occurrences of the
+/// items that do not lose.
+bool NoDrawCanFail(const HolderIndex& index,
+                   const std::vector<SupportCount>& targets);
 
 /// \brief `Realize` with transaction edits on a copy of `db`: the
 /// defended database, emptied transactions dropped.

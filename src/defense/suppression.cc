@@ -60,8 +60,9 @@ Result<defense::DefensePlan> PlanSuppressionCore(const FrequencyTable& table,
   if (!(tolerance > 0.0) || tolerance > 1.0) {
     return Status::InvalidArgument("tolerance must lie in (0, 1]");
   }
-  if (rerank_batch == 0) {
-    return Status::InvalidArgument("rerank_batch must be positive");
+  if (!(max_fraction >= 0.0 && max_fraction <= 1.0)) {
+    return Status::InvalidArgument(
+        "max_suppressed_fraction must lie in [0, 1]");
   }
   const size_t n = table.num_items();
   const double budget = tolerance * static_cast<double>(n);
@@ -146,10 +147,12 @@ class SuppressionScheme final : public DefenseScheme {
     ANONSAFE_RETURN_IF_ERROR(CheckAllowedParams(
         params, {"tolerance", "max_suppressed_fraction", "rerank_batch"},
         "defense scheme", name()));
+    ANONSAFE_ASSIGN_OR_RETURN(
+        size_t rerank_batch,
+        internal::CountParam(params, "rerank_batch", 8.0, 1, size_t{1} << 53));
     Result<DefensePlan> plan = PlanSuppressionCore(
         table, params.GetOr("tolerance", 0.1),
-        params.GetOr("max_suppressed_fraction", 0.5),
-        static_cast<size_t>(params.GetOr("rerank_batch", 8.0)));
+        params.GetOr("max_suppressed_fraction", 0.5), rerank_batch);
     if (!plan.ok()) return plan.status();
     plan->scheme = name();
     plan->params = params;

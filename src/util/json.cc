@@ -111,8 +111,8 @@ std::string EscapeString(const std::string& s) {
 
 std::string NumberToString(double v) {
   if (!std::isfinite(v)) return "null";
-  if (v == static_cast<double>(static_cast<int64_t>(v)) &&
-      std::fabs(v) < 9.007199254740992e15) {  // 2^53: exact integer range
+  if (std::fabs(v) < 9.007199254740992e15 &&  // 2^53: exact integer range
+      v == static_cast<double>(static_cast<int64_t>(v))) {
     return std::to_string(static_cast<int64_t>(v));
   }
   char buf[32];

@@ -38,19 +38,22 @@ uint64_t Rng::Next() {
 uint64_t Rng::UniformUint64(uint64_t bound) {
   assert(bound > 0);
   if (bound == 0) return 0;
-  // Lemire-style rejection to avoid modulo bias.
-  uint64_t threshold = (-bound) % bound;
+  // Rejection below 2^64 mod bound avoids modulo bias. That threshold is
+  // below bound, so it is computed only for the rare draw under bound:
+  // every other draw costs one division and keeps its value.
   for (;;) {
     uint64_t r = Next();
-    if (r >= threshold) return r % bound;
+    if (r >= bound || r >= (-bound) % bound) return r % bound;
   }
 }
 
 int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
   assert(lo <= hi);
-  uint64_t span = static_cast<uint64_t>(hi - lo) + 1;
+  // Unsigned arithmetic: hi - lo overflows int64 on wide ranges.
+  uint64_t span = static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo) + 1;
   if (span == 0) return static_cast<int64_t>(Next());  // full 64-bit range
-  return lo + static_cast<int64_t>(UniformUint64(span));
+  return static_cast<int64_t>(static_cast<uint64_t>(lo) +
+                              UniformUint64(span));
 }
 
 double Rng::UniformDouble() {

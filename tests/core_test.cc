@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <thread>
+#include <vector>
+
 #include "belief/builders.h"
 #include "belief/chain.h"
 #include "core/alpha_sweep.h"
@@ -314,6 +318,50 @@ TEST(RecipeTest, AlphaBoundWhenFullComplianceTooRisky) {
       groups, sweep->MakeProbeCache(groups), result->alpha_max);
   ASSERT_TRUE(at_max.ok());
   EXPECT_LE(*at_max, result->crack_budget + 1e-9);
+}
+
+// Recipes that alternate adversaries on one artifact cache, run
+// concurrently as a batch does: each must give its private run's answer.
+// A request that rebinds the model while another still searches α must
+// not end up holding that other request's sweep under its own model.
+TEST(RecipeTest, ConcurrentAdversariesKeepTheirOwnSweeps) {
+  auto db = Database::FromTransactions(
+      6, {{0, 1, 2}, {0, 1}, {0, 3}, {0, 1, 4}, {1, 2}, {0, 2, 5},
+          {1, 3}, {0, 1, 2}, {4, 5}, {0, 1}, {2, 3, 4}, {0, 5}});
+  ASSERT_TRUE(db.ok());
+  auto data = CountedDatabase::Count(*db);
+  ASSERT_TRUE(data.ok());
+  std::vector<RecipeOptions> options(4);
+  options[1].estimator = EstimatorKind::kAuto;
+  options[2].adversary = "exact_support";
+  options[2].adversary_params.Set("k", 2.0);
+  options[3].adversary = "probabilistic";
+  options[3].adversary_params.Set("span", 1.0);
+  options[3].adversary_params.Set("sigma", 0.5);
+  std::vector<double> expected;
+  for (const RecipeOptions& o : options) {
+    auto alone = AssessRisk(*data, o);
+    ASSERT_TRUE(alone.ok());
+    ASSERT_EQ(alone->decision, RecipeDecision::kAlphaBound);
+    expected.push_back(alone->alpha_max);
+  }
+  for (int round = 0; round < 200; ++round) {
+    std::shared_ptr<RecipeArtifacts> artifacts = MakeRecipeArtifacts();
+    std::vector<double> got(8, -1.0);
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < got.size(); ++t) {
+      threads.emplace_back([&, t] {
+        auto r = AssessRisk(*data, options[(t + round) % 4], nullptr,
+                            artifacts.get());
+        if (r.ok()) got[t] = r->alpha_max;
+      });
+    }
+    for (std::thread& t : threads) t.join();
+    for (size_t t = 0; t < got.size(); ++t) {
+      ASSERT_EQ(got[t], expected[(t + round) % 4])
+          << "round " << round << " thread " << t;
+    }
+  }
 }
 
 TEST(RecipeTest, ValidatesOptions) {

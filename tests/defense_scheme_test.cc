@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -203,6 +204,35 @@ TEST(DefensePlanBehaviorTest, KAnonymityValidation) {
   EXPECT_TRUE(s->Plan(table, huge).status().IsInvalidArgument());
   DefenseParams missing;  // missing "k"
   EXPECT_TRUE(s->Plan(table, missing).status().IsInvalidArgument());
+
+  // k must be a whole number in [1, n] and iters one in [0, 64], checked
+  // before either is cast (a recorded point may carry any number).
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const double kInf = std::numeric_limits<double>::infinity();
+  for (double k : {kNaN, 2.5, -1.0, kInf, -kInf, 1e30}) {
+    DefenseParams p;
+    p.Set("k", k);
+    Status status = s->Plan(table, p).status();
+    EXPECT_TRUE(status.IsInvalidArgument()) << k;
+    EXPECT_EQ(status.message().rfind("k must ", 0), 0u) << status.message();
+  }
+  for (double iters : {kNaN, 2.5, -1.0, 65.0, 1e12, kInf}) {
+    DefenseParams p;
+    p.Set("k", 3.0);
+    p.Set("iters", iters);
+    Status status = s->Plan(table, p).status();
+    EXPECT_TRUE(status.IsInvalidArgument()) << iters;
+    EXPECT_EQ(status.message().rfind("iters must be a whole number in "
+                                     "[0, 64]; got ", 0),
+              0u)
+        << status.message();
+  }
+  DefenseParams edges;
+  edges.Set("k", 4.0);  // k = n
+  for (double iters : {0.0, 64.0}) {
+    edges.Set("iters", iters);
+    EXPECT_TRUE(s->Plan(table, edges).ok()) << iters;
+  }
 }
 
 TEST(DefensePlanBehaviorTest, SuppressionPlanAccounting) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/recipe.h"
 #include "data/frequency.h"
 #include "datagen/profile.h"
@@ -7,6 +9,7 @@
 #include "defense/scheme.h"
 #include "defense/suppression.h"
 #include "mining/miner.h"
+#include "obs/metrics.h"
 #include "util/rng.h"
 
 namespace anonsafe {
@@ -147,6 +150,30 @@ TEST(DefendTest, ValidatesTolerance) {
   // budget = 0.2 < 1 crack
   EXPECT_TRUE(MergePlanToTolerance(*table, 0.1, false).status()
                   .IsFailedPrecondition());
+
+  // The gap must be finite and >= 0: a NaN used to pass the check and
+  // merge every group.
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const double kInf = std::numeric_limits<double>::infinity();
+  for (double gap : {kNaN, kInf, -kInf, -1.0}) {
+    Status status = MergePlanBelowGap(*table, gap).status();
+    EXPECT_TRUE(status.IsInvalidArgument()) << gap;
+    EXPECT_EQ(status.message().rfind("gap must be finite and >= 0", 0), 0u)
+        << status.message();
+  }
+  // The bisection's iters must be a whole number in [0, 64]; 1e12 used
+  // to bisect for minutes.
+  for (double iters : {kNaN, 2.5, -1.0, 65.0, 1e12}) {
+    defense::DefenseParams params;
+    params.Set("tolerance", 0.5);
+    params.Set("iters", iters);
+    Status status = defense::DefenseScheme::Find("group_merge")
+                        ->Plan(*table, params)
+                        .status();
+    EXPECT_TRUE(status.IsInvalidArgument()) << iters;
+    EXPECT_EQ(status.message().rfind("iters must be a whole number", 0), 0u)
+        << status.message();
+  }
 }
 
 // ------------------------------------------------------ ApplySupportChanges
@@ -271,6 +298,71 @@ TEST(ApplyChangesTest, Validation) {
                            ApplySupportChanges(pairs, {1, 1}, &pairs_rng));
   EXPECT_EQ(WalkTable(pairs, SupportPlan({1, 1}), 4).status().message(),
             "cannot lower support of item 1 without emptying transactions");
+}
+
+uint64_t WalkCount(const char* path) {
+  return obs::MetricsRegistry::Global()
+      .GetCounterWithLabels("anonsafe_defense_walks_total", {{"path", path}})
+      ->value();
+}
+
+// Random databases with transactions of 1 to 4 items and random targets:
+// some plans clear the bound and are not walked, some are walked, and
+// some walks fail. The sizes-only walk must still give Apply's recount,
+// or its error, on every stream.
+TEST(ApplyChangesTest, SkippedAndWalkedPlansMatchTheRecount) {
+  obs::SetMetricsEnabled(true);
+  const uint64_t walked_before = WalkCount("walked");
+  const uint64_t skipped_before = WalkCount("skipped");
+  constexpr size_t kPlans = 400;
+  size_t skipped = 0, failed = 0, walked_ok = 0;
+  for (uint64_t seed = 0; seed < kPlans; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    const size_t n = 2 + rng.UniformUint64(7);
+    const size_t m = 1 + rng.UniformUint64(24);
+    Database db(n);
+    for (size_t t = 0; t < m; ++t) {
+      const size_t size = 1 + rng.UniformUint64(std::min<size_t>(4, n));
+      Transaction txn;
+      for (size_t x : rng.SampleWithoutReplacement(n, size)) {
+        txn.push_back(static_cast<ItemId>(x));
+      }
+      db.AddTransactionUnchecked(std::move(txn));
+    }
+    const defense::internal::HolderIndex index(db);
+    std::vector<SupportCount> targets(n);
+    for (ItemId x = 0; x < n; ++x) {
+      const SupportCount support = index.holders(x).size();
+      // A third keep their support, a third lose, a third gain.
+      switch (rng.UniformUint64(3)) {
+        case 0: targets[x] = support; break;
+        case 1: targets[x] = rng.UniformUint64(support + 1); break;
+        default: targets[x] = support + rng.UniformUint64(m - support + 1);
+      }
+    }
+    const bool skip = defense::internal::NoDrawCanFail(index, targets);
+    skipped += skip ? 1 : 0;
+    for (uint64_t stream : {seed, seed + kPlans}) {
+      Rng apply_rng(stream);
+      auto applied = ApplySupportChanges(db, targets, &apply_rng);
+      failed += applied.ok() ? 0 : 1;
+      walked_ok += applied.ok() && !skip ? 1 : 0;
+      if (skip) {
+        EXPECT_TRUE(applied.ok());
+      }
+      ExpectWalkMatchesRecount(WalkTable(db, SupportPlan(targets), stream),
+                               applied);
+    }
+  }
+  // Apply walks each plan on each stream; the sizes-only walk skips the
+  // plans that clear the bound.
+  EXPECT_EQ(WalkCount("skipped") - skipped_before, 2 * skipped);
+  EXPECT_EQ(WalkCount("walked") - walked_before,
+            2 * kPlans + 2 * (kPlans - skipped));
+  EXPECT_GT(skipped, 0u);
+  EXPECT_GT(walked_ok, 0u);
+  EXPECT_GT(failed, 0u);
 }
 
 TEST(ApplyChangesTest, SuppressionWalkDropsEmptiedTransactions) {

@@ -12,6 +12,7 @@
 #include "defense/utility.h"
 #include "estimator/planner.h"
 #include "exec/exec.h"
+#include "obs/metrics.h"
 #include "util/rng.h"
 
 namespace anonsafe {
@@ -233,6 +234,64 @@ TEST(OptimizerTest, EveryFrontierPointIsReplayable) {
     EXPECT_GT(feasible, 0u);
     if (db.num_items() == 12) {
       EXPECT_GT(unrealizable, 0u);  // the Apply-failure branch ran
+    }
+  }
+}
+
+/// The walk's skip bound, brute force over the transactions: a
+/// transaction whose every item loses support is exposed to its largest
+/// item, and a losing item must keep its target outside its exposed
+/// holders.
+bool BoundClears(const Database& db, const FrequencyTable& table,
+                 const std::vector<SupportCount>& targets) {
+  std::vector<SupportCount> exposed(db.num_items(), 0);
+  for (const Transaction& txn : db.transactions()) {
+    if (!txn.empty() &&
+        std::all_of(txn.begin(), txn.end(), [&](ItemId x) {
+          return targets[x] < table.support(x);
+        })) {
+      ++exposed[txn.back()];
+    }
+  }
+  for (ItemId x = 0; x < db.num_items(); ++x) {
+    if (targets[x] < exposed[x]) return false;
+  }
+  return true;
+}
+
+uint64_t WalkCount(const char* path) {
+  return obs::MetricsRegistry::Global()
+      .GetCounterWithLabels("anonsafe_defense_walks_total", {{"path", path}})
+      ->value();
+}
+
+// The sweep walks exactly the support plans the bound cannot clear: on
+// the dense fixture none of its five, on the singleton fixture (every
+// holder has size 1) all eleven.
+TEST(OptimizerTest, SweepWalksOnlyPlansTheBoundCannotClear) {
+  obs::SetMetricsEnabled(true);
+  for (const Database& db : {FixtureDb(), SingletonDb()}) {
+    auto table = FrequencyTable::Compute(db);
+    ASSERT_TRUE(table.ok());
+    uint64_t walk = 0, skip = 0;
+    for (const DefenseScheme* s : DefenseScheme::All()) {
+      for (const defense::DefenseParams& params : s->ParamSpace(*table)) {
+        auto plan = s->Plan(*table, params);
+        if (!plan.ok() || plan->new_supports.empty()) continue;
+        (BoundClears(db, *table, plan->new_supports) ? skip : walk) += 1;
+      }
+    }
+    const uint64_t walked_before = WalkCount("walked");
+    const uint64_t skipped_before = WalkCount("skipped");
+    ASSERT_TRUE(Sweep(db, 2).ok());
+    EXPECT_EQ(WalkCount("walked") - walked_before, walk);
+    EXPECT_EQ(WalkCount("skipped") - skipped_before, skip);
+    if (db.num_items() == 12) {
+      EXPECT_EQ(walk, 11u);
+      EXPECT_EQ(skip, 0u);
+    } else {
+      EXPECT_EQ(walk, 0u);
+      EXPECT_EQ(skip, 5u);
     }
   }
 }

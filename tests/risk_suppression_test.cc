@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "belief/builders.h"
 #include "core/oestimate.h"
 #include "core/per_item_risk.h"
@@ -157,6 +159,27 @@ TEST(SuppressionTest, ValidatesOptions) {
   EXPECT_TRUE(SuppressionPlan(*table, 0.1, 0.5, /*rerank_batch=*/0.0)
                   .status()
                   .IsInvalidArgument());
+
+  // Both are checked before they are cast: NaN and -1 used to plan.
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  for (double fraction : {kNaN, -0.1, 1.5}) {
+    Status status = SuppressionPlan(*table, 0.1, fraction).status();
+    EXPECT_TRUE(status.IsInvalidArgument()) << fraction;
+    EXPECT_EQ(status.message(), "max_suppressed_fraction must lie in [0, 1]");
+  }
+  for (double batch : {kNaN, -1.0, 2.5, 1e300}) {
+    Status status = SuppressionPlan(*table, 0.1, 0.5, batch).status();
+    EXPECT_TRUE(status.IsInvalidArgument()) << batch;
+    EXPECT_EQ(status.message().rfind("rerank_batch must be a whole number", 0),
+              0u)
+        << status.message();
+  }
+  for (double fraction : {0.0, 1.0}) {
+    EXPECT_FALSE(SuppressionPlan(*table, 0.1, fraction, 1.0)
+                     .status()
+                     .IsInvalidArgument())
+        << fraction;
+  }
 }
 
 TEST(ApplySuppressionTest, RemovesItemsAndEmptyTransactions) {

@@ -135,6 +135,57 @@ TEST(RngTest, UniformUint64HitsAllResidues) {
   EXPECT_EQ(seen.size(), 5u);
 }
 
+/// The textbook bounded draw, kept as the oracle of `UniformUint64`: the
+/// rejection threshold 2^64 mod bound first, then draws until one
+/// clears it. `rejected` counts the draws it threw away.
+uint64_t TextbookUniform(Rng* rng, uint64_t bound, size_t* rejected) {
+  const uint64_t threshold = (-bound) % bound;
+  for (;;) {
+    const uint64_t r = rng->Next();
+    if (r >= threshold) return r % bound;
+    ++*rejected;
+  }
+}
+
+TEST(RngTest, UniformUint64MatchesTextbookDraw) {
+  const uint64_t kMax = std::numeric_limits<uint64_t>::max();
+  size_t rejected = 0;
+  for (uint64_t bound : {uint64_t{1}, uint64_t{2}, uint64_t{3},
+                         uint64_t{3378}, (uint64_t{1} << 32) + 1,
+                         (uint64_t{1} << 63) + 1, kMax}) {
+    for (uint64_t seed = 0; seed < 64; ++seed) {
+      Rng rng(seed), oracle(seed);
+      for (int i = 0; i < 200; ++i) {
+        ASSERT_EQ(rng.UniformUint64(bound),
+                  TextbookUniform(&oracle, bound, &rejected))
+            << "bound " << bound << " seed " << seed << " draw " << i;
+      }
+      // Both consumed the same draws.
+      ASSERT_EQ(rng.Next(), oracle.Next());
+    }
+  }
+  // Above 2^63 about half of all draws are rejected.
+  EXPECT_GT(rejected, 1000u);
+}
+
+TEST(RngTest, ShuffleMatchesTextbookFisherYates) {
+  for (size_t n : {0u, 1u, 2u, 7u, 3378u}) {
+    for (uint64_t seed = 0; seed < 16; ++seed) {
+      std::vector<size_t> shuffled(n), reference(n);
+      for (size_t i = 0; i < n; ++i) shuffled[i] = reference[i] = i;
+      Rng rng(seed), oracle(seed);
+      rng.Shuffle(&shuffled);
+      size_t rejected = 0;
+      for (size_t i = n; i > 1; --i) {
+        std::swap(reference[i - 1],
+                  reference[TextbookUniform(&oracle, i, &rejected)]);
+      }
+      ASSERT_EQ(shuffled, reference) << "n " << n << " seed " << seed;
+      ASSERT_EQ(rng.Next(), oracle.Next());
+    }
+  }
+}
+
 TEST(RngTest, UniformDoubleInUnitInterval) {
   Rng rng(9);
   for (int i = 0; i < 10000; ++i) {
