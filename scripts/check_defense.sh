@@ -2,9 +2,11 @@
 # End-to-end validation of the defense optimizer surface:
 #   1. `recommend-defense` sweeps every registered scheme and prints a
 #      frontier table plus a baseline line on the fixed dataset,
-#   2. `--json` is byte-identical at 1 and 8 threads (the optimizer's
-#      determinism contract), also on a singleton-transaction dataset
-#      whose merge candidates fail in the realization walk,
+#   2. `--json` is byte-identical at 1, 2, 3 and 8 threads (the
+#      optimizer's determinism contract), also on a singleton-transaction
+#      dataset whose merge candidates fail in the realization walk, and
+#      at 1 and 4 threads under `--prefer-sampler` on a dataset where two
+#      candidates release the same sampled table,
 #   3. `--csv` emits one row per candidate with the documented header,
 #   4. the frontier document is internally consistent: every frontier
 #      entry points at a feasible candidate flagged on_frontier, no
@@ -58,13 +60,6 @@ grep -q "baseline" "$out" || fail "missing baseline line"
 grep -qi "scheme" "$out" || fail "missing frontier table header"
 
 # --------------------------------------- 2. thread-count byte identity
-timeout 120 "$CLI" recommend-defense "$data" --json --threads=1 \
-  > "$workdir/t1.json" || fail "--json --threads=1 failed"
-timeout 120 "$CLI" recommend-defense "$data" --json --threads=8 \
-  > "$workdir/t8.json" || fail "--json --threads=8 failed"
-diff -q "$workdir/t1.json" "$workdir/t8.json" >/dev/null \
-  || fail "frontier JSON differs between 1 and 8 threads"
-
 # Item i alone in 3i singleton transactions (i = 1..12): every holder
 # has size 1, so merges that lower a support are infeasible, and the
 # reasons must not depend on which thread scored the candidate.
@@ -72,14 +67,49 @@ singletons="$workdir/singletons.dat"
 for i in $(seq 1 12); do
   for _ in $(seq 1 $((3 * i))); do echo "$i"; done
 done > "$singletons"
-timeout 120 "$CLI" recommend-defense "$singletons" --json --threads=1 \
-  > "$workdir/s1.json" || fail "singletons --json --threads=1 failed"
-timeout 120 "$CLI" recommend-defense "$singletons" --json --threads=8 \
-  > "$workdir/s8.json" || fail "singletons --json --threads=8 failed"
-diff -q "$workdir/s1.json" "$workdir/s8.json" >/dev/null \
-  || fail "singletons frontier JSON differs between 1 and 8 threads"
+for t in 1 2 3 8; do
+  timeout 120 "$CLI" recommend-defense "$data" --json --threads=$t \
+    > "$workdir/t$t.json" || fail "--json --threads=$t failed"
+  timeout 120 "$CLI" recommend-defense "$singletons" --json --threads=$t \
+    > "$workdir/s$t.json" || fail "singletons --json --threads=$t failed"
+done
+for t in 2 3 8; do
+  diff -q "$workdir/t1.json" "$workdir/t$t.json" >/dev/null \
+    || fail "frontier JSON differs between 1 and $t threads"
+  diff -q "$workdir/s1.json" "$workdir/s$t.json" >/dev/null \
+    || fail "singletons frontier JSON differs between 1 and $t threads"
+done
 grep -q '"reason":"cannot lower support of item [0-9]* without emptying transactions"' \
   "$workdir/s1.json" || fail "singletons sweep has no 'cannot lower support' reason"
+
+# Six items whose two coarsest suppression rungs suppress nothing, so
+# they release the same table. Under --prefer-sampler at
+# --ryser-cutoff=2 that table has a sampler block: the second rung is
+# scored on its own sampler stream instead of taking the first's score,
+# and the document must still not depend on the thread count.
+shared="$workdir/shared.dat"
+cat > "$shared" <<'EOF'
+4
+1 3
+4
+2 5 6
+5
+3 4 6
+2 3 4
+2
+4 5 6
+3 4 6
+1 3
+1 5 6
+3
+EOF
+for t in 1 4; do
+  timeout 120 "$CLI" recommend-defense "$shared" --json --prefer-sampler \
+    --ryser-cutoff=2 --threads=$t > "$workdir/p$t.json" \
+    || fail "--prefer-sampler --threads=$t failed"
+done
+diff -q "$workdir/p1.json" "$workdir/p4.json" >/dev/null \
+  || fail "--prefer-sampler frontier JSON differs between 1 and 4 threads"
 
 # ------------------------------------------------------------- 3. CSV
 timeout 120 "$CLI" recommend-defense "$data" --csv="$workdir/sweep.csv" \

@@ -1,6 +1,9 @@
 #include "defense/optimizer.h"
 
 #include <algorithm>
+#include <functional>
+#include <numeric>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -32,6 +35,7 @@ struct RiskScore {
   size_t num_components = 0;
   size_t k_anonymity = 0;
   size_t num_groups = 0;
+  bool sampled = false;  ///< a block drew from the sampler's stream
 };
 
 /// Expected cracks of a release under the recipe's compliant interval
@@ -52,13 +56,23 @@ Result<RiskScore> ScoreRisk(const FrequencyTable& release,
   score.expected_cracks = estimate.expected_cracks;
   score.exact = estimate.exact;
   score.num_components = estimate.num_components;
+  score.sampled = std::any_of(estimate.blocks.begin(), estimate.blocks.end(),
+                              [](const BlockProvenance& b) {
+                                return b.method == BlockMethod::kSampler;
+                              });
   return score;
 }
 
-/// A enumerated-but-unscored candidate: which scheme, which params.
+/// A candidate between the sweep's passes: which scheme and params, the
+/// after-table its walk realized, and whose score it takes.
 struct PendingCandidate {
   const DefenseScheme* scheme = nullptr;
   DefenseParams params;
+  std::optional<FrequencyTable> after;  ///< set when realizable
+  size_t scorer = 0;  ///< the candidate whose risk and utility it takes
+  RiskScore risk;     ///< set on a scorer
+  UtilityLoss utility;
+  Status error;       ///< a hard failure; the lowest index wins
 };
 
 }  // namespace
@@ -153,7 +167,9 @@ Result<DefenseFrontier> RecommendDefense(const CountedDatabase& data,
   std::vector<PendingCandidate> pending;
   for (const DefenseScheme* scheme : DefenseScheme::All()) {
     for (DefenseParams& params : scheme->ParamSpace(before)) {
-      pending.push_back(PendingCandidate{scheme, std::move(params)});
+      pending.emplace_back();
+      pending.back().scheme = scheme;
+      pending.back().params = std::move(params);
     }
   }
   obs::CountIf("defense.recommend.candidates", pending.size());
@@ -161,62 +177,110 @@ Result<DefenseFrontier> RecommendDefense(const CountedDatabase& data,
     timer.Annotate("candidates", std::to_string(pending.size()));
   }
 
-  // Score candidates in parallel, one per chunk, into fixed slots.
-  // RNG streams are a function of the candidate index alone (the
-  // realization walk draws stream 2i+2, sampler fallbacks stream 2i+3),
-  // so the sweep is bit-identical at any thread count.
-  result.candidates.resize(pending.size());
-  Status status = exec::ParallelForChunks(
-      ctx, pending.size(), /*grain=*/1,
-      [&](size_t begin, size_t end) -> Status {
-        for (size_t i = begin; i < end; ++i) {
-          if (ctx != nullptr && ctx->cancelled()) return Status::OK();
-          const PendingCandidate& cand = pending[i];
-          CandidateScore& score = result.candidates[i];
-          score.index = i;
-          score.scheme = cand.scheme->name();
-          score.params = cand.params;
+  // Three steps, each a function of candidate indices alone, so the
+  // sweep is bit-identical at any thread count:
+  //  1. In parallel, plan every candidate and walk it on sizes alone
+  //     (stream 2i+2): the table Apply's database would count, without
+  //     building that database.
+  //  2. Pick one scorer per distinct after-table (same supports, same
+  //     m): its lowest candidate index, the leader.
+  //  3. In parallel, score the leaders (sampler fallbacks on stream
+  //     2i+3). Risk and utility are functions of the after-table, so
+  //     the other candidates take their leader's; only a sampler
+  //     estimate also depends on its stream, so the followers of a
+  //     leader that sampled are scored on their own streams.
+  const size_t n = pending.size();
+  result.candidates.resize(n);
+  // One candidate per chunk; each keeps its own error.
+  auto in_parallel = [&](const std::vector<size_t>& which,
+                         const std::function<Status(size_t)>& step) {
+    return exec::ParallelForChunks(
+        ctx, which.size(), /*grain=*/1, [&](size_t c, size_t) -> Status {
+          pending[which[c]].error = step(which[c]);
+          return Status::OK();
+        });
+  };
+  auto walk = [&](size_t i) -> Status {
+    PendingCandidate& cand = pending[i];
+    CandidateScore& score = result.candidates[i];
+    score.index = i;
+    score.scheme = cand.scheme->name();
+    score.params = cand.params;
+    Result<DefensePlan> plan = cand.scheme->Plan(before, cand.params);
+    if (!plan.ok()) {
+      if (plan.status().code() != StatusCode::kFailedPrecondition) {
+        return plan.status();
+      }
+      score.reason = plan.status().message();  // unreachable, not fatal
+      return Status::OK();
+    }
+    Rng realize_rng(exec::SplitSeed(seed, 2 * i + 2));
+    Result<internal::Realized> realized =
+        internal::Realize(index, *plan, &realize_rng);
+    Result<FrequencyTable> after =
+        realized.ok() ? realized->Table()
+                      : Result<FrequencyTable>(realized.status());
+    if (!after.ok()) {
+      // Unrealizable on this database, or it emptied the release.
+      score.reason = after.status().message();
+      return Status::OK();
+    }
+    score.plan = std::move(*plan);
+    cand.after = std::move(*after);
+    return Status::OK();
+  };
+  auto score = [&](size_t i) -> Status {
+    PendingCandidate& cand = pending[i];
+    ANONSAFE_ASSIGN_OR_RETURN(FrequencyTable release,
+                              ReleaseView(*cand.after));
+    PlannerOptions planner = options.planner;
+    planner.block_sampler.exec.seed = exec::SplitSeed(seed, 2 * i + 3);
+    ANONSAFE_ASSIGN_OR_RETURN(cand.risk, ScoreRisk(release, planner, ctx));
+    cand.utility = ComputeUtilityLoss(before, *cand.after);
+    return Status::OK();
+  };
 
-          Result<DefensePlan> plan = cand.scheme->Plan(before, cand.params);
-          if (!plan.ok()) {
-            if (plan.status().code() == StatusCode::kFailedPrecondition) {
-              score.reason = plan.status().message();
-              continue;  // unreachable setting — recorded, not fatal
-            }
-            return plan.status();
-          }
-          // The walk on sizes alone: the table Apply's database would
-          // count, without building that database.
-          Rng realize_rng(exec::SplitSeed(seed, 2 * i + 2));
-          Result<internal::Realized> realized =
-              internal::Realize(index, *plan, &realize_rng);
-          Result<FrequencyTable> after =
-              realized.ok() ? realized->Table()
-                            : Result<FrequencyTable>(realized.status());
-          if (!after.ok()) {
-            // Unrealizable on this database, or it emptied the release.
-            score.reason = after.status().message();
-            continue;
-          }
-          ANONSAFE_ASSIGN_OR_RETURN(FrequencyTable release,
-                                    ReleaseView(*after));
-          PlannerOptions planner = options.planner;
-          planner.block_sampler.exec.seed = exec::SplitSeed(seed, 2 * i + 3);
-          ANONSAFE_ASSIGN_OR_RETURN(RiskScore risk,
-                                    ScoreRisk(release, planner, ctx));
-          score.feasible = true;
-          score.plan = std::move(*plan);
-          score.expected_cracks = risk.expected_cracks;
-          score.exact = risk.exact;
-          score.num_components = risk.num_components;
-          score.k_anonymity = risk.k_anonymity;
-          score.utility = ComputeUtilityLoss(before, *after);
-        }
-        return Status::OK();
-      });
-  ANONSAFE_RETURN_IF_ERROR(status);
+  std::vector<size_t> all(n);
+  std::iota(all.begin(), all.end(), size_t{0});
+  ANONSAFE_RETURN_IF_ERROR(in_parallel(all, walk));
+  std::vector<size_t> leaders;
+  for (size_t i = 0; i < n; ++i) {
+    PendingCandidate& cand = pending[i];
+    if (!cand.after) continue;
+    auto same = std::find_if(leaders.begin(), leaders.end(), [&](size_t j) {
+      const FrequencyTable& other = *pending[j].after;
+      return other.num_transactions() == cand.after->num_transactions() &&
+             other.supports() == cand.after->supports();
+    });
+    cand.scorer = same != leaders.end() ? *same : i;
+    if (cand.scorer == i) leaders.push_back(i);
+  }
+  ANONSAFE_RETURN_IF_ERROR(in_parallel(leaders, score));
+  std::vector<size_t> own;
+  for (size_t i = 0; i < n; ++i) {
+    PendingCandidate& cand = pending[i];
+    if (cand.after && cand.scorer != i && pending[cand.scorer].risk.sampled) {
+      cand.scorer = i;
+      own.push_back(i);
+    }
+  }
+  ANONSAFE_RETURN_IF_ERROR(in_parallel(own, score));
+  for (const PendingCandidate& cand : pending) {
+    ANONSAFE_RETURN_IF_ERROR(cand.error);
+  }
   if (ctx != nullptr && ctx->cancelled()) {
     return Status::Cancelled("recommend_defense cancelled");
+  }
+  for (size_t i = 0; i < n; ++i) {
+    if (!pending[i].after) continue;
+    const PendingCandidate& scorer = pending[pending[i].scorer];
+    CandidateScore& c = result.candidates[i];
+    c.feasible = true;
+    c.expected_cracks = scorer.risk.expected_cracks;
+    c.exact = scorer.risk.exact;
+    c.num_components = scorer.risk.num_components;
+    c.k_anonymity = scorer.risk.k_anonymity;
+    c.utility = scorer.utility;
   }
 
   // Literal O(n^2) dominance over the feasible candidates: A dominates

@@ -90,13 +90,15 @@ struct DefenseFrontier {
 /// \brief The sweep: enumerates every registered scheme's `ParamSpace`
 /// over `data`'s table, plans each candidate, realizes it on transaction
 /// sizes alone (the walk `Apply` runs, over one holder index of the
-/// database that every candidate shares), scores the after-table
-/// (expected cracks via the estimator planner, information loss via
-/// `ComputeUtilityLoss`), and extracts the Pareto frontier. Candidates
-/// evaluate in parallel on `ctx`, whose seed is the sweep's master seed
-/// (a null context means `exec::ExecOptions{}`: sequential, default
-/// seed); the frontier is bit-identical at any thread count. Returns
-/// Cancelled when `ctx` is cancelled mid-sweep.
+/// database that every candidate shares), scores each distinct
+/// after-table once (expected cracks via the estimator planner,
+/// information loss via `ComputeUtilityLoss`), and extracts the Pareto
+/// frontier. Candidates with the same after-table share its score,
+/// except that a sampled estimate is redone on each candidate's own
+/// stream. Candidates evaluate in parallel on `ctx`, whose seed is the
+/// sweep's master seed (a null context means `exec::ExecOptions{}`:
+/// sequential, default seed); the frontier is bit-identical at any
+/// thread count. Returns Cancelled when `ctx` is cancelled mid-sweep.
 Result<DefenseFrontier> RecommendDefense(const CountedDatabase& data,
                                          const OptimizerOptions& options = {},
                                          exec::ExecContext* ctx = nullptr);

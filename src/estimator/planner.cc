@@ -554,14 +554,9 @@ Result<CrackEstimate> EstimatePlanned(const BlockPlan& plan,
     obs::CountIf(CounterNameForMethod(prov.method), 1);
   }
 
-  // The same fixed-shape reduction the direct method uses — same n, same
-  // grain, hence the same pairwise tree over the same per-item leaves.
-  ANONSAFE_ASSIGN_OR_RETURN(
-      out.expected_cracks,
-      exec::ParallelSumChunks(ctx, n, /*grain=*/1,
-                              [&](size_t x, size_t /*end*/) -> Result<double> {
-                                return contrib[x];
-                              }));
+  // The pairwise tree the direct method's one-item-grain reduction
+  // builds over the same per-item leaves, folded without a fan-out.
+  out.expected_cracks = exec::PairwiseSum(contrib);
   return out;
 }
 

@@ -21,6 +21,10 @@ uint64_t Mix64(uint64_t z) {
   return z ^ (z >> 31);
 }
 
+// True while the calling thread of a region helps drain the pool: the
+// chunks it runs then keep their nested regions inline, as a worker's do.
+thread_local bool tls_helping = false;
+
 }  // namespace
 
 uint64_t SplitSeed(uint64_t seed, uint64_t stream) {
@@ -136,8 +140,8 @@ Status ParallelForChunks(ExecContext* ctx, size_t n, size_t grain,
   const size_t parent_span =
       tracer != nullptr ? tracer->InnermostOpenSpan() : obs::kNoSpan;
 
-  const bool sequential =
-      pool == nullptr || chunks == 1 || ThreadPool::OnWorkerThread();
+  const bool sequential = pool == nullptr || chunks == 1 ||
+                          ThreadPool::OnWorkerThread() || tls_helping;
   if (sequential) {
     // Same chunk boundaries and order as the parallel path so a null
     // context is bit-identical to any thread count.
@@ -194,7 +198,11 @@ Status ParallelForChunks(ExecContext* ctx, size_t n, size_t grain,
 
   // The caller lends a hand instead of blocking; between steals it
   // naps briefly on the condvar so the final chunks finishing on
-  // workers wake it promptly.
+  // workers wake it promptly. A chunk it runs here fans out no further:
+  // its nested regions run inline, so whichever thread takes a chunk
+  // does all of it. Chunks never throw out of their closures, so the
+  // flag is always reset.
+  tls_helping = true;
   for (;;) {
     if (pool->TryRunOneTask()) continue;
     std::unique_lock<std::mutex> lock(state->mu);
@@ -203,6 +211,7 @@ Status ParallelForChunks(ExecContext* ctx, size_t n, size_t grain,
                        [&] { return state->remaining == 0; });
     if (state->remaining == 0) break;
   }
+  tls_helping = false;
   // All chunks joined: splice the fragments back in index order. This
   // runs on the spawning thread, so `tracer` is touched single-threaded.
   if (traced) {

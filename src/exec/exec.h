@@ -128,10 +128,12 @@ inline size_t NumChunks(size_t n, size_t grain) {
 
 /// \brief Runs `body(begin, end)` over [0, n) in chunks of `grain`
 /// items. Chunk boundaries depend only on (n, grain); with a null
-/// context (or 1 thread, or when already on a pool worker — nested
-/// regions run inline to avoid deadlock) the chunks execute
-/// sequentially in index order, otherwise they are distributed across
-/// the pool while the caller helps drain tasks.
+/// context, 1 thread or one chunk the chunks execute sequentially in
+/// index order, otherwise they are distributed across the pool while
+/// the caller helps drain tasks. A region nested inside a distributed
+/// chunk runs inline on the thread that runs that chunk, be it a pool
+/// worker or the helping caller: such a chunk never fans out again onto
+/// a pool that is busy with its siblings.
 ///
 /// The returned Status is deterministic: when several chunks fail, the
 /// error from the lowest chunk index wins. Exceptions thrown by `body`

@@ -904,8 +904,9 @@ std::string CliUsage() {
       "are the serve params of the same names, --kebab-case here and\n"
       "snake_case in JSON (--ryser-cutoff=16 is \"ryser_cutoff\":16); see\n"
       "docs/SERVER.md for each type, default and range. Out-of-range\n"
-      "integers are errors. --threads=0 uses all cores. On every command\n"
-      "an unknown flag is an error that lists the accepted ones.\n"
+      "integers are errors. --threads=0 uses all cores, and a larger count\n"
+      "is capped at them. On every command an unknown flag is an error\n"
+      "that lists the accepted ones.\n"
       "\n"
       "Global flags (any command):\n"
       "  --trace               print a per-phase timing tree after the run\n"

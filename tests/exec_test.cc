@@ -161,6 +161,53 @@ TEST(ParallelForTest, NestedRegionRunsInlineWithoutDeadlock) {
   EXPECT_EQ(inner_total.load(), 4 * 8);
 }
 
+// A nested region runs inline on whichever thread runs its enclosing
+// chunk, the caller helping to drain the outer region included: none of
+// its chunks lands on another thread.
+TEST(ParallelForTest, NestedChunksRunOnTheThreadOfTheirOuterChunk) {
+  ExecOptions options;
+  options.threads = 2;
+  ExecContext ctx(options);
+  constexpr size_t kOuter = 3;
+  constexpr size_t kInner = 8;
+  const std::thread::id caller = std::this_thread::get_id();
+  // Each worker holds its first outer chunk until the caller has taken
+  // one, so the caller runs at least one of the three. Only the caller's
+  // nested chunks take time, so idle workers would take them if the
+  // caller fanned them out.
+  std::atomic<bool> caller_started{false};
+  std::vector<std::thread::id> outer_ids(kOuter);
+  std::vector<std::vector<std::thread::id>> inner_ids(
+      kOuter, std::vector<std::thread::id>(kInner));
+  Status st = ParallelForChunks(
+      &ctx, kOuter, 1, [&](size_t c, size_t) -> Status {
+        outer_ids[c] = std::this_thread::get_id();
+        const bool on_caller = outer_ids[c] == caller;
+        if (on_caller) caller_started.store(true);
+        for (int waited = 0; !caller_started.load() && waited < 5000;
+             ++waited) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        return ParallelForChunks(
+            &ctx, kInner, 1, [&, c, on_caller](size_t b, size_t) -> Status {
+              inner_ids[c][b] = std::this_thread::get_id();
+              if (on_caller) {
+                std::this_thread::sleep_for(std::chrono::milliseconds(1));
+              }
+              return Status::OK();
+            });
+      });
+  ASSERT_TRUE(st.ok());
+  EXPECT_TRUE(caller_started.load());
+  for (size_t c = 0; c < kOuter; ++c) {
+    for (size_t b = 0; b < kInner; ++b) {
+      EXPECT_EQ(inner_ids[c][b], outer_ids[c])
+          << "outer chunk " << c << ", nested chunk " << b
+          << (outer_ids[c] == caller ? " (caller)" : " (worker)");
+    }
+  }
+}
+
 TEST(ParallelForTest, CancellationSkipsRemainingChunks) {
   // Sequential context: cancellation after the first chunk must skip
   // every later chunk deterministically.

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "belief/builders.h"
@@ -47,13 +49,26 @@ Database SingletonDb() {
   return db;
 }
 
+// Six items on which the four k-anonymity rungs and the group merge
+// all give the one-group full merge, and the two coarsest suppression
+// rungs release the same table. Under prefer_sampler at Ryser cutoff 2
+// the release those two share has a sampler block.
+Database SharedReleaseDb() {
+  auto db = Database::FromTransactions(
+      6, {{3}, {0, 2}, {3}, {1, 4, 5}, {4}, {2, 3, 5}, {1, 2, 3}, {1},
+          {3, 4, 5}, {2, 3, 5}, {0, 2}, {0, 4, 5}, {2}});
+  EXPECT_TRUE(db.ok());
+  return *db;
+}
+
 Result<DefenseFrontier> Sweep(const Database& db, size_t threads,
-                              uint64_t seed = 7) {
+                              uint64_t seed = 7,
+                              const OptimizerOptions& options = {}) {
   exec::ExecOptions eo;
   eo.seed = seed;
   eo.threads = threads;
   exec::ExecContext ctx(eo);
-  return RecommendDefense(db, OptimizerOptions{}, &ctx);
+  return RecommendDefense(db, options, &ctx);
 }
 
 TEST(OptimizerTest, SweepCoversEveryRegisteredScheme) {
@@ -164,7 +179,8 @@ struct Rescore {
   size_t k_anonymity = 0;
 };
 Result<Rescore> RescoreRelease(const FrequencyTable& after,
-                               uint64_t sampler_seed) {
+                               uint64_t sampler_seed,
+                               PlannerOptions planner = {}) {
   std::vector<SupportCount> alive;
   for (SupportCount s : after.supports()) {
     if (s > 0) alive.push_back(s);
@@ -178,7 +194,6 @@ Result<Rescore> RescoreRelease(const FrequencyTable& after,
   ANONSAFE_ASSIGN_OR_RETURN(
       BeliefFunction belief,
       MakeCompliantIntervalBelief(release, groups.MedianGap()));
-  PlannerOptions planner;
   planner.block_sampler.exec.seed = sampler_seed;
   ANONSAFE_ASSIGN_OR_RETURN(CrackEstimate estimate,
                             PlanAndEstimate(groups, belief, planner));
@@ -293,6 +308,87 @@ TEST(OptimizerTest, SweepWalksOnlyPlansTheBoundCannotClear) {
       EXPECT_EQ(walk, 0u);
       EXPECT_EQ(skip, 5u);
     }
+  }
+}
+
+uint64_t PlanCount() {
+  return obs::MetricsRegistry::Global()
+      .GetCounter("anonsafe_planner_plans_total")
+      ->value();
+}
+
+// The sweep plans the baseline and each distinct after-table among the
+// feasible candidates once, while every support plan is still walked or
+// skipped on its own. A sampler estimate depends on its stream, so
+// under prefer_sampler each follower of a leader that sampled is scored
+// on its own stream: the document stays byte-identical at any thread
+// count, and every candidate's risk replays from its own stream.
+TEST(OptimizerTest, EachDistinctReleaseIsScoredOnce) {
+  obs::SetMetricsEnabled(true);
+  const Database db = SharedReleaseDb();
+  auto table = FrequencyTable::Compute(db);
+  ASSERT_TRUE(table.ok());
+  uint64_t support_plans = 0;
+  for (const DefenseScheme* s : DefenseScheme::All()) {
+    for (const defense::DefenseParams& params : s->ParamSpace(*table)) {
+      auto plan = s->Plan(*table, params);
+      support_plans += plan.ok() && !plan->new_supports.empty() ? 1 : 0;
+    }
+  }
+  OptimizerOptions sampler;
+  sampler.planner.prefer_sampler = true;
+  sampler.planner.ryser_cutoff = 2;
+  for (const OptimizerOptions& options : {OptimizerOptions{}, sampler}) {
+    const bool sampling = options.planner.prefer_sampler;
+    SCOPED_TRACE(sampling ? "prefer_sampler" : "default options");
+    std::vector<std::string> docs;
+    size_t distinct = 0;
+    size_t own = 0;  // followers of a leader that sampled
+    for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
+      const uint64_t plans_before = PlanCount();
+      const uint64_t walks_before = WalkCount("walked") + WalkCount("skipped");
+      auto frontier = Sweep(db, threads, 7, options);
+      ASSERT_TRUE(frontier.ok());
+      const uint64_t plans = PlanCount() - plans_before;
+      EXPECT_EQ(WalkCount("walked") + WalkCount("skipped") - walks_before,
+                support_plans);
+      docs.push_back(frontier->ToJson().Dump());
+
+      // Leaders replayed from the plans: the lowest feasible candidate
+      // of each distinct after-table.
+      std::map<std::pair<size_t, std::vector<SupportCount>>, size_t> leaders;
+      own = 0;
+      for (const CandidateScore& c : frontier->candidates) {
+        if (!c.feasible) continue;
+        SCOPED_TRACE(c.scheme + " " + c.params.ToString());
+        Rng rng(exec::SplitSeed(frontier->seed, 2 * c.index + 2));
+        auto released = DefenseScheme::Find(c.scheme)->Apply(db, c.plan, &rng);
+        ASSERT_TRUE(released.ok());
+        auto after = FrequencyTable::Compute(*released);
+        ASSERT_TRUE(after.ok());
+        auto [leader, first] = leaders.try_emplace(
+            {after->num_transactions(), after->supports()}, c.index);
+        // Only prefer_sampler sends a block to the sampler, and only a
+        // sampler block leaves an estimate inexact under it.
+        if (!first && sampling && !frontier->candidates[leader->second].exact) {
+          ++own;
+        }
+        auto rescore =
+            RescoreRelease(*after, exec::SplitSeed(frontier->seed,
+                                                   2 * c.index + 3),
+                           options.planner);
+        ASSERT_TRUE(rescore.ok());
+        EXPECT_EQ(rescore->expected_cracks, c.expected_cracks);
+      }
+      distinct = leaders.size();
+      EXPECT_EQ(plans, 1 + distinct + own) << "threads " << threads;
+    }
+    EXPECT_EQ(docs[0], docs[1]);
+    EXPECT_EQ(docs[0], docs[2]);
+    // The fixture's point: 8 feasible candidates share 3 releases, and
+    // under prefer_sampler one follower is scored on its own stream.
+    EXPECT_EQ(distinct, 3u);
+    EXPECT_EQ(own, sampling ? 1u : 0u);
   }
 }
 
