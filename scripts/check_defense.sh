@@ -7,11 +7,15 @@
 #      dataset whose merge candidates fail in the realization walk, and
 #      at 1 and 4 threads under `--prefer-sampler` on a dataset where two
 #      candidates release the same sampled table,
-#   3. `--csv` emits one row per candidate with the documented header,
-#   4. the frontier document is internally consistent: every frontier
+#   3. `defend --mode=suppress` at each of the sweep's suppression
+#      tolerances plans what the sweep's candidate planned: the same
+#      dropped-item count, or the same cap error (the sweep plans the
+#      tolerances as one ladder, `defend` plans one point),
+#   4. `--csv` emits one row per candidate with the documented header,
+#   5. the frontier document is internally consistent: every frontier
 #      entry points at a feasible candidate flagged on_frontier, no
 #      feasible candidate outside it dominates one inside,
-#   5. the serve verb `recommend_defense` (v2) embeds exactly the
+#   6. the serve verb `recommend_defense` (v2) embeds exactly the
 #      frontier document the CLI prints, and server_info advertises
 #      the verb.
 #
@@ -111,7 +115,47 @@ done
 diff -q "$workdir/p1.json" "$workdir/p4.json" >/dev/null \
   || fail "--prefer-sampler frontier JSON differs between 1 and 4 threads"
 
-# ------------------------------------------------------------- 3. CSV
+# ------------------------------------------ 3. single point vs ladder
+timeout 120 "$CLI" recommend-defense "$shared" --json > "$workdir/d1.json" \
+  || fail "shared --json failed"
+if command -v python3 >/dev/null 2>&1; then
+  # <dataset>:<its sweep document>
+  for fixture in "$data:t1" "$singletons:s1" "$shared:d1"; do
+    dataset="${fixture%:*}"
+    # One line per suppression candidate: "<tolerance> <dropped items>"
+    # when feasible, "<tolerance> error: <reason>" when not.
+    python3 - "$workdir/${fixture##*:}.json" > "$workdir/ladder.txt" <<'PY'
+import json, sys
+doc = json.load(open(sys.argv[1]))
+for c in doc["candidates"]:
+    if c["scheme"] != "suppression":
+        continue
+    tau = c["params"]["tolerance"]
+    if c["feasible"]:
+        print(tau, c["plan"]["suppressed_items"])
+    else:
+        print(tau, "error:", c["reason"])
+PY
+    [[ $(wc -l < "$workdir/ladder.txt") -eq 8 ]] \
+      || fail "$dataset: expected 8 suppression candidates"
+    while read -r tau expected; do
+      if got="$("$CLI" defend "$dataset" "$workdir/defended.dat" \
+                 --mode=suppress --tolerance="$tau" 2>&1)"; then
+        got="$(sed -n 's/^suppression defense: dropped \([0-9]*\) of .*/\1/p' \
+               <<< "$got")"
+      else
+        got="error: $(sed -n 's/^error: FailedPrecondition: //p' <<< "$got")"
+      fi
+      [[ "$got" == "$expected" ]] \
+        || fail "$dataset: defend --tolerance=$tau gave '$got'," \
+                "the sweep planned '$expected'"
+    done < "$workdir/ladder.txt"
+  done
+else
+  echo "check_defense: note: python3 unavailable, skipping ladder checks"
+fi
+
+# ------------------------------------------------------------- 4. CSV
 timeout 120 "$CLI" recommend-defense "$data" --csv="$workdir/sweep.csv" \
   >/dev/null || fail "--csv failed"
 head -1 "$workdir/sweep.csv" | grep -q \
@@ -128,7 +172,7 @@ assert len(rows) == doc["num_candidates"] + 1, \
     f"csv rows {len(rows)-1} != candidates {doc['num_candidates']}"
 PY
 
-  # --------------------------------- 4. frontier internal consistency
+  # --------------------------------- 5. frontier internal consistency
   python3 - "$workdir/t1.json" <<'PY'
 import json, sys
 doc = json.load(open(sys.argv[1]))
@@ -162,7 +206,7 @@ else
   echo "check_defense: note: python3 unavailable, skipping JSON checks"
 fi
 
-# ---------------------------------------------------- 5. serve parity
+# ---------------------------------------------------- 6. serve parity
 key="$(printf '%s\n' \
   "{\"schema_version\":1,\"id\":0,\"verb\":\"load_dataset\",\"params\":{\"path\":\"$data\"}}" \
   "{\"schema_version\":1,\"id\":0,\"verb\":\"shutdown\"}" \
@@ -199,4 +243,4 @@ diff -q "$workdir/srv.json" "$workdir/cli.json" >/dev/null \
 sed -n '3p' "$responses" | grep -q '"recommend_defense"' \
   || fail "server_info does not advertise recommend_defense"
 
-echo "check_defense: OK (sweep, thread identity, CSV, frontier invariants, serve parity)"
+echo "check_defense: OK (sweep, thread identity, single point vs ladder, CSV, frontier invariants, serve parity)"

@@ -2,8 +2,9 @@
 # Builds the parallel execution engine under ThreadSanitizer and runs
 # the suites that exercise it concurrently: the pool/ParallelFor unit
 # tests, the cross-thread bit-identity suite, the sampler tests
-# (independent MCMC chains on the pool), the structured-log contention
-# tests, the trace fragment-merge tests, both serve suites (async
+# (independent MCMC chains on the pool), the metrics tests (timers
+# stopped on several threads through their per-thread handle caches),
+# the structured-log contention tests, the trace fragment-merge tests, both serve suites (async
 # admission + runner threads, the epoll event loop, quotas, batch
 # fan-out), the SIMD kernel differential suite (concurrent
 # first-use dispatch init, chunked Ryser on the pool; the slow
@@ -36,13 +37,13 @@ set -e
 cmake -B build-tsan -S . -DANONSAFE_TSAN=ON \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build build-tsan --target exec_test determinism_test sampler_test \
-      estimator_test obs_log_test trace_merge_test serve_test \
+      estimator_test obs_test obs_log_test trace_merge_test serve_test \
       serve_v2_test kernel_differential_test optimizer_test \
       adversary_test -j "$(nproc)"
 
 status=0
 for t in exec_test determinism_test sampler_test estimator_test \
-         obs_log_test trace_merge_test serve_test serve_v2_test \
+         obs_test obs_log_test trace_merge_test serve_test serve_v2_test \
          kernel_differential_test optimizer_test adversary_test; do
   echo "== TSan: $t =="
   # The n>=20 cross-ISA matrices take minutes under TSan's ~10x
@@ -61,4 +62,4 @@ if [[ "$status" -ne 0 ]]; then
   echo "check_tsan: FAIL (data race or test failure under TSan)" >&2
   exit 1
 fi
-echo "check_tsan: OK (exec_test, determinism_test, sampler_test, estimator_test, obs_log_test, trace_merge_test, serve_test, serve_v2_test, kernel_differential_test, optimizer_test, adversary_test race-free)"
+echo "check_tsan: OK (exec_test, determinism_test, sampler_test, estimator_test, obs_test, obs_log_test, trace_merge_test, serve_test, serve_v2_test, kernel_differential_test, optimizer_test, adversary_test race-free)"

@@ -67,32 +67,26 @@ defense::DefensePlan MergeBelowGapPlan(const FrequencyGroups& groups,
   return plan;
 }
 
-/// The threshold that merges every run: above twice the widest gap
-/// (plus two supports' worth of slack), so no gap stays at or above it.
-double FullMergeGap(const FrequencyGroups& groups) {
-  return groups.GapSummary().max * 2.0 +
-         2.0 / static_cast<double>(groups.num_transactions());
-}
-
 /// The tolerance core: the smallest-distortion merge whose perturbed
 /// profile passes the chosen safety criterion at tolerance τ.
-Result<defense::DefensePlan> ToleranceSearchPlan(const FrequencyTable& table,
-                                                 double tolerance,
-                                                 bool point_valued,
-                                                 size_t iters) {
+Result<defense::DefensePlan> ToleranceSearchPlan(
+    const defense::internal::MergeStructures& merges, double tolerance,
+    bool point_valued, size_t iters) {
   if (!(tolerance > 0.0) || tolerance > 1.0) {
     return Status::InvalidArgument("tolerance must lie in (0, 1]");
   }
-  const double budget = tolerance * static_cast<double>(table.num_items());
+  const double budget =
+      tolerance * static_cast<double>(merges.groups().num_items());
   if (budget < 1.0) {
     return Status::FailedPrecondition(
         "tolerance budget below one crack; even a single frequency group "
         "leaks one expected crack (Lemma 1)");
   }
 
-  auto passes = [&](const defense::DefensePlan& plan) -> Result<bool> {
+  auto passes = [&](size_t,
+                    const defense::DefensePlan& plan) -> Result<bool> {
     const FrequencyGroups groups = FrequencyGroups::FromSupports(
-        plan.new_supports, table.num_transactions());
+        plan.new_supports, merges.groups().num_transactions());
     if (point_valued) {
       return static_cast<double>(groups.num_groups()) <= budget;
     }
@@ -113,7 +107,7 @@ Result<defense::DefensePlan> ToleranceSearchPlan(const FrequencyTable& table,
     return oe <= budget;
   };
   return defense::internal::BisectMergeGap(
-      table, iters, passes, [](const defense::DefensePlan&) {
+      merges, iters, passes, [](const defense::DefensePlan&) {
         return Status::FailedPrecondition(
             "even a full merge cannot reach the tolerance");
       });
@@ -147,17 +141,15 @@ class GroupMergeScheme final : public DefenseScheme {
   /// evenly spaced thresholds for large profiles.
   std::vector<DefenseParams> ParamSpace(
       const FrequencyTable& table) const override {
-    FrequencyGroups groups = FrequencyGroups::Build(table);
+    const internal::MergeStructures merges(table);
     std::vector<DefenseParams> space;
-    if (groups.num_groups() < 2) return space;
-    std::vector<double> gaps = groups.FrequencyGaps();
-    std::sort(gaps.begin(), gaps.end());
-    gaps.erase(std::unique(gaps.begin(), gaps.end()), gaps.end());
+    if (merges.groups().num_groups() < 2) return space;
+    const std::vector<double>& gaps = merges.gaps();
     std::vector<double> thresholds;
     for (size_t i = 0; i + 1 < gaps.size(); ++i) {
       thresholds.push_back((gaps[i] + gaps[i + 1]) / 2.0);
     }
-    thresholds.push_back(FullMergeGap(groups));
+    thresholds.push_back(merges.FullMergeGap());
     constexpr size_t kMaxThresholds = 8;
     const size_t n = thresholds.size();
     if (n <= kMaxThresholds) {
@@ -176,8 +168,23 @@ class GroupMergeScheme final : public DefenseScheme {
     return space;
   }
 
-  Result<DefensePlan> Plan(const FrequencyTable& table,
-                           const DefenseParams& params) const override {
+  /// Groups the table once for the whole ladder; each tolerance point
+  /// bisects over the shared merge structures.
+  std::vector<Result<DefensePlan>> PlanLadder(
+      const FrequencyTable& table,
+      const std::vector<DefenseParams>& ladder) const override {
+    const internal::MergeStructures merges(table);
+    std::vector<Result<DefensePlan>> plans;
+    plans.reserve(ladder.size());
+    for (const DefenseParams& params : ladder) {
+      plans.push_back(PlanPoint(merges, params));
+    }
+    return plans;
+  }
+
+ private:
+  Result<DefensePlan> PlanPoint(const internal::MergeStructures& merges,
+                                const DefenseParams& params) const {
     ANONSAFE_RETURN_IF_ERROR(CheckAllowedParams(
         params, {"gap", "tolerance", "point_valued", "iters"},
         "defense scheme", name()));
@@ -194,10 +201,10 @@ class GroupMergeScheme final : public DefenseScheme {
     ANONSAFE_ASSIGN_OR_RETURN(size_t iters, internal::BisectIters(params));
     Result<DefensePlan> plan =
         gap != nullptr
-            ? MergeBelowGapPlan(FrequencyGroups::Build(table), *gap)
-            : ToleranceSearchPlan(
-                  table, *tolerance, params.GetOr("point_valued", 0.0) != 0.0,
-                  iters);
+            ? merges.PlanAt(*gap)
+            : ToleranceSearchPlan(merges, *tolerance,
+                                  params.GetOr("point_valued", 0.0) != 0.0,
+                                  iters);
     if (!plan.ok()) return plan.status();
     plan->scheme = name();
     plan->params = params;
@@ -213,32 +220,59 @@ std::unique_ptr<DefenseScheme> MakeGroupMergeScheme() {
   return std::make_unique<GroupMergeScheme>();
 }
 
+MergeStructures::MergeStructures(const FrequencyTable& table)
+    : groups_(FrequencyGroups::Build(table)),
+      gaps_(groups_.FrequencyGaps()) {
+  std::sort(gaps_.begin(), gaps_.end());
+  gaps_.erase(std::unique(gaps_.begin(), gaps_.end()), gaps_.end());
+}
+
+size_t MergeStructures::StructureOf(double gap) const {
+  return static_cast<size_t>(
+      std::lower_bound(gaps_.begin(), gaps_.end(), gap) - gaps_.begin());
+}
+
+DefensePlan MergeStructures::PlanAt(double gap) const {
+  return MergeBelowGapPlan(groups_, gap);
+}
+
+// Above twice the widest gap (plus two supports' worth of slack), so no
+// gap stays at or above it.
+double MergeStructures::FullMergeGap() const {
+  return groups_.GapSummary().max * 2.0 +
+         2.0 / static_cast<double>(groups_.num_transactions());
+}
+
 Result<DefensePlan> BisectMergeGap(
-    const FrequencyTable& table, size_t iters,
-    const std::function<Result<bool>(const DefensePlan&)>& passes,
+    const MergeStructures& merges, size_t iters,
+    const std::function<Result<bool>(size_t, const DefensePlan&)>& passes,
     const std::function<Status(const DefensePlan&)>& unreachable) {
-  const FrequencyGroups groups = FrequencyGroups::Build(table);
-  DefensePlan lo_plan = MergeBelowGapPlan(groups, 0.0);
-  ANONSAFE_ASSIGN_OR_RETURN(bool lo_passes, passes(lo_plan));
-  if (lo_passes) return lo_plan;  // already safe, no perturbation
+  // verdicts[s]: 1 passes, 0 fails, -1 not asked yet. Asking a new
+  // structure leaves its plan in `plan`.
+  std::vector<signed char> verdicts(merges.num_structures(), -1);
+  DefensePlan plan;
+  auto passes_at = [&](double gap) -> Result<bool> {
+    const size_t structure = merges.StructureOf(gap);
+    if (verdicts[structure] < 0) {
+      plan = merges.PlanAt(gap);
+      ANONSAFE_ASSIGN_OR_RETURN(bool ok, passes(structure, plan));
+      verdicts[structure] = ok ? 1 : 0;
+    }
+    return verdicts[structure] == 1;
+  };
+  ANONSAFE_ASSIGN_OR_RETURN(bool lo_passes, passes_at(0.0));
+  if (lo_passes) return plan;  // already safe, no perturbation
 
   double lo = 0.0;
-  double hi = FullMergeGap(groups);
-  DefensePlan hi_plan = MergeBelowGapPlan(groups, hi);
-  ANONSAFE_ASSIGN_OR_RETURN(bool hi_passes, passes(hi_plan));
-  if (!hi_passes) return unreachable(hi_plan);
+  double hi = merges.FullMergeGap();
+  ANONSAFE_ASSIGN_OR_RETURN(bool hi_passes, passes_at(hi));
+  if (!hi_passes) return unreachable(merges.PlanAt(hi));
   for (size_t iter = 0; iter < iters; ++iter) {
     double mid = (lo + hi) / 2.0;
-    DefensePlan mid_plan = MergeBelowGapPlan(groups, mid);
-    ANONSAFE_ASSIGN_OR_RETURN(bool ok, passes(mid_plan));
-    if (ok) {
-      hi = mid;
-      hi_plan = std::move(mid_plan);
-    } else {
-      lo = mid;
-    }
+    ANONSAFE_ASSIGN_OR_RETURN(bool ok, passes_at(mid));
+    (ok ? hi : lo) = mid;
   }
-  return hi_plan;
+  return merges.PlanAt(hi);
 }
 
 }  // namespace internal

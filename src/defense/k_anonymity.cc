@@ -4,6 +4,7 @@
 #include <cmath>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "defense/scheme.h"
 
@@ -11,11 +12,12 @@ namespace anonsafe {
 namespace {
 
 /// The cheapest group merge whose perturbed profile is at least
-/// k-anonymous.
-Result<defense::DefensePlan> PlanKAnonymityMerge(const FrequencyTable& table,
-                                                 double k_param,
-                                                 size_t iters) {
-  const size_t n = table.num_items();
+/// k-anonymous. `anonymity[s]` is the k-anonymity of merge structure s
+/// (0 while unknown), shared by every rung of a ladder.
+Result<defense::DefensePlan> PlanKAnonymityMerge(
+    const defense::internal::MergeStructures& merges, double k_param,
+    size_t iters, std::vector<size_t>* anonymity) {
+  const size_t n = merges.groups().num_items();
   if (k_param != std::floor(k_param)) {
     return Status::InvalidArgument("k must be a whole number; got k=" +
                                    json::NumberToString(k_param));
@@ -27,19 +29,26 @@ Result<defense::DefensePlan> PlanKAnonymityMerge(const FrequencyTable& table,
   }
   const auto k = static_cast<size_t>(k_param);
 
-  auto anonymity_of = [&](const defense::DefensePlan& plan) {
-    return FrequencyKAnonymity(FrequencyGroups::FromSupports(
-        plan.new_supports, table.num_transactions()));
+  auto anonymity_of = [&](size_t structure,
+                          const defense::DefensePlan& plan) {
+    size_t& known = (*anonymity)[structure];
+    if (known == 0) {
+      known = FrequencyKAnonymity(FrequencyGroups::FromSupports(
+          plan.new_supports, merges.groups().num_transactions()));
+    }
+    return known;
   };
   return defense::internal::BisectMergeGap(
-      table, iters,
-      [&](const defense::DefensePlan& plan) -> Result<bool> {
-        return anonymity_of(plan) >= k;
+      merges, iters,
+      [&](size_t structure,
+          const defense::DefensePlan& plan) -> Result<bool> {
+        return anonymity_of(structure, plan) >= k;
       },
       [&](const defense::DefensePlan& full) -> Status {
         return Status::FailedPrecondition(
             "even a full merge yields only " +
-            std::to_string(anonymity_of(full)) + "-anonymity");
+            std::to_string(anonymity_of(merges.num_structures() - 1, full)) +
+            "-anonymity");
       });
 }
 
@@ -88,13 +97,31 @@ class KAnonymityScheme final : public DefenseScheme {
     return space;
   }
 
-  Result<DefensePlan> Plan(const FrequencyTable& table,
-                           const DefenseParams& params) const override {
+  /// Groups the table once for the whole ladder, and measures each
+  /// merge structure's k-anonymity once for all rungs.
+  std::vector<Result<DefensePlan>> PlanLadder(
+      const FrequencyTable& table,
+      const std::vector<DefenseParams>& ladder) const override {
+    const internal::MergeStructures merges(table);
+    std::vector<size_t> anonymity(merges.num_structures(), 0);
+    std::vector<Result<DefensePlan>> plans;
+    plans.reserve(ladder.size());
+    for (const DefenseParams& params : ladder) {
+      plans.push_back(PlanPoint(merges, params, &anonymity));
+    }
+    return plans;
+  }
+
+ private:
+  Result<DefensePlan> PlanPoint(const internal::MergeStructures& merges,
+                                const DefenseParams& params,
+                                std::vector<size_t>* anonymity) const {
     ANONSAFE_RETURN_IF_ERROR(CheckAllowedParams(params, {"k", "iters"},
                                                 "defense scheme", name()));
     ANONSAFE_ASSIGN_OR_RETURN(double k, params.Get("k"));
     ANONSAFE_ASSIGN_OR_RETURN(size_t iters, internal::BisectIters(params));
-    Result<DefensePlan> plan = PlanKAnonymityMerge(table, k, iters);
+    Result<DefensePlan> plan =
+        PlanKAnonymityMerge(merges, k, iters, anonymity);
     if (!plan.ok()) return plan.status();
     plan->scheme = name();
     plan->params = params;

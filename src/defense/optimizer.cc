@@ -63,11 +63,12 @@ Result<RiskScore> ScoreRisk(const FrequencyTable& release,
   return score;
 }
 
-/// A candidate between the sweep's passes: which scheme and params, the
-/// after-table its walk realized, and whose score it takes.
+/// A candidate between the sweep's passes: which scheme and params, its
+/// plan, the after-table its walk realized, and whose score it takes.
 struct PendingCandidate {
   const DefenseScheme* scheme = nullptr;
   DefenseParams params;
+  Result<DefensePlan> plan = Status::Internal("candidate not planned");
   std::optional<FrequencyTable> after;  ///< set when realizable
   size_t scorer = 0;  ///< the candidate whose risk and utility it takes
   RiskScore risk;     ///< set on a scorer
@@ -163,13 +164,17 @@ Result<DefenseFrontier> RecommendDefense(const CountedDatabase& data,
   }
 
   // Enumerate scheme-major through the registry — the optimizer never
-  // names a concrete scheme.
+  // names a concrete scheme. ladders[s]: scheme s's points, and where
+  // its first candidate sits.
+  const std::vector<const DefenseScheme*>& schemes = DefenseScheme::All();
+  std::vector<std::pair<size_t, std::vector<DefenseParams>>> ladders;
   std::vector<PendingCandidate> pending;
-  for (const DefenseScheme* scheme : DefenseScheme::All()) {
-    for (DefenseParams& params : scheme->ParamSpace(before)) {
+  for (const DefenseScheme* scheme : schemes) {
+    ladders.emplace_back(pending.size(), scheme->ParamSpace(before));
+    for (const DefenseParams& params : ladders.back().second) {
       pending.emplace_back();
       pending.back().scheme = scheme;
-      pending.back().params = std::move(params);
+      pending.back().params = params;
     }
   }
   obs::CountIf("defense.recommend.candidates", pending.size());
@@ -177,14 +182,16 @@ Result<DefenseFrontier> RecommendDefense(const CountedDatabase& data,
     timer.Annotate("candidates", std::to_string(pending.size()));
   }
 
-  // Three steps, each a function of candidate indices alone, so the
+  // Four steps, each a function of candidate indices alone, so the
   // sweep is bit-identical at any thread count:
-  //  1. In parallel, plan every candidate and walk it on sizes alone
+  //  1. In parallel, plan each scheme's ladder once, one scheme per
+  //     chunk: the points of a ladder share their planning work.
+  //  2. In parallel, walk every planned candidate on sizes alone
   //     (stream 2i+2): the table Apply's database would count, without
   //     building that database.
-  //  2. Pick one scorer per distinct after-table (same supports, same
+  //  3. Pick one scorer per distinct after-table (same supports, same
   //     m): its lowest candidate index, the leader.
-  //  3. In parallel, score the leaders (sampler fallbacks on stream
+  //  4. In parallel, score the leaders (sampler fallbacks on stream
   //     2i+3). Risk and utility are functions of the after-table, so
   //     the other candidates take their leader's; only a sampler
   //     estimate also depends on its stream, so the followers of a
@@ -206,7 +213,7 @@ Result<DefenseFrontier> RecommendDefense(const CountedDatabase& data,
     score.index = i;
     score.scheme = cand.scheme->name();
     score.params = cand.params;
-    Result<DefensePlan> plan = cand.scheme->Plan(before, cand.params);
+    Result<DefensePlan>& plan = cand.plan;
     if (!plan.ok()) {
       if (plan.status().code() != StatusCode::kFailedPrecondition) {
         return plan.status();
@@ -240,6 +247,17 @@ Result<DefenseFrontier> RecommendDefense(const CountedDatabase& data,
     return Status::OK();
   };
 
+  ANONSAFE_RETURN_IF_ERROR(exec::ParallelForChunks(
+      ctx, schemes.size(), /*grain=*/1, [&](size_t s, size_t) -> Status {
+        const auto& [first, ladder] = ladders[s];
+        if (ladder.empty()) return Status::OK();
+        std::vector<Result<DefensePlan>> plans =
+            schemes[s]->PlanLadder(before, ladder);
+        for (size_t j = 0; j < plans.size(); ++j) {
+          pending[first + j].plan = std::move(plans[j]);
+        }
+        return Status::OK();
+      }));
   std::vector<size_t> all(n);
   std::iota(all.begin(), all.end(), size_t{0});
   ANONSAFE_RETURN_IF_ERROR(in_parallel(all, walk));

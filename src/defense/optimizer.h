@@ -88,9 +88,10 @@ struct DefenseFrontier {
 };
 
 /// \brief The sweep: enumerates every registered scheme's `ParamSpace`
-/// over `data`'s table, plans each candidate, realizes it on transaction
-/// sizes alone (the walk `Apply` runs, over one holder index of the
-/// database that every candidate shares), scores each distinct
+/// over `data`'s table, plans each scheme's ladder once (`PlanLadder`),
+/// realizes each candidate on transaction sizes alone (the walk `Apply`
+/// runs, over one holder index of the database that every candidate
+/// shares), scores each distinct
 /// after-table once (expected cracks via the estimator planner,
 /// information loss via `ComputeUtilityLoss`), and extracts the Pareto
 /// frontier. Candidates with the same after-table share its score,

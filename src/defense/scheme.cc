@@ -54,6 +54,11 @@ const DefenseScheme* DefenseScheme::Find(const std::string& name) {
   return nullptr;
 }
 
+Result<DefensePlan> DefenseScheme::Plan(const FrequencyTable& table,
+                                        const DefenseParams& params) const {
+  return std::move(PlanLadder(table, {params}).front());
+}
+
 Result<Database> DefenseScheme::Apply(const Database& db,
                                       const DefensePlan& plan,
                                       Rng* rng) const {
@@ -85,14 +90,23 @@ Result<size_t> BisectIters(const DefenseParams& params) {
 }
 
 HolderIndex::HolderIndex(const Database& db)
-    : holders_(db.num_items()),
+    : starts_(db.num_items() + 1, 0),
       sizes_(db.num_transactions()),
       largest_(db.num_transactions(), 0) {
+  // Slices sized from the supports, then filled in transaction order, so
+  // each is ascending. Transaction ids fit 32 bits: a database of 2^32
+  // transactions would not fit in memory.
+  for (const Transaction& txn : db.transactions()) {
+    for (ItemId x : txn) ++starts_[size_t{x} + 1];
+  }
+  for (size_t x = 0; x < db.num_items(); ++x) starts_[x + 1] += starts_[x];
+  holders_.resize(starts_.back());
+  std::vector<size_t> next(starts_.begin(), starts_.end() - 1);
   for (size_t t = 0; t < sizes_.size(); ++t) {
     const Transaction& txn = db.transaction(t);
     sizes_[t] = txn.size();
     if (!txn.empty()) largest_[t] = txn.back();  // transactions are sorted
-    for (ItemId x : txn) holders_[x].push_back(t);
+    for (ItemId x : txn) holders_[next[x]++] = static_cast<uint32_t>(t);
   }
 }
 
@@ -124,17 +138,29 @@ bool NoDrawCanFail(const HolderIndex& index,
                    const std::vector<SupportCount>& targets) {
   const size_t n = index.num_items();
   const size_t m = index.num_transactions();
-  // keeps[t]: t holds an item that does not lose, so it has size 2 or
-  // more at the turn of every losing item it holds.
-  std::vector<bool> keeps(m, false);
+  // A transaction that holds an item that does not lose has size 2 or
+  // more at the turn of every losing item it holds; one whose every item
+  // loses is exposed to its largest item. Count, per transaction, the
+  // items of whichever side holds fewer occurrences: the losing items,
+  // or the others.
+  size_t losing_occurrences = 0, occurrences = 0;
   for (ItemId x = 0; x < n; ++x) {
-    if (targets[x] < index.holders(x).size()) continue;
-    for (size_t t : index.holders(x)) keeps[t] = true;
+    const size_t support = index.holders(x).size();
+    occurrences += support;
+    if (targets[x] < support) losing_occurrences += support;
+  }
+  const bool count_losing = 2 * losing_occurrences <= occurrences;
+  std::vector<uint32_t> counted(m, 0);
+  for (ItemId x = 0; x < n; ++x) {
+    if ((targets[x] < index.holders(x).size()) != count_losing) continue;
+    for (uint32_t t : index.holders(x)) ++counted[t];
   }
   // exposed[x]: holders that may be down to size 1 at x's turn.
   std::vector<size_t> exposed(n, 0);
   for (size_t t = 0; t < m; ++t) {
-    if (index.sizes()[t] > 0 && !keeps[t]) ++exposed[index.largest(t)];
+    const size_t size = index.sizes()[t];
+    const size_t losing = count_losing ? counted[t] : size - counted[t];
+    if (size > 0 && losing == size) ++exposed[index.largest(t)];
   }
   // x keeps holders - exposed, and needs holders - target of them.
   for (ItemId x = 0; x < n; ++x) {
@@ -164,7 +190,7 @@ Result<Realized> Realize(const HolderIndex& index, const DefensePlan& plan,
         out.supports[x] = index.holders(x).size();
         continue;
       }
-      for (size_t t : index.holders(x)) {
+      for (uint32_t t : index.holders(x)) {
         --sizes[t];
         if (txns == nullptr) continue;
         Transaction& txn = (*txns)[t];
@@ -193,7 +219,7 @@ Result<Realized> Realize(const HolderIndex& index, const DefensePlan& plan,
 
   std::vector<size_t> picks;
   for (ItemId x = 0; x < n; ++x) {
-    const std::vector<size_t>& holders = index.holders(x);
+    const std::span<const uint32_t> holders = index.holders(x);
     const SupportCount current = holders.size();
     const SupportCount target = plan.new_supports[x];
     if (current == target) continue;

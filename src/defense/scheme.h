@@ -1,8 +1,10 @@
 #ifndef ANONSAFE_DEFENSE_SCHEME_H_
 #define ANONSAFE_DEFENSE_SCHEME_H_
 
+#include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -95,13 +97,24 @@ class DefenseScheme {
   virtual std::vector<DefenseParams> ParamSpace(
       const FrequencyTable& table) const = 0;
 
-  /// \brief Plans the defense at one parameter point. Pure planning —
-  /// no database is modified. InvalidArgument on malformed or unknown
-  /// parameters; FailedPrecondition when the requested safety level is
-  /// unreachable for this scheme (the optimizer records such candidates
-  /// as infeasible instead of failing the sweep).
-  virtual Result<DefensePlan> Plan(const FrequencyTable& table,
-                                   const DefenseParams& params) const = 0;
+  /// \brief Plans every point of `ladder` (typically this scheme's
+  /// `ParamSpace`), one result per point, in order. Pure planning — no
+  /// database is modified. Each point's result is the one planning it
+  /// alone gives: InvalidArgument on malformed or unknown parameters
+  /// (only that point fails); FailedPrecondition when the requested
+  /// safety level is unreachable for this scheme (the optimizer records
+  /// such candidates as infeasible instead of failing the sweep). The
+  /// points share their work: suppression walks one greedy trajectory
+  /// per (cap, batch), and the bisecting schemes evaluate each merge
+  /// structure once (docs/DEFENSE.md, "Planning a ladder").
+  virtual std::vector<Result<DefensePlan>> PlanLadder(
+      const FrequencyTable& table,
+      const std::vector<DefenseParams>& ladder) const = 0;
+
+  /// \brief Plans the defense at one parameter point: the one-point
+  /// ladder.
+  Result<DefensePlan> Plan(const FrequencyTable& table,
+                           const DefenseParams& params) const;
 
   /// \brief Realizes a plan on a concrete database: the realization
   /// walk (`internal::Realize`) with transaction edits, the same walk
@@ -140,15 +153,43 @@ Result<size_t> CountParam(const DefenseParams& params, const char* name,
 /// most 64 (far below any 1/m of the gap interval).
 Result<size_t> BisectIters(const DefenseParams& params);
 
-/// Bisects the gap threshold between no merge and a full merge
-/// (defined in group_merge.cc) for the mildest merge plan that `passes`:
-/// the unmerged plan when it already passes, otherwise the smallest
-/// threshold found in `iters` halvings. When even the full merge fails,
-/// returns `unreachable(full_plan)`. Shared by the group-merge tolerance
-/// search and the k-anonymity scheme, so both merge bit-consistently.
+/// \brief One table's merge structures (defined in group_merge.cc). A
+/// gap threshold merges every run of groups whose consecutive gaps all
+/// lie below it, so its plan depends, `merged_gap` aside, only on how
+/// many distinct consecutive-frequency gaps lie below it: its
+/// structure, in [0, num_structures()).
+class MergeStructures {
+ public:
+  explicit MergeStructures(const FrequencyTable& table);
+
+  const FrequencyGroups& groups() const { return groups_; }
+  /// The distinct consecutive-frequency gaps, ascending.
+  const std::vector<double>& gaps() const { return gaps_; }
+  size_t num_structures() const { return gaps_.size() + 1; }
+  size_t StructureOf(double gap) const;
+  /// The merge below `gap` (finite, >= 0): every run of groups whose
+  /// consecutive gaps are all below it collapses onto the run's
+  /// size-weighted median support.
+  DefensePlan PlanAt(double gap) const;
+  /// The threshold that merges every run.
+  double FullMergeGap() const;
+
+ private:
+  FrequencyGroups groups_;
+  std::vector<double> gaps_;
+};
+
+/// Bisects the gap threshold between no merge and a full merge for the
+/// mildest merge plan that `passes`: the unmerged plan when it already
+/// passes, otherwise the smallest threshold found in `iters` halvings.
+/// When even the full merge fails, returns `unreachable(full_plan)`.
+/// `passes(structure, plan)` is asked once per structure, with a plan of
+/// that structure; the returned plan is built once, at its final gap.
+/// Shared by the group-merge tolerance search and the k-anonymity
+/// scheme, so both merge bit-consistently.
 Result<DefensePlan> BisectMergeGap(
-    const FrequencyTable& table, size_t iters,
-    const std::function<Result<bool>(const DefensePlan&)>& passes,
+    const MergeStructures& merges, size_t iters,
+    const std::function<Result<bool>(size_t, const DefensePlan&)>& passes,
     const std::function<Status(const DefensePlan&)>& unreachable);
 
 /// \brief Who holds what in one database, built once and shared
@@ -156,19 +197,24 @@ Result<DefensePlan> BisectMergeGap(
 /// transaction's size and its largest item. Realizing a plan edits items
 /// in id order, and editing item y touches only y's occurrences, so item
 /// x's holders in the partly edited database are still its list here.
+/// The holder lists are slices of one flat array of 32-bit transaction
+/// ids.
 class HolderIndex {
  public:
   explicit HolderIndex(const Database& db);
 
-  size_t num_items() const { return holders_.size(); }
+  size_t num_items() const { return starts_.size() - 1; }
   size_t num_transactions() const { return sizes_.size(); }
-  const std::vector<size_t>& holders(ItemId x) const { return holders_[x]; }
+  std::span<const uint32_t> holders(ItemId x) const {
+    return {holders_.data() + starts_[x], holders_.data() + starts_[x + 1]};
+  }
   const std::vector<size_t>& sizes() const { return sizes_; }
   /// Transaction t's largest item; 0 for an empty transaction.
   ItemId largest(size_t t) const { return largest_[t]; }
 
  private:
-  std::vector<std::vector<size_t>> holders_;
+  std::vector<size_t> starts_;     ///< item x's slice: [starts_[x], starts_[x+1])
+  std::vector<uint32_t> holders_;  ///< every item's holders, item-major
   std::vector<size_t> sizes_;
   std::vector<ItemId> largest_;
 };
@@ -207,7 +253,8 @@ Result<Realized> Realize(const HolderIndex& index, const DefensePlan& plan,
 /// item and every other item it holds loses support too; when each
 /// losing item keeps at least its loss in holders outside that set, no
 /// loss can empty a transaction. One pass over the occurrences of the
-/// items that do not lose.
+/// losing items, or of the others when they hold fewer: a transaction
+/// is exposed when every item it holds loses.
 bool NoDrawCanFail(const HolderIndex& index,
                    const std::vector<SupportCount>& targets);
 

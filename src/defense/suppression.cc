@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "belief/builders.h"
 #include "core/per_item_risk.h"
@@ -50,63 +52,81 @@ Result<SubdomainRisk> AnalyzeSubdomain(const FrequencyTable& table,
   return out;
 }
 
-/// The greedy suppression core. The final `AnalyzeSubdomain` pass is
-/// kept in the plan (`oe_after`, `residual_ranked`) instead of being
-/// computed and dropped — the optimizer reads it rather than re-derive.
-Result<defense::DefensePlan> PlanSuppressionCore(const FrequencyTable& table,
-                                                 double tolerance,
-                                                 double max_fraction,
-                                                 size_t rerank_batch) {
-  if (!(tolerance > 0.0) || tolerance > 1.0) {
-    return Status::InvalidArgument("tolerance must lie in (0, 1]");
-  }
-  if (!(max_fraction >= 0.0 && max_fraction <= 1.0)) {
-    return Status::InvalidArgument(
-        "max_suppressed_fraction must lie in [0, 1]");
-  }
+/// One point of a suppression ladder, checked: the trajectory it stops
+/// on (cap and batch size), its budget τ·n, and where its plan goes.
+struct Rung {
+  size_t max_suppressed = 0;
+  size_t rerank_batch = 0;
+  double budget = 0.0;
+  Result<defense::DefensePlan>* out = nullptr;
+};
+
+/// The greedy suppression core, for every rung that shares a cap and a
+/// batch size: one trajectory of the loop, re-ranking after each batch,
+/// that suppresses the top-ranked items until the cap. Which items go
+/// does not depend on the tolerance, so each rung stops at the first
+/// step whose O-estimate fits its budget, and the rungs that never get
+/// there share the cap error (or the error that ended the walk). The
+/// final `AnalyzeSubdomain` pass is kept in the plan (`oe_after`,
+/// `residual_ranked`) instead of being computed and dropped — the
+/// optimizer reads it rather than re-derive.
+void WalkSuppressionTrajectory(const FrequencyTable& table,
+                               std::vector<Rung> rungs) {
   const size_t n = table.num_items();
-  const double budget = tolerance * static_cast<double>(n);
-  const auto max_suppressed = static_cast<size_t>(
-      std::floor(max_fraction * static_cast<double>(n)));
-
-  defense::DefensePlan plan;
-  plan.items_before = n;
-
-  std::vector<bool> alive(n, true);
-  ANONSAFE_ASSIGN_OR_RETURN(SubdomainRisk risk,
-                            AnalyzeSubdomain(table, alive));
-  plan.oe_before = risk.oe;
-
-  while (risk.oe > budget) {
-    if (plan.suppressed.size() >= max_suppressed ||
-        risk.ranked_original_ids.empty()) {
-      return Status::FailedPrecondition(
-          "suppression cap reached (" +
-          std::to_string(plan.suppressed.size()) +
-          " items) before the tolerance was met; use a frequency-merge "
-          "defense instead");
-    }
-    size_t batch = std::min(rerank_batch, risk.ranked_original_ids.size());
-    batch = std::min(batch, max_suppressed - plan.suppressed.size());
-    if (batch == 0) batch = 1;
-    for (size_t i = 0; i < batch; ++i) {
-      ItemId victim = risk.ranked_original_ids[i];
-      alive[victim] = false;
-      plan.suppressed.push_back(victim);
-    }
-    ANONSAFE_ASSIGN_OR_RETURN(risk, AnalyzeSubdomain(table, alive));
-  }
-
-  plan.oe_after = risk.oe;
-  plan.residual_ranked = std::move(risk.ranked_original_ids);
-  plan.items_after = n - plan.suppressed.size();
+  const size_t max_suppressed = rungs.front().max_suppressed;
+  const size_t rerank_batch = rungs.front().rerank_batch;
   uint64_t total = 0, lost = 0;
   for (ItemId x = 0; x < n; ++x) total += table.support(x);
-  for (ItemId x : plan.suppressed) lost += table.support(x);
-  plan.occurrence_loss =
-      total == 0 ? 0.0
-                 : static_cast<double>(lost) / static_cast<double>(total);
-  return plan;
+
+  std::vector<ItemId> suppressed;
+  std::vector<bool> alive(n, true);
+  Result<SubdomainRisk> risk = AnalyzeSubdomain(table, alive);
+  const double oe_before = risk.ok() ? risk->oe : 0.0;
+  while (!rungs.empty()) {
+    if (!risk.ok()) {
+      for (const Rung& rung : rungs) *rung.out = risk.status();
+      return;
+    }
+    // Rungs whose budget the current step fits stop here.
+    auto stops = std::stable_partition(
+        rungs.begin(), rungs.end(),
+        [&](const Rung& rung) { return risk->oe > rung.budget; });
+    for (auto it = stops; it != rungs.end(); ++it) {
+      defense::DefensePlan plan;
+      plan.items_before = n;
+      plan.oe_before = oe_before;
+      plan.suppressed = suppressed;
+      plan.oe_after = risk->oe;
+      plan.residual_ranked = risk->ranked_original_ids;
+      plan.items_after = n - suppressed.size();
+      plan.occurrence_loss =
+          total == 0 ? 0.0
+                     : static_cast<double>(lost) / static_cast<double>(total);
+      *it->out = std::move(plan);
+    }
+    rungs.erase(stops, rungs.end());
+    if (rungs.empty()) return;
+
+    if (suppressed.size() >= max_suppressed ||
+        risk->ranked_original_ids.empty()) {
+      const Status cap = Status::FailedPrecondition(
+          "suppression cap reached (" + std::to_string(suppressed.size()) +
+          " items) before the tolerance was met; use a frequency-merge "
+          "defense instead");
+      for (const Rung& rung : rungs) *rung.out = cap;
+      return;
+    }
+    size_t batch = std::min(rerank_batch, risk->ranked_original_ids.size());
+    batch = std::min(batch, max_suppressed - suppressed.size());
+    if (batch == 0) batch = 1;
+    for (size_t i = 0; i < batch; ++i) {
+      ItemId victim = risk->ranked_original_ids[i];
+      alive[victim] = false;
+      suppressed.push_back(victim);
+      lost += table.support(victim);
+    }
+    risk = AnalyzeSubdomain(table, alive);
+  }
 }
 
 }  // namespace
@@ -142,21 +162,60 @@ class SuppressionScheme final : public DefenseScheme {
     return space;
   }
 
-  Result<DefensePlan> Plan(const FrequencyTable& table,
-                           const DefenseParams& params) const override {
+  /// Checks every point, then walks one greedy trajectory per distinct
+  /// (cap, batch) pair for the points that share it.
+  std::vector<Result<DefensePlan>> PlanLadder(
+      const FrequencyTable& table,
+      const std::vector<DefenseParams>& ladder) const override {
+    std::vector<Result<DefensePlan>> plans(
+        ladder.size(), Status::Internal("suppression point not planned"));
+    std::map<std::pair<size_t, size_t>, std::vector<Rung>> trajectories;
+    for (size_t i = 0; i < ladder.size(); ++i) {
+      Result<Rung> rung = Check(table, ladder[i]);
+      if (!rung.ok()) {
+        plans[i] = rung.status();
+        continue;
+      }
+      rung->out = &plans[i];
+      trajectories[{rung->max_suppressed, rung->rerank_batch}].push_back(
+          *rung);
+    }
+    for (auto& [key, rungs] : trajectories) {
+      WalkSuppressionTrajectory(table, std::move(rungs));
+    }
+    for (size_t i = 0; i < ladder.size(); ++i) {
+      if (!plans[i].ok()) continue;
+      plans[i]->scheme = name();
+      plans[i]->params = ladder[i];
+    }
+    return plans;
+  }
+
+ private:
+  /// A point's rung, or why the point is malformed.
+  Result<Rung> Check(const FrequencyTable& table,
+                     const DefenseParams& params) const {
     ANONSAFE_RETURN_IF_ERROR(CheckAllowedParams(
         params, {"tolerance", "max_suppressed_fraction", "rerank_batch"},
         "defense scheme", name()));
     ANONSAFE_ASSIGN_OR_RETURN(
         size_t rerank_batch,
         internal::CountParam(params, "rerank_batch", 8.0, 1, size_t{1} << 53));
-    Result<DefensePlan> plan = PlanSuppressionCore(
-        table, params.GetOr("tolerance", 0.1),
-        params.GetOr("max_suppressed_fraction", 0.5), rerank_batch);
-    if (!plan.ok()) return plan.status();
-    plan->scheme = name();
-    plan->params = params;
-    return plan;
+    const double tolerance = params.GetOr("tolerance", 0.1);
+    const double max_fraction = params.GetOr("max_suppressed_fraction", 0.5);
+    if (!(tolerance > 0.0) || tolerance > 1.0) {
+      return Status::InvalidArgument("tolerance must lie in (0, 1]");
+    }
+    if (!(max_fraction >= 0.0 && max_fraction <= 1.0)) {
+      return Status::InvalidArgument(
+          "max_suppressed_fraction must lie in [0, 1]");
+    }
+    const double n = static_cast<double>(table.num_items());
+    Rung rung;
+    rung.max_suppressed = static_cast<size_t>(std::floor(max_fraction * n));
+    rung.rerank_batch = rerank_batch;
+    rung.budget = tolerance * n;
+    return rung;
   }
 };
 

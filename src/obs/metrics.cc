@@ -5,6 +5,8 @@
 #include <cassert>
 #include <cstdlib>
 
+#include "obs/handle_cache.h"
+
 namespace anonsafe {
 namespace obs {
 namespace {
@@ -226,7 +228,9 @@ void MetricsRegistry::Reset() {
 
 void CountIf(const char* name, uint64_t delta) {
   if (!MetricsEnabled()) return;
-  MetricsRegistry::Global().GetCounter(name)->Increment(delta);
+  internal::CachedHandles<Counter*>(name, [](const char* counter) {
+    return MetricsRegistry::Global().GetCounter(counter);
+  })->Increment(delta);
 }
 
 void GaugeIf(const char* name, double value) {

@@ -180,6 +180,7 @@ class MetricsRegistry {
 
 /// \brief Convenience: bump `name` by `delta` iff metrics are enabled.
 /// For hot-path event counts where creating a ScopedTimer is overkill.
+/// Each thread looks the counter up once per name.
 void CountIf(const char* name, uint64_t delta = 1);
 
 /// \brief Convenience: set gauge `name` iff metrics are enabled.

@@ -1,5 +1,7 @@
 #include "obs/scoped_timer.h"
 
+#include "obs/handle_cache.h"
+
 namespace anonsafe {
 namespace obs {
 namespace {
@@ -42,8 +44,16 @@ void ScopedTimer::Stop() {
     double seconds = std::chrono::duration<double>(
                          std::chrono::steady_clock::now() - start_)
                          .count();
-    TimerHistogram(name_)->Observe(seconds);
-    TimerCounter(name_)->Increment();
+    struct Handles {
+      Histogram* histogram;
+      Counter* counter;
+    };
+    const Handles& handles =
+        internal::CachedHandles<Handles>(name_, [](const char* name) {
+          return Handles{TimerHistogram(name), TimerCounter(name)};
+        });
+    handles.histogram->Observe(seconds);
+    handles.counter->Increment();
   }
   if (span_ != kNoSpan) tracer_->CloseSpan(span_);
 }

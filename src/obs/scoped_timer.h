@@ -30,7 +30,8 @@ class Stopwatch {
 ///
 /// When metrics are enabled, destruction observes the elapsed seconds in
 /// the histogram `anonsafe_<name>_seconds` (dots mapped to underscores)
-/// and bumps the counter `anonsafe_<name>_total`. When a tracer is
+/// and bumps the counter `anonsafe_<name>_total`; each thread looks the
+/// pair up once per name (obs/handle_cache.h). When a tracer is
 /// current on this thread (an installed request `TraceContext`, or the
 /// thread-local tracer under the global switch — see
 /// `Tracer::CurrentOrNull`), the scope is a span in that trace tree, so

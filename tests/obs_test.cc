@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <barrier>
+#include <cstdio>
 #include <cstdlib>
 #include <new>
 #include <string>
@@ -341,6 +343,92 @@ TEST(ScopedTimerTest, DisabledModeAllocatesNothing) {
     }
   }
   EXPECT_EQ(g_allocation_count.load(std::memory_order_relaxed), before);
+}
+
+// Each thread looks a timer's histogram and counter (and a CountIf
+// counter) up once. Timers stopped on four threads, before and after a
+// Reset of the global registry, land in one series, and a warm stop
+// builds no string.
+TEST(ScopedTimerTest, HandlesAreLookedUpOncePerThread) {
+  ObsSwitchGuard guard;
+  obs::SetMetricsEnabled(true);
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  constexpr size_t kThreads = 4;
+  constexpr uint64_t kStops = 50;
+  std::barrier sync(kThreads + 1);
+  auto stop_timers = [] {
+    for (uint64_t i = 0; i < kStops; ++i) {
+      obs::ScopedTimer timer("test.cached_phase");
+      obs::CountIf("anonsafe_obs_test_cached_total");
+    }
+  };
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      stop_timers();
+      sync.arrive_and_wait();  // the first round is in
+      sync.arrive_and_wait();  // the registry is reset
+      stop_timers();
+    });
+  }
+  sync.arrive_and_wait();
+  obs::Histogram* h = obs::TimerHistogram("test.cached_phase");
+  obs::Counter* c = obs::TimerCounter("test.cached_phase");
+  obs::Counter* counted =
+      registry.GetCounter("anonsafe_obs_test_cached_total");
+  EXPECT_EQ(h->count(), kThreads * kStops);
+  EXPECT_EQ(c->value(), kThreads * kStops);
+  EXPECT_EQ(counted->value(), kThreads * kStops);
+  registry.Reset();
+  sync.arrive_and_wait();
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(h->count(), kThreads * kStops);
+  EXPECT_EQ(c->value(), kThreads * kStops);
+  EXPECT_EQ(counted->value(), kThreads * kStops);
+  size_t series = 0;
+  for (const obs::Histogram* each : registry.histograms()) {
+    series += each->name() == "anonsafe_test_cached_phase_seconds" ? 1 : 0;
+  }
+  for (const obs::Counter* each : registry.counters()) {
+    series += each->name() == "anonsafe_test_cached_phase_total" ||
+                      each->name() == "anonsafe_obs_test_cached_total"
+                  ? 1
+                  : 0;
+  }
+  EXPECT_EQ(series, 3u);
+
+  stop_timers();  // warms this thread
+  const size_t before = g_allocation_count.load(std::memory_order_relaxed);
+  stop_timers();
+  EXPECT_EQ(g_allocation_count.load(std::memory_order_relaxed), before);
+  EXPECT_EQ(c->value(), (kThreads + 2) * kStops);
+}
+
+// A name need not be a literal: a buffer reused for another name at the
+// same address records under the new name.
+TEST(ScopedTimerTest, ReusedNameBufferRecordsUnderItsNewName) {
+  ObsSwitchGuard guard;
+  obs::SetMetricsEnabled(true);
+  char name[40];
+  const uint64_t a_before = obs::TimerCounter("test.buffer_a")->value();
+  const uint64_t b_before = obs::TimerCounter("test.buffer_b")->value();
+  for (const char* each : {"test.buffer_a", "test.buffer_b", "test.buffer_b"}) {
+    std::snprintf(name, sizeof(name), "%s", each);
+    obs::ScopedTimer timer(name);
+  }
+  EXPECT_EQ(obs::TimerCounter("test.buffer_a")->value(), a_before + 1);
+  EXPECT_EQ(obs::TimerCounter("test.buffer_b")->value(), b_before + 2);
+
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  for (const char* each :
+       {"anonsafe_obs_test_buffer_a_total", "anonsafe_obs_test_buffer_b_total"}) {
+    std::snprintf(name, sizeof(name), "%s", each);
+    obs::CountIf(name, 3);
+  }
+  EXPECT_EQ(registry.GetCounter("anonsafe_obs_test_buffer_a_total")->value(),
+            3u);
+  EXPECT_EQ(registry.GetCounter("anonsafe_obs_test_buffer_b_total")->value(),
+            3u);
 }
 
 // ----------------------------------------------------------------- Export

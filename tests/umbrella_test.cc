@@ -12,6 +12,9 @@
 #ifdef ANONSAFE_EXEC_SCRATCH_H_
 #error "anonsafe.h leaks exec/scratch.h (scratch-pool internals)"
 #endif
+#ifdef ANONSAFE_OBS_HANDLE_CACHE_H_
+#error "anonsafe.h leaks obs/handle_cache.h (metric-handle internals)"
+#endif
 
 #include <gtest/gtest.h>
 
