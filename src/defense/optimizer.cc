@@ -142,8 +142,9 @@ Result<DefenseFrontier> RecommendDefense(const CountedDatabase& data,
       ctx != nullptr ? ctx->seed() : exec::ExecOptions{}.seed;
 
   const FrequencyTable& before = data.table();
-  // Shared read-only by every candidate's realization walk.
-  const internal::HolderIndex index(data.database());
+  // Shared read-only by every candidate's realization walk; built in
+  // the planning region, beside the ladders.
+  std::optional<internal::HolderIndex> index;
 
   DefenseFrontier result;
   result.num_items = before.num_items();
@@ -185,7 +186,8 @@ Result<DefenseFrontier> RecommendDefense(const CountedDatabase& data,
   // Four steps, each a function of candidate indices alone, so the
   // sweep is bit-identical at any thread count:
   //  1. In parallel, plan each scheme's ladder once, one scheme per
-  //     chunk: the points of a ladder share their planning work.
+  //     chunk (the points of a ladder share their planning work), and
+  //     index the database in one more chunk.
   //  2. In parallel, walk every planned candidate on sizes alone
   //     (stream 2i+2): the table Apply's database would count, without
   //     building that database.
@@ -223,7 +225,7 @@ Result<DefenseFrontier> RecommendDefense(const CountedDatabase& data,
     }
     Rng realize_rng(exec::SplitSeed(seed, 2 * i + 2));
     Result<internal::Realized> realized =
-        internal::Realize(index, *plan, &realize_rng);
+        internal::Realize(*index, *plan, &realize_rng);
     Result<FrequencyTable> after =
         realized.ok() ? realized->Table()
                       : Result<FrequencyTable>(realized.status());
@@ -248,7 +250,11 @@ Result<DefenseFrontier> RecommendDefense(const CountedDatabase& data,
   };
 
   ANONSAFE_RETURN_IF_ERROR(exec::ParallelForChunks(
-      ctx, schemes.size(), /*grain=*/1, [&](size_t s, size_t) -> Status {
+      ctx, schemes.size() + 1, /*grain=*/1, [&](size_t s, size_t) -> Status {
+        if (s == schemes.size()) {
+          index.emplace(data.database());
+          return Status::OK();
+        }
         const auto& [first, ladder] = ladders[s];
         if (ladder.empty()) return Status::OK();
         std::vector<Result<DefensePlan>> plans =
