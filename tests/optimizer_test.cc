@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -389,6 +390,70 @@ TEST(OptimizerTest, EachDistinctReleaseIsScoredOnce) {
     // under prefer_sampler one follower is scored on its own stream.
     EXPECT_EQ(distinct, 3u);
     EXPECT_EQ(own, sampling ? 1u : 0u);
+  }
+}
+
+uint64_t PropagationPasses() {
+  return obs::MetricsRegistry::Global()
+      .GetCounter("anonsafe_propagation_passes_total")
+      ->value();
+}
+
+// The sweep plans the suppression ladder once. Among its planning,
+// walking and scoring only the suppression trajectory and the estimator
+// planner propagate, so its propagation passes are one trajectory's plus
+// one score of the baseline and of each distinct after-table. Planning
+// the rungs one by one would replay the trajectory for every rung.
+TEST(OptimizerTest, SweepRunsTheSuppressionTrajectoryOnce) {
+  obs::SetMetricsEnabled(true);
+  const DefenseScheme* suppression = DefenseScheme::Find("suppression");
+  for (const Database& db : {FixtureDb(), SingletonDb(), SharedReleaseDb()}) {
+    auto table = FrequencyTable::Compute(db);
+    ASSERT_TRUE(table.ok());
+    const std::vector<defense::DefenseParams> ladder =
+        suppression->ParamSpace(*table);
+    uint64_t before = PropagationPasses();
+    (void)suppression->PlanLadder(*table, ladder);
+    const uint64_t trajectory = PropagationPasses() - before;
+    uint64_t one_by_one = 0;
+    for (const defense::DefenseParams& params : ladder) {
+      before = PropagationPasses();
+      (void)suppression->Plan(*table, params);
+      one_by_one += PropagationPasses() - before;
+    }
+
+    before = PropagationPasses();
+    auto frontier = Sweep(db, 2);
+    ASSERT_TRUE(frontier.ok());
+    const uint64_t sweep = PropagationPasses() - before;
+
+    // Rescore the baseline and each distinct after-table once, replayed
+    // through Apply on each candidate's stream.
+    before = PropagationPasses();
+    ASSERT_TRUE(
+        RescoreRelease(*table, exec::SplitSeed(frontier->seed, 1)).ok());
+    std::set<std::pair<size_t, std::vector<SupportCount>>> releases;
+    for (const CandidateScore& c : frontier->candidates) {
+      if (!c.feasible) continue;
+      Rng rng(exec::SplitSeed(frontier->seed, 2 * c.index + 2));
+      auto released = DefenseScheme::Find(c.scheme)->Apply(db, c.plan, &rng);
+      ASSERT_TRUE(released.ok());
+      auto after = FrequencyTable::Compute(*released);
+      ASSERT_TRUE(after.ok());
+      if (!releases.insert({after->num_transactions(), after->supports()})
+               .second) {
+        continue;
+      }
+      ASSERT_TRUE(RescoreRelease(*after, exec::SplitSeed(frontier->seed,
+                                                         2 * c.index + 3))
+                      .ok());
+    }
+    const uint64_t scoring = PropagationPasses() - before;
+    EXPECT_EQ(sweep, trajectory + scoring);
+    if (db.num_items() == 12) {
+      // Eight rungs replay a trajectory of several steps.
+      EXPECT_GT(one_by_one, 4 * trajectory);
+    }
   }
 }
 
