@@ -213,7 +213,8 @@ class HolderIndex {
   ItemId largest(size_t t) const { return largest_[t]; }
 
  private:
-  std::vector<size_t> starts_;     ///< item x's slice: [starts_[x], starts_[x+1])
+  /// Item x's holders are holders_[starts_[x], starts_[x + 1]).
+  std::vector<size_t> starts_;
   std::vector<uint32_t> holders_;  ///< every item's holders, item-major
   std::vector<size_t> sizes_;
   std::vector<ItemId> largest_;

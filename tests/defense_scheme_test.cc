@@ -675,9 +675,9 @@ DefenseParams Point(
 void AddMalformed(const std::vector<DefenseParams>& malformed, Rng* rng,
                   std::vector<DefenseParams>* ladder) {
   for (const DefenseParams& params : malformed) {
-    ladder->insert(ladder->begin() + static_cast<std::ptrdiff_t>(
-                                         rng->UniformUint64(ladder->size() + 1)),
-                   params);
+    const auto at = static_cast<std::ptrdiff_t>(
+        rng->UniformUint64(ladder->size() + 1));
+    ladder->insert(ladder->begin() + at, params);
   }
 }
 
