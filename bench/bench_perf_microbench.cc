@@ -9,10 +9,13 @@
 //   * sampler sweeps and propagation are the costs of the simulated
 //     estimator and of Figure 7;
 //   * Figure 8 starts from the owner's transaction database:
-//     BM_LoadDataset times serve's cold ingest of one FIMI stand-in.
+//     BM_LoadDataset times serve's cold ingest of one FIMI stand-in;
+//   * Fig. 7's propagation generalizes to the matching cover (§5.2):
+//     BM_MatchingCover times the pruning every planner call starts with.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <sstream>
@@ -30,6 +33,7 @@
 #include "datagen/profile.h"
 #include "graph/bipartite_graph.h"
 #include "graph/consistency.h"
+#include "graph/edge_pruning.h"
 #include "graph/hopcroft_karp.h"
 #include "graph/matching_sampler.h"
 #include "graph/permanent.h"
@@ -226,6 +230,43 @@ void BM_GraphBuildHK(benchmark::State& state) {
   state.SetComplexityN(static_cast<int64_t>(n));
 }
 BENCHMARK(BM_GraphBuildHK)->Range(1 << 8, 1 << 12)->Complexity();
+
+void BM_MatchingCover(benchmark::State& state) {
+  // The planner's front end (docs/ESTIMATORS.md, "Prune") on
+  // BM_GraphBuildHK's graph: Hopcroft–Karp, the SCCs of the alternating
+  // digraph, and the kept edges filtered into a new CSR graph.
+  const size_t n = static_cast<size_t>(state.range(0));
+  FrequencyTable table = MakeTable(n);
+  FrequencyGroups groups = FrequencyGroups::Build(table);
+  BeliefFunction belief =
+      *MakeCompliantIntervalBelief(table, 2.0 * groups.MedianGap());
+  BipartiteGraph graph = *BipartiteGraph::Build(groups, belief);
+  for (auto _ : state) {
+    auto cover = ComputeMatchingCover(graph);
+    benchmark::DoNotOptimize(cover->pruned_edges);
+  }
+}
+BENCHMARK(BM_MatchingCover)->Arg(1 << 8)->Arg(1 << 12);
+
+void BM_MatchingCoverStaircase(benchmark::State& state) {
+  // A cover that prunes almost every edge: anonymized item a may map to
+  // items a..a+64, so the diagonal is the one perfect matching and all
+  // but n of the ~65n edges go.
+  const size_t n = static_cast<size_t>(state.range(0));
+  std::vector<std::vector<ItemId>> adjacency(n);
+  for (size_t a = 0; a < n; ++a) {
+    for (size_t x = a; x < std::min(n, a + 65); ++x) {
+      adjacency[a].push_back(static_cast<ItemId>(x));
+    }
+  }
+  BipartiteGraph graph =
+      *BipartiteGraph::FromAdjacency(n, std::move(adjacency));
+  for (auto _ : state) {
+    auto cover = ComputeMatchingCover(graph);
+    benchmark::DoNotOptimize(cover->pruned_edges);
+  }
+}
+BENCHMARK(BM_MatchingCoverStaircase)->Arg(1 << 12);
 
 void BM_AssessRiskBisection(benchmark::State& state) {
   // Macro-bench of the recipe's δ-bisection: a tolerance low enough that

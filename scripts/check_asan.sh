@@ -3,11 +3,12 @@
 # malformed input under AddressSanitizer + UndefinedBehaviorSanitizer,
 # and runs them: JSON (json_test), FIMI (data_test), belief files
 # (belief_io_test), risk report documents (risk_report_json_test), the
-# serve protocol envelopes and params (serve_test, serve_v2_test), and
-# the golden pipeline bytes (golden_report_test). Undefined behaviour
-# aborts (-fno-sanitize-recover=undefined) and the standard library
-# checks its own preconditions (-D_GLIBCXX_ASSERTIONS), so any finding
-# fails the run.
+# serve protocol envelopes and params (serve_test, serve_v2_test), the
+# golden pipeline bytes (golden_report_test), and the matching cover
+# against its oracle on randomized graphs (pruning_test). Undefined
+# behaviour aborts (-fno-sanitize-recover=undefined) and the standard
+# library checks its own preconditions (-D_GLIBCXX_ASSERTIONS), so any
+# finding fails the run.
 #
 # Usage:
 #   scripts/check_asan.sh
@@ -30,7 +31,7 @@ if ! c++ -fsanitize=address "$probe_dir/probe.cc" -o "$probe_dir/probe" \
 fi
 
 TESTS=(json_test data_test belief_io_test risk_report_json_test serve_test
-       serve_v2_test golden_report_test)
+       serve_v2_test golden_report_test pruning_test)
 
 set -e
 cmake -B build-asan -S . -DANONSAFE_SANITIZE=ON \

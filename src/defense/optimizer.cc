@@ -35,6 +35,7 @@ struct RiskScore {
   size_t num_components = 0;
   size_t k_anonymity = 0;
   size_t num_groups = 0;
+  double group_entropy = 0.0;  ///< `GroupEntropy` of the release's groups
   bool sampled = false;  ///< a block drew from the sampler's stream
 };
 
@@ -47,6 +48,7 @@ Result<RiskScore> ScoreRisk(const FrequencyTable& release,
   if (release.num_items() == 0) return score;  // empty release leaks nothing
   FrequencyGroups groups = FrequencyGroups::Build(release);
   score.num_groups = groups.num_groups();
+  score.group_entropy = GroupEntropy(groups);
   score.k_anonymity = FrequencyKAnonymity(groups);
   ANONSAFE_ASSIGN_OR_RETURN(
       BeliefFunction belief,
@@ -146,23 +148,14 @@ Result<DefenseFrontier> RecommendDefense(const CountedDatabase& data,
   // the planning region, beside the ladders.
   std::optional<internal::HolderIndex> index;
 
+  // The risk of releasing the original data unchanged, scored in the
+  // planning region.
+  RiskScore baseline;
+
   DefenseFrontier result;
   result.num_items = before.num_items();
   result.num_transactions = before.num_transactions();
   result.seed = seed;
-
-  // Baseline: the risk of releasing the original data unchanged.
-  // Sampler fallbacks (if any) draw from stream 1 of the master seed.
-  {
-    PlannerOptions planner = options.planner;
-    planner.block_sampler.exec.seed = exec::SplitSeed(seed, 1);
-    ANONSAFE_ASSIGN_OR_RETURN(FrequencyTable release, ReleaseView(before));
-    ANONSAFE_ASSIGN_OR_RETURN(RiskScore baseline,
-                              ScoreRisk(release, planner, ctx));
-    result.baseline_cracks = baseline.expected_cracks;
-    result.baseline_exact = baseline.exact;
-    result.baseline_groups = baseline.num_groups;
-  }
 
   // Enumerate scheme-major through the registry — the optimizer never
   // names a concrete scheme. ladders[s]: scheme s's points, and where
@@ -186,8 +179,10 @@ Result<DefenseFrontier> RecommendDefense(const CountedDatabase& data,
   // Four steps, each a function of candidate indices alone, so the
   // sweep is bit-identical at any thread count:
   //  1. In parallel, plan each scheme's ladder once, one scheme per
-  //     chunk (the points of a ladder share their planning work), and
-  //     index the database in one more chunk.
+  //     chunk (the points of a ladder share their planning work), index
+  //     the database in one more chunk, and score the baseline in a last
+  //     one (sampler fallbacks on stream 1). Only the baseline can fail,
+  //     so its error is the region's.
   //  2. In parallel, walk every planned candidate on sizes alone
   //     (stream 2i+2): the table Apply's database would count, without
   //     building that database.
@@ -245,14 +240,25 @@ Result<DefenseFrontier> RecommendDefense(const CountedDatabase& data,
     PlannerOptions planner = options.planner;
     planner.block_sampler.exec.seed = exec::SplitSeed(seed, 2 * i + 3);
     ANONSAFE_ASSIGN_OR_RETURN(cand.risk, ScoreRisk(release, planner, ctx));
-    cand.utility = ComputeUtilityLoss(before, *cand.after);
+    cand.utility = ComputeUtilityLoss(before, *cand.after,
+                                      baseline.group_entropy,
+                                      cand.risk.group_entropy);
     return Status::OK();
   };
 
   ANONSAFE_RETURN_IF_ERROR(exec::ParallelForChunks(
-      ctx, schemes.size() + 1, /*grain=*/1, [&](size_t s, size_t) -> Status {
+      ctx, schemes.size() + 2, /*grain=*/1, [&](size_t s, size_t) -> Status {
         if (s == schemes.size()) {
           index.emplace(data.database());
+          return Status::OK();
+        }
+        if (s == schemes.size() + 1) {
+          PlannerOptions planner = options.planner;
+          planner.block_sampler.exec.seed = exec::SplitSeed(seed, 1);
+          ANONSAFE_ASSIGN_OR_RETURN(FrequencyTable release,
+                                    ReleaseView(before));
+          ANONSAFE_ASSIGN_OR_RETURN(baseline,
+                                    ScoreRisk(release, planner, ctx));
           return Status::OK();
         }
         const auto& [first, ladder] = ladders[s];
@@ -266,6 +272,9 @@ Result<DefenseFrontier> RecommendDefense(const CountedDatabase& data,
       }));
   std::vector<size_t> all(n);
   std::iota(all.begin(), all.end(), size_t{0});
+  result.baseline_cracks = baseline.expected_cracks;
+  result.baseline_exact = baseline.exact;
+  result.baseline_groups = baseline.num_groups;
   ANONSAFE_RETURN_IF_ERROR(in_parallel(all, walk));
   std::vector<size_t> leaders;
   for (size_t i = 0; i < n; ++i) {

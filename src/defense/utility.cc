@@ -34,6 +34,13 @@ double GroupEntropy(const FrequencyGroups& groups) {
 
 UtilityLoss ComputeUtilityLoss(const FrequencyTable& before,
                                const FrequencyTable& after) {
+  return ComputeUtilityLoss(before, after, ReleaseViewEntropy(before),
+                            ReleaseViewEntropy(after));
+}
+
+UtilityLoss ComputeUtilityLoss(const FrequencyTable& before,
+                               const FrequencyTable& after,
+                               double entropy_before, double entropy_after) {
   UtilityLoss loss;
   const size_t common =
       std::min(before.num_items(), after.num_items());
@@ -78,8 +85,8 @@ UtilityLoss ComputeUtilityLoss(const FrequencyTable& before,
                 static_cast<double>(total_before)
           : 0.0;
 
-  loss.group_entropy_before = ReleaseViewEntropy(before);
-  loss.group_entropy_after = ReleaseViewEntropy(after);
+  loss.group_entropy_before = entropy_before;
+  loss.group_entropy_after = entropy_after;
   loss.group_entropy_delta =
       std::fabs(loss.group_entropy_before - loss.group_entropy_after);
 

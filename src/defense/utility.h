@@ -62,6 +62,13 @@ double GroupEntropy(const FrequencyGroups& groups);
 UtilityLoss ComputeUtilityLoss(const FrequencyTable& before,
                                const FrequencyTable& after);
 
+/// \brief The same score, given the `GroupEntropy` of each table's
+/// release view by a caller that has already grouped those views (the
+/// defense sweep groups them to score risk), so neither is regrouped.
+UtilityLoss ComputeUtilityLoss(const FrequencyTable& before,
+                               const FrequencyTable& after,
+                               double entropy_before, double entropy_after);
+
 }  // namespace defense
 }  // namespace anonsafe
 

@@ -70,6 +70,33 @@ class BipartiteGraph {
   static Result<BipartiteGraph> FromAdjacency(
       size_t num_items, std::vector<std::vector<ItemId>> items_of_anon);
 
+  /// \brief The subgraph on the same vertices that keeps each edge
+  /// (a, x) for which `keep(a, x)` holds, filtered straight into CSR
+  /// (rows keep their order, so they stay sorted). `keep` is called
+  /// twice per edge and must answer the same both times. When it keeps
+  /// every edge the result is a copy of this graph.
+  template <typename Keep>
+  BipartiteGraph Subgraph(const Keep& keep) const {
+    BipartiteGraph g;
+    g.num_items_ = num_items_;
+    g.anon_offsets_.assign(num_items_ + 1, 0);
+    for (ItemId a = 0; a < num_items_; ++a) {
+      size_t kept = 0;
+      for (ItemId x : items_of_anon(a)) kept += keep(a, x) ? 1 : 0;
+      g.anon_offsets_[a + 1] = g.anon_offsets_[a] + kept;
+    }
+    g.num_edges_ = g.anon_offsets_[num_items_];
+    if (g.num_edges_ == num_edges_) return *this;
+    g.items_flat_.reserve(g.num_edges_);
+    for (ItemId a = 0; a < num_items_; ++a) {
+      for (ItemId x : items_of_anon(a)) {
+        if (keep(a, x)) g.items_flat_.push_back(x);
+      }
+    }
+    g.BuildItemSideAndMasks();
+    return g;
+  }
+
   size_t num_items() const { return num_items_; }
   size_t num_edges() const { return num_edges_; }
 

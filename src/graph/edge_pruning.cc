@@ -1,119 +1,101 @@
 #include "graph/edge_pruning.h"
 
 #include <algorithm>
+#include <string>
+#include <utility>
 
 #include "obs/scoped_timer.h"
 
 namespace anonsafe {
 namespace {
 
-/// Iterative Tarjan SCC over the alternating-structure digraph.
+constexpr size_t kNone = static_cast<size_t>(-1);
+
+/// Strongly connected components of the alternating-structure digraph
+/// by an iterative Tarjan; `component[v]` gets v's SCC, numbered in the
+/// order the SCCs close. Returns the number of SCCs.
 ///
 /// Vertices 0..n-1 are anonymized items, n..2n-1 are original items.
 /// Arcs: for each edge (a, x): if M(a) == x then x -> a, else a -> x.
 /// (Any consistent orientation convention works; this one makes each
-/// alternating cycle a directed cycle.)
-class SccSolver {
- public:
-  SccSolver(const BipartiteGraph& graph, const Matching& matching)
-      : graph_(graph),
-        matching_(matching),
-        n_(graph.num_items()),
-        index_(2 * n_, kUnvisited),
-        lowlink_(2 * n_, 0),
-        on_stack_(2 * n_, false),
-        component_(2 * n_, 0) {}
+/// alternating cycle a directed cycle.) So anon a's successors are its
+/// CSR row without M(a), in row order, and item x's one successor is
+/// M(x). Each DFS frame keeps a cursor into its vertex's successors
+/// instead of a copy of them, so a call allocates only arrays of 2n.
+size_t StronglyConnectedComponents(const BipartiteGraph& graph,
+                                   const Matching& matching,
+                                   std::vector<size_t>* component) {
+  const size_t n = graph.num_items();
+  std::vector<size_t> index(2 * n, kNone);
+  std::vector<size_t> lowlink(2 * n, 0);
+  // A visited vertex sits on the SCC stack until its SCC closes, so
+  // "on the stack" is "visited, component not yet set".
+  component->assign(2 * n, kNone);
+  std::vector<size_t> scc_stack;
+  scc_stack.reserve(2 * n);
+  struct Frame {
+    size_t v;
+    size_t cursor;  ///< anon: next row position; item: arcs taken
+  };
+  std::vector<Frame> dfs;
+  dfs.reserve(2 * n);
+  size_t next_index = 0;
+  size_t num_components = 0;
 
-  void Run() {
-    for (size_t v = 0; v < 2 * n_; ++v) {
-      if (index_[v] == kUnvisited) Visit(v);
-    }
-  }
-
-  size_t component(size_t v) const { return component_[v]; }
-  size_t num_components() const { return num_components_; }
-
- private:
-  static constexpr size_t kUnvisited = static_cast<size_t>(-1);
-
-  // Successors of vertex v in the digraph.
-  // anon a (v = a): arcs a -> x for unmatched edges (a, x).
-  // item x (v = n + x): single arc x -> M(x) (its matched anon), if any.
-  template <typename Fn>
-  void ForEachSuccessor(size_t v, Fn&& fn) const {
-    if (v < n_) {
-      const auto a = static_cast<ItemId>(v);
-      for (ItemId x : graph_.items_of_anon(a)) {
-        if (matching_.item_of_anon[a] != x) fn(n_ + x);
+  // The frame's next successor, or kNone when it has none left.
+  auto next_successor = [&](Frame& f) -> size_t {
+    if (f.v < n) {
+      const auto a = static_cast<ItemId>(f.v);
+      const BipartiteGraph::AdjacencyRow row = graph.items_of_anon(a);
+      while (f.cursor < row.size()) {
+        const ItemId x = row[f.cursor++];
+        if (x != matching.item_of_anon[a]) return n + x;
       }
-    } else {
-      const auto x = static_cast<ItemId>(v - n_);
-      ItemId a = matching_.anon_of_item[x];
-      if (a != kInvalidItem) fn(static_cast<size_t>(a));
+      return kNone;
     }
-  }
+    if (f.cursor++ > 0) return kNone;
+    const ItemId a = matching.anon_of_item[f.v - n];
+    return a != kInvalidItem ? static_cast<size_t>(a) : kNone;
+  };
+  auto push = [&](size_t v) {
+    index[v] = lowlink[v] = next_index++;
+    scc_stack.push_back(v);
+    dfs.push_back({v, 0});
+  };
 
-  void Visit(size_t root) {
-    // Explicit DFS stack: (vertex, next-successor cursor). Successor
-    // lists are materialized per frame to keep the code simple; the
-    // digraph has at most E + n arcs total.
-    struct Frame {
-      size_t v;
-      std::vector<size_t> succ;
-      size_t cursor = 0;
-    };
-    std::vector<Frame> stack;
-    auto push = [&](size_t v) {
-      index_[v] = lowlink_[v] = next_index_++;
-      scc_stack_.push_back(v);
-      on_stack_[v] = true;
-      Frame f;
-      f.v = v;
-      ForEachSuccessor(v, [&](size_t w) { f.succ.push_back(w); });
-      stack.push_back(std::move(f));
-    };
+  for (size_t root = 0; root < 2 * n; ++root) {
+    if (index[root] != kNone) continue;
     push(root);
-    while (!stack.empty()) {
-      Frame& frame = stack.back();
-      if (frame.cursor < frame.succ.size()) {
-        size_t w = frame.succ[frame.cursor++];
-        if (index_[w] == kUnvisited) {
+    while (!dfs.empty()) {
+      const size_t v = dfs.back().v;
+      const size_t w = next_successor(dfs.back());
+      if (w != kNone) {
+        if (index[w] == kNone) {
           push(w);
-        } else if (on_stack_[w]) {
-          lowlink_[frame.v] = std::min(lowlink_[frame.v], index_[w]);
+        } else if ((*component)[w] == kNone) {
+          lowlink[v] = std::min(lowlink[v], index[w]);
         }
-      } else {
-        size_t v = frame.v;
-        if (lowlink_[v] == index_[v]) {
-          // v is an SCC root: pop its component.
-          for (;;) {
-            size_t w = scc_stack_.back();
-            scc_stack_.pop_back();
-            on_stack_[w] = false;
-            component_[w] = num_components_;
-            if (w == v) break;
-          }
-          ++num_components_;
-        }
-        stack.pop_back();
-        if (!stack.empty()) {
-          size_t parent = stack.back().v;
-          lowlink_[parent] = std::min(lowlink_[parent], lowlink_[v]);
-        }
+        continue;
+      }
+      if (lowlink[v] == index[v]) {
+        // v is an SCC root: pop its component.
+        size_t u;
+        do {
+          u = scc_stack.back();
+          scc_stack.pop_back();
+          (*component)[u] = num_components;
+        } while (u != v);
+        ++num_components;
+      }
+      dfs.pop_back();
+      if (!dfs.empty()) {
+        const size_t parent = dfs.back().v;
+        lowlink[parent] = std::min(lowlink[parent], lowlink[v]);
       }
     }
   }
-
-  const BipartiteGraph& graph_;
-  const Matching& matching_;
-  const size_t n_;
-  std::vector<size_t> index_, lowlink_;
-  std::vector<bool> on_stack_;
-  std::vector<size_t> component_;
-  std::vector<size_t> scc_stack_;
-  size_t next_index_ = 0;
-  size_t num_components_ = 0;
-};
+  return num_components;
+}
 
 }  // namespace
 
@@ -126,49 +108,37 @@ Result<MatchingCover> ComputeMatchingCover(const BipartiteGraph& graph) {
         "graph has no perfect matching; the matching cover is empty");
   }
 
-  SccSolver scc(graph, matching);
-  scc.Run();
+  std::vector<size_t> scc;
+  const size_t num_scc = StronglyConnectedComponents(graph, matching, &scc);
 
-  MatchingCover cover;
-  cover.component_of_anon.resize(n);
-  cover.component_of_item.resize(n);
   // Compact component ids to a contiguous range over used ids.
-  std::vector<size_t> remap(scc.num_components(), static_cast<size_t>(-1));
+  std::vector<size_t> remap(num_scc, kNone);
   size_t next_id = 0;
   auto map_id = [&](size_t raw) {
-    if (remap[raw] == static_cast<size_t>(-1)) remap[raw] = next_id++;
+    if (remap[raw] == kNone) remap[raw] = next_id++;
     return remap[raw];
   };
-  for (size_t a = 0; a < n; ++a) {
-    cover.component_of_anon[a] = map_id(scc.component(a));
-  }
-  for (size_t x = 0; x < n; ++x) {
-    cover.component_of_item[x] = map_id(scc.component(n + x));
-  }
-  cover.num_components = next_id;
+  std::vector<size_t> component_of_anon(n);
+  std::vector<size_t> component_of_item(n);
+  for (size_t a = 0; a < n; ++a) component_of_anon[a] = map_id(scc[a]);
+  for (size_t x = 0; x < n; ++x) component_of_item[x] = map_id(scc[n + x]);
 
   // Keep an edge iff it is matched or joins vertices of one SCC.
-  std::vector<std::vector<ItemId>> kept(n);
-  size_t kept_edges = 0;
-  for (size_t a = 0; a < n; ++a) {
-    for (ItemId x : graph.items_of_anon(static_cast<ItemId>(a))) {
-      bool usable = matching.item_of_anon[a] == x ||
-                    cover.component_of_anon[a] == cover.component_of_item[x];
-      if (usable) {
-        kept[a].push_back(x);
-        ++kept_edges;
-      }
-    }
-  }
-  cover.pruned_edges = graph.num_edges() - kept_edges;
-  obs::CountIf("anonsafe_pruned_edges_total", cover.pruned_edges);
+  BipartiteGraph pruned = graph.Subgraph([&](ItemId a, ItemId x) {
+    return matching.item_of_anon[a] == x ||
+           component_of_anon[a] == component_of_item[x];
+  });
+  const size_t pruned_edges = graph.num_edges() - pruned.num_edges();
+  obs::CountIf("anonsafe_pruned_edges_total", pruned_edges);
   if (timer.tracing()) {
-    timer.Annotate("pruned_edges", std::to_string(cover.pruned_edges));
-    timer.Annotate("components", std::to_string(cover.num_components));
+    timer.Annotate("pruned_edges", std::to_string(pruned_edges));
+    timer.Annotate("components", std::to_string(next_id));
   }
-  ANONSAFE_ASSIGN_OR_RETURN(cover.graph,
-                            BipartiteGraph::FromAdjacency(n, std::move(kept)));
-  return cover;
+  return MatchingCover{.graph = std::move(pruned),
+                       .component_of_anon = std::move(component_of_anon),
+                       .component_of_item = std::move(component_of_item),
+                       .num_components = next_id,
+                       .pruned_edges = pruned_edges};
 }
 
 Result<SetDisclosure> AnalyzeSetDisclosure(const BipartiteGraph& graph,

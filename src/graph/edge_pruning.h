@@ -27,7 +27,7 @@ namespace anonsafe {
 /// Figure 6(b) where the plain O-estimate cannot.
 struct MatchingCover {
   /// The pruned graph: same vertices, only matching-usable edges.
-  BipartiteGraph graph{*BipartiteGraph::FromAdjacency(0, {})};
+  BipartiteGraph graph;
 
   /// Component id per anonymized item / per item. Two vertices share an
   /// id iff they lie in the same SCC of the alternating-structure

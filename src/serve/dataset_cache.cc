@@ -1,5 +1,7 @@
 #include "serve/dataset_cache.h"
 
+#include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -31,10 +33,9 @@ Result<DatasetCache::LoadOutcome> DatasetCache::LoadFromContent(
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-      if ((*it)->key == key) {
-        entries_.splice(entries_.begin(), entries_, it);
+      if (it->dataset->key == key) {
         obs::CountIf("anonsafe_serve_dataset_cache_hits_total");
-        return LoadOutcome{entries_.front(), /*hit=*/true};
+        return LoadOutcome{Touch(it, /*used=*/false), /*hit=*/true};
       }
     }
   }
@@ -50,31 +51,41 @@ Result<DatasetCache::LoadOutcome> DatasetCache::LoadFromContent(
 
   std::lock_guard<std::mutex> lock(mu_);
   for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-    if ((*it)->key == key) {
-      entries_.splice(entries_.begin(), entries_, it);
-      return LoadOutcome{entries_.front(), /*hit=*/true};
+    if (it->dataset->key == key) {
+      return LoadOutcome{Touch(it, /*used=*/false), /*hit=*/true};
     }
   }
-  entries_.push_front(std::move(entry));
+  entries_.push_front(Entry{std::move(entry)});
   while (entries_.size() > capacity_) {
-    entries_.pop_back();
+    // The least recently used entry that has been used, else the least
+    // recently used one.
+    auto used = std::find_if(entries_.rbegin(), entries_.rend(),
+                             [](const Entry& e) { return e.used; });
+    entries_.erase(used != entries_.rend() ? std::prev(used.base())
+                                           : std::prev(entries_.end()));
     obs::CountIf("anonsafe_serve_dataset_cache_evictions_total");
   }
-  return LoadOutcome{entries_.front(), /*hit=*/false};
+  return LoadOutcome{entries_.front().dataset, /*hit=*/false};
 }
 
 std::shared_ptr<const CachedDataset> DatasetCache::Find(
     const std::string& key) {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-    if ((*it)->key == key) {
-      entries_.splice(entries_.begin(), entries_, it);
+    if (it->dataset->key == key) {
       obs::CountIf("anonsafe_serve_dataset_cache_hits_total");
-      return entries_.front();
+      return Touch(it, /*used=*/true);
     }
   }
   obs::CountIf("anonsafe_serve_dataset_cache_misses_total");
   return nullptr;
+}
+
+std::shared_ptr<const CachedDataset> DatasetCache::Touch(
+    std::list<Entry>::iterator it, bool used) {
+  it->used = used;
+  entries_.splice(entries_.begin(), entries_, it);
+  return entries_.front().dataset;
 }
 
 size_t DatasetCache::size() const {

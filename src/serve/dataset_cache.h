@@ -34,6 +34,13 @@ struct CachedDataset {
 /// cache and skips the parse and every downstream rebuild. Lookup misses
 /// and evictions are counted in the obs registry
 /// (`anonsafe_serve_dataset_cache_{hits,misses,evictions}_total`).
+///
+/// A load (miss or hit) marks its entry unused; `Find` marks it used.
+/// Eviction drops the least recently used entry that has been used, and
+/// the plain LRU entry only when no resident entry has. A client that
+/// loads a dataset and then stalls before its first request keeps it
+/// while other clients load and use theirs: when each of N clients uses
+/// a dataset before it loads the next, at most N entries are unused.
 class DatasetCache {
  public:
   explicit DatasetCache(size_t capacity = 8);
@@ -48,7 +55,8 @@ class DatasetCache {
   Result<LoadOutcome> LoadFromContent(const std::string& content);
 
   /// \brief Looks up a previously returned key; null when absent
-  /// (expired or never loaded). Refreshes LRU recency.
+  /// (expired or never loaded). Refreshes LRU recency and marks the
+  /// entry used.
   std::shared_ptr<const CachedDataset> Find(const std::string& key);
 
   size_t size() const;
@@ -59,11 +67,21 @@ class DatasetCache {
   static std::string HashContent(const std::string& content);
 
  private:
+  struct Entry {
+    std::shared_ptr<const CachedDataset> dataset;
+    bool used = false;  ///< found since its last load
+  };
+
+  /// Moves the entry at `it` to the front and sets its `used` flag.
+  /// The caller holds `mu_`.
+  std::shared_ptr<const CachedDataset> Touch(std::list<Entry>::iterator it,
+                                             bool used);
+
   const size_t capacity_;
   mutable std::mutex mu_;
   // Front = most recently used. Linear scan: the cache holds a handful
   // of parsed datasets, not thousands.
-  std::list<std::shared_ptr<const CachedDataset>> entries_;
+  std::list<Entry> entries_;
 };
 
 }  // namespace serve

@@ -9,12 +9,14 @@
 
 #include "belief/builders.h"
 #include "data/database.h"
+#include "data/frequency.h"
 #include "defense/k_anonymity.h"
 #include "defense/optimizer.h"
 #include "defense/scheme.h"
 #include "defense/utility.h"
 #include "estimator/planner.h"
 #include "exec/exec.h"
+#include "graph/bipartite_graph.h"
 #include "obs/metrics.h"
 #include "util/rng.h"
 
@@ -99,16 +101,17 @@ TEST(OptimizerTest, SweepCoversEveryRegisteredScheme) {
 }
 
 TEST(OptimizerTest, FrontierIsBitIdenticalAcrossThreadCounts) {
-  Database db = FixtureDb();
-  auto t1 = Sweep(db, 1);
-  auto t4 = Sweep(db, 4);
-  auto t8 = Sweep(db, 8);
-  ASSERT_TRUE(t1.ok());
-  ASSERT_TRUE(t4.ok());
-  ASSERT_TRUE(t8.ok());
-  const std::string doc1 = t1->ToJson().Dump();
-  EXPECT_EQ(doc1, t4->ToJson().Dump());
-  EXPECT_EQ(doc1, t8->ToJson().Dump());
+  for (const Database& db : {FixtureDb(), SingletonDb(), SharedReleaseDb()}) {
+    auto t1 = Sweep(db, 1);
+    ASSERT_TRUE(t1.ok());
+    const std::string doc1 = t1->ToJson().Dump();
+    for (size_t threads : {2, 3, 4, 8}) {
+      auto tn = Sweep(db, threads);
+      ASSERT_TRUE(tn.ok());
+      EXPECT_EQ(doc1, tn->ToJson().Dump())
+          << db.num_items() << " items, threads " << threads;
+    }
+  }
 }
 
 TEST(OptimizerTest, SeedChangesAreConfinedToSamplerStreams) {
@@ -477,13 +480,89 @@ TEST(OptimizerTest, InfeasibleCandidatesCarryReasonsNotFailures) {
 
 TEST(OptimizerTest, CancellationPropagates) {
   Database db = FixtureDb();
-  exec::ExecOptions eo;
-  eo.threads = 2;
-  exec::ExecContext ctx(eo);
-  ctx.RequestCancel();
-  auto frontier = RecommendDefense(db, OptimizerOptions{}, &ctx);
-  ASSERT_FALSE(frontier.ok());
-  EXPECT_TRUE(frontier.status().IsCancelled());
+  for (size_t threads : {1, 2, 4}) {
+    exec::ExecOptions eo;
+    eo.threads = threads;
+    exec::ExecContext ctx(eo);
+    ctx.RequestCancel();
+    auto frontier = RecommendDefense(db, OptimizerOptions{}, &ctx);
+    ASSERT_FALSE(frontier.ok());
+    EXPECT_TRUE(frontier.status().IsCancelled()) << frontier.status();
+  }
+}
+
+// The baseline is scored in the planning region, where nothing else can
+// fail, so a sweep whose baseline fails returns the baseline's own
+// error at any thread count. Here the explicit graph exceeds the
+// planner's edge budget by one.
+TEST(OptimizerTest, BaselineFailureIsTheSweepsError) {
+  const Database db = FixtureDb();
+  auto table = FrequencyTable::Compute(db);
+  ASSERT_TRUE(table.ok());
+  FrequencyGroups groups = FrequencyGroups::Build(*table);
+  auto belief = MakeCompliantIntervalBelief(*table, groups.MedianGap());
+  ASSERT_TRUE(belief.ok());
+  auto graph = BipartiteGraph::Build(groups, *belief);
+  ASSERT_TRUE(graph.ok());
+  const size_t edges = graph->num_edges();
+  OptimizerOptions options;
+  options.planner.max_edges = edges - 1;
+  const std::string want =
+      "OutOfRange: explicit graph would have " + std::to_string(edges) +
+      " edges, budget is " + std::to_string(edges - 1) +
+      "; use ConsistencyStructure for large instances";
+  EXPECT_EQ(RescoreRelease(*table, exec::SplitSeed(7, 1), options.planner)
+                .status()
+                .ToString(),
+            want);
+  for (size_t threads : {1, 4}) {
+    auto frontier = Sweep(db, threads, 7, options);
+    ASSERT_FALSE(frontier.ok());
+    EXPECT_EQ(frontier.status().ToString(), want) << "threads " << threads;
+  }
+}
+
+uint64_t GroupBuilds() {
+  return obs::MetricsRegistry::Global()
+      .GetCounter("anonsafe_group_builds_total")
+      ->value();
+}
+
+// The sweep's risk score groups the release view of the baseline and of
+// each scored after-table once, and its utility score takes the
+// entropies of those groups. So a sweep's group builds are its
+// planning's (each scheme's ParamSpace and PlanLadder over the table)
+// plus one per scored release, the baseline included: one per planner
+// plan. Scoring utility through ComputeUtilityLoss(before, after), which
+// regroups both release views, made 2 more per scored candidate, that is
+// planning + plans + 2 (plans - 1).
+TEST(OptimizerTest, UtilityReusesTheRiskScoresGroups) {
+  obs::SetMetricsEnabled(true);
+  for (const Database& db : {FixtureDb(), SingletonDb(), SharedReleaseDb()}) {
+    auto data = CountedDatabase::Count(db);
+    ASSERT_TRUE(data.ok());
+    const FrequencyTable& table = data->table();
+    uint64_t before = GroupBuilds();
+    for (const DefenseScheme* s : DefenseScheme::All()) {
+      (void)s->PlanLadder(table, s->ParamSpace(table));
+    }
+    const uint64_t planning = GroupBuilds() - before;
+
+    before = GroupBuilds();
+    const uint64_t plans_before = PlanCount();
+    exec::ExecOptions eo;
+    eo.threads = 2;
+    exec::ExecContext ctx(eo);
+    auto frontier = RecommendDefense(*data, OptimizerOptions{}, &ctx);
+    ASSERT_TRUE(frontier.ok());
+    const uint64_t plans = PlanCount() - plans_before;
+    EXPECT_GT(plans, 1u);
+    EXPECT_EQ(GroupBuilds() - before, planning + plans);
+
+    before = GroupBuilds();
+    (void)defense::ComputeUtilityLoss(table, table);
+    EXPECT_EQ(GroupBuilds() - before, 2u);
+  }
 }
 
 TEST(OptimizerTest, ToJsonDocumentShape) {

@@ -19,6 +19,7 @@
 #include "core/similarity.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
+#include "serve/dataset_cache.h"
 #include "serve/protocol.h"
 #include "serve/transport.h"
 #include "tools/cli.h"
@@ -63,14 +64,15 @@ std::string ErrorCode(const json::Value& response) {
   return code.ok() ? *code : "";
 }
 
-std::string LoadDataset(Server& server) {
+std::string LoadDataset(Server& server,
+                        const std::string& content = kDataset) {
   json::Value response = Send(
       server,
       "{\"schema_version\":1,\"id\":1,\"verb\":\"load_dataset\","
       "\"params\":{\"content\":\"" +
-          [] {
+          [&] {
             std::string escaped;
-            for (char c : std::string(kDataset)) {
+            for (char c : content) {
               if (c == '\n') {
                 escaped += "\\n";
               } else {
@@ -458,6 +460,63 @@ TEST(ServeTest, ConcurrentClientsShareOneCachedDataset) {
   auto first = json::Value::Parse(responses[0]);
   ASSERT_TRUE(first.ok());
   EXPECT_TRUE(IsOk(*first));
+}
+
+// A load marks its entry unused and a lookup marks it used. Eviction
+// drops the least recently used entry that has been used: an entry
+// loaded and never looked up outlives one looked up since.
+TEST(DatasetCacheTest, EvictsTheLeastRecentlyUsedOfTheUsedEntries) {
+  DatasetCache cache(2);
+  auto a = cache.LoadFromContent("0 1\n");
+  auto b = cache.LoadFromContent("0 1 2\n");
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  ASSERT_NE(cache.Find(a->dataset->key), nullptr);
+  ASSERT_TRUE(cache.LoadFromContent("1 2\n").ok());
+  EXPECT_EQ(cache.size(), 2u);
+  // Plain LRU would have dropped b, touched before a.
+  EXPECT_EQ(cache.Find(a->dataset->key), nullptr);
+  EXPECT_NE(cache.Find(b->dataset->key), nullptr);
+}
+
+// With every resident entry unused the plain LRU entry goes. Loading
+// an entry again, a hit, marks it unused after its lookup.
+TEST(DatasetCacheTest, EvictsThePlainLruEntryWhenNoneIsUsed) {
+  DatasetCache cache(2);
+  auto a = cache.LoadFromContent("0 1\n");
+  auto b = cache.LoadFromContent("0 1 2\n");
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  ASSERT_NE(cache.Find(a->dataset->key), nullptr);
+  auto again = cache.LoadFromContent("0 1\n");
+  ASSERT_TRUE(again.ok());
+  EXPECT_TRUE(again->hit);
+  ASSERT_TRUE(cache.LoadFromContent("1 2\n").ok());
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.Find(b->dataset->key), nullptr);
+  EXPECT_NE(cache.Find(a->dataset->key), nullptr);
+}
+
+// A client that loads a dataset and stalls before its first request
+// keeps it while others load and use nine datasets through the default
+// cache of eight: their used entries are evicted first.
+TEST(ServeTest, StalledLoadKeepsItsDataset) {
+  Server server;
+  auto assess = [](const std::string& key) {
+    return "{\"schema_version\":1,\"verb\":\"assess_risk\","
+           "\"params\":{\"dataset\":\"" +
+           key + "\",\"include_similarity_curve\":false}}";
+  };
+  const std::string stalled = LoadDataset(server);
+  std::string content = kDataset;
+  for (int i = 0; i < 9; ++i) {
+    content += "0 1 2 3\n";  // distinct bytes, so a distinct dataset
+    const std::string key = LoadDataset(server, content);
+    ASSERT_NE(key, stalled);
+    EXPECT_TRUE(IsOk(Send(server, assess(key))));
+  }
+  json::Value response = Send(server, assess(stalled));
+  EXPECT_TRUE(IsOk(response)) << response.Dump();
 }
 
 TEST(ServeTest, DeadlineCancelsLongRequest) {
