@@ -22,7 +22,7 @@ Result<OEstimateResult> StabAndEstimate(
   exec::ScratchVec<ItemStabRange> ranges(n);
   {
     ANONSAFE_SCOPED_TIMER("graph.consistency_build");
-    const size_t grain = ctx != nullptr ? ctx->ResolveGrain(2048) : n;
+    const size_t grain = ctx != nullptr ? 2048 : n;
     ANONSAFE_RETURN_IF_ERROR(exec::ParallelForChunks(
         ctx, n, grain, [&](size_t begin, size_t end) {
           for (size_t i = begin; i < end; ++i) {
@@ -63,7 +63,7 @@ Result<OEstimateResult> ComputeOEstimateCore(
   // Per-chunk partials in fixed slots; chunk boundaries depend only on
   // (n, grain), so the fold below is bit-identical for any thread count.
   const size_t n = cs.num_items();
-  const size_t grain = ctx != nullptr ? ctx->ResolveGrain(2048) : n;
+  const size_t grain = ctx != nullptr ? 2048 : n;
   const size_t chunks = exec::NumChunks(n, grain);
   struct Partial {
     double cracks = 0.0;

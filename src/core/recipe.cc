@@ -180,15 +180,11 @@ Result<RecipeResult> RunRecipe(const FrequencyTable& table,
                                RecipeArtifacts* artifacts) {
   ANONSAFE_RETURN_IF_ERROR(ValidateRecipeOptions(options));
   const exec::ExecOptions exec_options = options.exec;
-  // The thread pool only schedules; values never depend on it, so an
+  // The thread count only schedules; values never depend on it, so an
   // external context (whatever its thread count) is bit-identical to the
   // private one built from options.exec.
-  std::unique_ptr<exec::ExecContext> owned_ctx;
-  exec::ExecContext* ctx = external_ctx;
-  if (ctx == nullptr) {
-    owned_ctx = std::make_unique<exec::ExecContext>(exec_options);
-    ctx = owned_ctx.get();
-  }
+  exec::ExecContext owned_ctx(exec_options);
+  exec::ExecContext* ctx = external_ctx != nullptr ? external_ctx : &owned_ctx;
   obs::ScopedTimer recipe_timer(interest == nullptr
                                      ? "recipe.assess_risk"
                                      : "recipe.assess_risk_items");

@@ -1,13 +1,17 @@
 #include "exec/exec.h"
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <exception>
+#include <limits>
+#include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
-#include <thread>
 #include <utility>
 
+#include "exec/thread_pool.h"
 #include "obs/trace.h"
 
 namespace anonsafe {
@@ -21,9 +25,10 @@ uint64_t Mix64(uint64_t z) {
   return z ^ (z >> 31);
 }
 
-// True while the calling thread of a region helps drain the pool: the
-// chunks it runs then keep their nested regions inline, as a worker's do.
-thread_local bool tls_helping = false;
+// True while the thread runs a chunk of a region that has helpers: a
+// region started there runs inline, so no chunk fans out again onto a
+// pool that is busy with its siblings.
+thread_local bool tls_in_shared_chunk = false;
 
 }  // namespace
 
@@ -44,180 +49,150 @@ double PairwiseSum(const std::vector<double>& values) {
   return PairwiseSum(values.data(), values.size());
 }
 
-ExecContext::ExecContext(const ExecOptions& options) : options_(options) {
-  num_threads_ = options.threads;
-  if (num_threads_ == 0) {
-    num_threads_ = std::thread::hardware_concurrency();
-    if (num_threads_ == 0) num_threads_ = 1;
-  }
-  if (num_threads_ > 1) {
-    pool_ = std::make_unique<ThreadPool>(num_threads_);
-  }
-}
-
-ExecContext::~ExecContext() = default;
+ExecContext::ExecContext(const ExecOptions& options)
+    : options_(options),
+      num_threads_(options.threads == 0
+                       ? HostCores()
+                       : std::min(options.threads, HostCores())) {}
 
 namespace {
 
-// Shared completion state for one ParallelForChunks fan-out. Chunk
-// outcomes land in fixed per-chunk slots so the merged result does not
-// depend on completion order.
-struct ForState {
+using ChunkBody = std::function<Status(size_t, size_t)>;
+
+/// The state of one ParallelForChunks call, shared by its caller and
+/// its helpers. Trace fragments land in fixed per-chunk slots and the
+/// lowest failed index wins, so the merged result does not depend on
+/// which thread ran which chunk. A helper that starts after the region
+/// has ended claims nothing, so it never touches `body` or `ctx`, which
+/// live only as long as the call.
+struct Region {
+  Region(ExecContext* ctx, const ChunkBody& body, size_t n, size_t grain,
+         size_t chunks, bool has_helpers, obs::Tracer* tracer)
+      : ctx(ctx),
+        body(body),
+        n(n),
+        grain(grain),
+        chunks(chunks),
+        has_helpers(has_helpers),
+        traced(tracer != nullptr),
+        epoch(traced ? tracer->EnsureEpoch()
+                     : std::chrono::steady_clock::time_point()),
+        fragments(traced ? chunks : 0) {}
+
+  /// Runs chunks claimed in index order until every chunk is claimed.
+  void ClaimChunks() {
+    for (size_t c = next.fetch_add(1, std::memory_order_relaxed); c < chunks;
+         c = next.fetch_add(1, std::memory_order_relaxed)) {
+      RunChunk(c);
+    }
+  }
+
+  /// Runs chunk `c` unless the context is cancelled or an earlier chunk
+  /// has failed, then counts it finished.
+  void RunChunk(size_t c) {
+    Status status;
+    std::exception_ptr thrown;
+    if ((ctx == nullptr || !ctx->cancelled()) &&
+        failed.load(std::memory_order_relaxed) > c) {
+      const size_t begin = c * grain;
+      const size_t end = std::min(begin + grain, n);
+      const bool outer = tls_in_shared_chunk;
+      tls_in_shared_chunk = outer || has_helpers;
+      // Traced, the chunk records into a private fragment tracer on the
+      // spawning tracer's timeline, under an `exec.chunk` root span; the
+      // caller merges the fragments in chunk-index order.
+      std::optional<obs::Tracer> fragment;
+      obs::Tracer* previous = nullptr;
+      try {
+        if (traced) {
+          fragment.emplace();
+          fragment->SetEpoch(epoch);
+          previous = obs::Tracer::Install(&*fragment);
+          const size_t span = fragment->OpenSpan("exec.chunk");
+          fragment->Annotate(span, "chunk", std::to_string(c));
+          fragment->Annotate(span, "range", std::to_string(begin) + ".." +
+                                                std::to_string(end));
+        }
+        status = body(begin, end);
+      } catch (...) {
+        thrown = std::current_exception();
+      }
+      if (traced) {
+        fragment->CloseAllOpen();
+        obs::Tracer::Install(previous);
+        fragments[c] = fragment->TakeSpans();
+      }
+      tls_in_shared_chunk = outer;
+    }
+    std::lock_guard<std::mutex> lock(mu);
+    if ((thrown || !status.ok()) &&
+        c < failed.load(std::memory_order_relaxed)) {
+      failed.store(c, std::memory_order_relaxed);
+      error = std::move(status);
+      exception = thrown;
+    }
+    if (++finished == chunks) done.notify_all();
+  }
+
+  ExecContext* const ctx;
+  const ChunkBody& body;
+  const size_t n;
+  const size_t grain;
+  const size_t chunks;
+  const bool has_helpers;
+  const bool traced;
+  const std::chrono::steady_clock::time_point epoch;
+
+  std::atomic<size_t> next{0};  // the next chunk index to claim
+  // Lowest chunk index that failed; written under `mu`.
+  std::atomic<size_t> failed{std::numeric_limits<size_t>::max()};
   std::mutex mu;
-  std::condition_variable cv;
-  size_t remaining;
-  std::vector<Status> statuses;
-  std::vector<std::exception_ptr> exceptions;
-  // Per-chunk trace fragments (empty vectors when untraced/skipped);
-  // merged into the spawning tracer in index order after the join.
+  std::condition_variable done;
+  size_t finished = 0;           // guarded by mu
+  Status error;                  // of chunk `failed`; guarded by mu
+  std::exception_ptr exception;  // of chunk `failed`; guarded by mu
+  // Per-chunk trace fragments (empty when skipped); merged into the
+  // spawning tracer in index order after the last chunk finishes.
   std::vector<std::vector<obs::SpanNode>> fragments;
-
-  explicit ForState(size_t chunks)
-      : remaining(chunks),
-        statuses(chunks),
-        exceptions(chunks),
-        fragments(chunks) {}
 };
-
-Status MergeForState(ForState* state, size_t chunks) {
-  // Lowest chunk index wins — deterministic regardless of which chunk
-  // happened to fail first in wall-clock order.
-  for (size_t c = 0; c < chunks; ++c) {
-    if (state->exceptions[c]) std::rethrow_exception(state->exceptions[c]);
-    if (!state->statuses[c].ok()) return state->statuses[c];
-  }
-  return Status::OK();
-}
-
-/// Runs one chunk under a private fragment tracer on the spawning
-/// tracer's timeline: an `exec.chunk` root span (annotated with the
-/// chunk index and range) wraps whatever spans `body` opens, the
-/// fragment is installed as the running thread's current tracer for the
-/// duration, and the recorded spans land in `*slot` — the caller merges
-/// the slots in chunk-index order. Used verbatim by the sequential and
-/// the parallel path so the merged structure cannot differ.
-Status RunChunkTraced(const std::function<Status(size_t, size_t)>& body,
-                      size_t c, size_t begin, size_t end,
-                      std::chrono::steady_clock::time_point epoch,
-                      std::vector<obs::SpanNode>* slot) {
-  obs::Tracer fragment;
-  fragment.SetEpoch(epoch);
-  obs::Tracer* previous = obs::Tracer::Install(&fragment);
-  size_t span = fragment.OpenSpan("exec.chunk");
-  fragment.Annotate(span, "chunk", std::to_string(c));
-  fragment.Annotate(span, "range",
-                    std::to_string(begin) + ".." + std::to_string(end));
-  Status status;
-  try {
-    status = body(begin, end);
-  } catch (...) {
-    fragment.CloseAllOpen();
-    obs::Tracer::Install(previous);
-    *slot = fragment.TakeSpans();
-    throw;
-  }
-  fragment.CloseAllOpen();
-  obs::Tracer::Install(previous);
-  *slot = fragment.TakeSpans();
-  return status;
-}
 
 }  // namespace
 
 Status ParallelForChunks(ExecContext* ctx, size_t n, size_t grain,
-                         const std::function<Status(size_t, size_t)>& body) {
+                         const ChunkBody& body) {
   if (grain == 0) grain = 1;
   const size_t chunks = NumChunks(n, grain);
   if (chunks == 0) return Status::OK();
 
-  ThreadPool* pool = ctx != nullptr ? ctx->pool() : nullptr;
   // The spawning tracer, read on the calling thread: the request tracer
   // installed by the owner, or the thread-local one under the global
   // switch. Chunk bodies never record into it directly — they get
-  // fragments (below) so caller-helps stealing and worker scheduling
-  // cannot reorder or interleave spans.
+  // fragments, so the threads that run chunks cannot reorder or
+  // interleave spans.
   obs::Tracer* tracer = obs::Tracer::CurrentOrNull();
   const size_t parent_span =
       tracer != nullptr ? tracer->InnermostOpenSpan() : obs::kNoSpan;
-
-  const bool sequential = pool == nullptr || chunks == 1 ||
-                          ThreadPool::OnWorkerThread() || tls_helping;
-  if (sequential) {
-    // Same chunk boundaries and order as the parallel path so a null
-    // context is bit-identical to any thread count.
-    if (tracer == nullptr) {
-      for (size_t c = 0; c < chunks; ++c) {
-        if (ctx != nullptr && ctx->cancelled()) break;
-        size_t begin = c * grain;
-        size_t end = begin + grain < n ? begin + grain : n;
-        ANONSAFE_RETURN_IF_ERROR(body(begin, end));
-      }
-      return Status::OK();
-    }
-    std::vector<std::vector<obs::SpanNode>> fragments(chunks);
-    Status status;
-    try {
-      for (size_t c = 0; c < chunks; ++c) {
-        if (ctx != nullptr && ctx->cancelled()) break;
-        size_t begin = c * grain;
-        size_t end = begin + grain < n ? begin + grain : n;
-        status = RunChunkTraced(body, c, begin, end, tracer->EnsureEpoch(),
-                                &fragments[c]);
-        if (!status.ok()) break;
-      }
-    } catch (...) {
-      tracer->MergeChunkFragments(parent_span, std::move(fragments));
-      throw;
-    }
-    tracer->MergeChunkFragments(parent_span, std::move(fragments));
-    return status;
+  const size_t threads = ctx == nullptr || tls_in_shared_chunk
+                             ? 1
+                             : std::min(ctx->num_threads(), chunks);
+  auto region = std::make_shared<Region>(ctx, body, n, grain, chunks,
+                                         threads > 1, tracer);
+  for (size_t h = 1; h < threads; ++h) {
+    ThreadPool::Shared().Submit([region] { region->ClaimChunks(); });
   }
-
-  const bool traced = tracer != nullptr;
-  auto epoch = traced ? tracer->EnsureEpoch()
-                      : std::chrono::steady_clock::time_point();
-  auto state = std::make_shared<ForState>(chunks);
-  for (size_t c = 0; c < chunks; ++c) {
-    size_t begin = c * grain;
-    size_t end = begin + grain < n ? begin + grain : n;
-    pool->Submit([state, ctx, &body, c, begin, end, traced, epoch] {
-      if (!ctx->cancelled()) {
-        try {
-          state->statuses[c] =
-              traced ? RunChunkTraced(body, c, begin, end, epoch,
-                                      &state->fragments[c])
-                     : body(begin, end);
-        } catch (...) {
-          state->exceptions[c] = std::current_exception();
-        }
-      }
-      std::lock_guard<std::mutex> lock(state->mu);
-      if (--state->remaining == 0) state->cv.notify_all();
-    });
+  region->ClaimChunks();
+  {
+    // Every chunk is claimed by now; wait for those still running.
+    std::unique_lock<std::mutex> lock(region->mu);
+    region->done.wait(lock, [&] { return region->finished == chunks; });
   }
-
-  // The caller lends a hand instead of blocking; between steals it
-  // naps briefly on the condvar so the final chunks finishing on
-  // workers wake it promptly. A chunk it runs here fans out no further:
-  // its nested regions run inline, so whichever thread takes a chunk
-  // does all of it. Chunks never throw out of their closures, so the
-  // flag is always reset.
-  tls_helping = true;
-  for (;;) {
-    if (pool->TryRunOneTask()) continue;
-    std::unique_lock<std::mutex> lock(state->mu);
-    if (state->remaining == 0) break;
-    state->cv.wait_for(lock, std::chrono::milliseconds(1),
-                       [&] { return state->remaining == 0; });
-    if (state->remaining == 0) break;
+  // This runs on the spawning thread, so `tracer` is touched
+  // single-threaded.
+  if (tracer != nullptr) {
+    tracer->MergeChunkFragments(parent_span, std::move(region->fragments));
   }
-  tls_helping = false;
-  // All chunks joined: splice the fragments back in index order. This
-  // runs on the spawning thread, so `tracer` is touched single-threaded.
-  if (traced) {
-    tracer->MergeChunkFragments(parent_span, std::move(state->fragments));
-  }
-  return MergeForState(state.get(), chunks);
+  if (region->exception) std::rethrow_exception(region->exception);
+  return region->error;
 }
 
 Result<double> ParallelSumChunks(

@@ -5,10 +5,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
-#include "exec/thread_pool.h"
 #include "util/result.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -22,13 +20,6 @@ namespace exec {
 /// \brief Shared execution knobs, embedded once in every top-level
 /// options struct (RecipeOptions, SamplerOptions, SimulationOptions,
 /// SimilarityOptions, ...).
-///
-/// Consolidates the seed / replicate-count / thread settings that used
-/// to be scattered per struct. The old per-struct alias fields
-/// (`RecipeOptions::seed`, `SamplerOptions::seed`, ...) lived for one
-/// release as transition shims and are now gone; set `exec.seed` /
-/// `exec.runs` directly (see docs/PARALLELISM.md for the migration
-/// table).
 struct ExecOptions {
   /// Master RNG seed. Every parallel unit (run, chain, chunk) derives
   /// its own stream via SplitSeed(seed, stream), so results are
@@ -37,12 +28,10 @@ struct ExecOptions {
   /// Generic replicate count: alpha runs for the recipe/sweep,
   /// simulation runs for SimulateCracks.
   size_t runs = 5;
-  /// Worker threads. 1 = sequential (default, matches the seed
-  /// baseline); 0 = use all hardware threads.
+  /// Threads a parallel region may use, its caller included. 1 =
+  /// sequential (default, matches the seed baseline); 0 = all of the
+  /// host's cores; a larger count runs at the host's cores.
   size_t threads = 1;
-  /// Minimum items per parallel chunk. 0 = let the callee pick a
-  /// default suited to its per-item cost.
-  size_t grain = 0;
 };
 
 /// \brief Derives an independent RNG stream from a master seed by
@@ -60,22 +49,23 @@ uint64_t SplitSeed(uint64_t seed, uint64_t stream);
 double PairwiseSum(const double* values, size_t n);
 double PairwiseSum(const std::vector<double>& values);
 
-/// \brief Per-invocation execution state: resolved thread count, the
-/// pool itself (only when threads > 1), and a cooperative cancellation
-/// flag. Passed by pointer through the hot paths; `nullptr` means
-/// sequential execution with the same chunking and reduction order, so
-/// a null context and a 1-thread context are bit-identical.
+/// \brief Per-invocation execution state: the seed, the resolved thread
+/// count, a cooperative cancellation flag and the request's trace. It
+/// owns no thread: parallel regions borrow helpers from
+/// `ThreadPool::Shared()`. Passed by pointer through the hot paths;
+/// `nullptr` means sequential execution with the same chunking and
+/// reduction order, so a null context and a 1-thread context are
+/// bit-identical.
 class ExecContext {
  public:
   explicit ExecContext(const ExecOptions& options);
-  ~ExecContext();
 
   ExecContext(const ExecContext&) = delete;
   ExecContext& operator=(const ExecContext&) = delete;
 
   const ExecOptions& options() const { return options_; }
-  /// Resolved worker count (>= 1; `threads == 0` resolved to the
-  /// hardware concurrency).
+  /// Threads a region may use, its caller included: `threads`, with 0
+  /// and any larger count resolved to the host's cores.
   size_t num_threads() const { return num_threads_; }
   uint64_t seed() const { return options_.seed; }
 
@@ -90,9 +80,6 @@ class ExecContext {
   void RequestCancel() { cancel_.store(true, std::memory_order_relaxed); }
   bool cancelled() const { return cancel_.load(std::memory_order_relaxed); }
 
-  /// Pool backing this context; null when execution is sequential.
-  ThreadPool* pool() const { return pool_.get(); }
-
   /// \name Request trace attachment
   /// The (optional, non-owned) trace context of the request this
   /// execution belongs to. Set by the request owner (the server, the
@@ -104,17 +91,9 @@ class ExecContext {
   obs::TraceContext* trace() const { return trace_; }
   /// @}
 
-  /// \brief Effective grain: the per-struct override when set, else
-  /// `default_grain`, clamped to at least 1.
-  size_t ResolveGrain(size_t default_grain) const {
-    size_t g = options_.grain != 0 ? options_.grain : default_grain;
-    return g == 0 ? 1 : g;
-  }
-
  private:
   ExecOptions options_;
   size_t num_threads_;
-  std::unique_ptr<ThreadPool> pool_;
   std::atomic<bool> cancel_{false};
   obs::TraceContext* trace_ = nullptr;
 };
@@ -127,27 +106,29 @@ inline size_t NumChunks(size_t n, size_t grain) {
 }
 
 /// \brief Runs `body(begin, end)` over [0, n) in chunks of `grain`
-/// items. Chunk boundaries depend only on (n, grain); with a null
-/// context, 1 thread or one chunk the chunks execute sequentially in
-/// index order, otherwise they are distributed across the pool while
-/// the caller helps drain tasks. A region nested inside a distributed
-/// chunk runs inline on the thread that runs that chunk, be it a pool
-/// worker or the helping caller: such a chunk never fans out again onto
-/// a pool that is busy with its siblings.
+/// items. Chunk boundaries depend only on (n, grain). The calling thread
+/// and up to `min(ctx->num_threads(), chunks) - 1` helpers from
+/// `ThreadPool::Shared()` claim chunk indices in order from one counter;
+/// with a null context, 1 thread or one chunk the caller claims them
+/// all, in index order. The caller never waits for a helper to start,
+/// only for chunks already claimed, and runs no other region's chunks.
+/// A region nested inside a chunk of a region that has helpers runs
+/// inline on the thread that runs that chunk, be it a helper or the
+/// caller: such a chunk never fans out again onto a pool that is busy
+/// with its siblings.
 ///
 /// The returned Status is deterministic: when several chunks fail, the
 /// error from the lowest chunk index wins. Exceptions thrown by `body`
 /// are captured per chunk and the lowest-index one is rethrown on the
-/// calling thread. Chunks not yet started when `ctx->cancelled()`
-/// becomes true are skipped (OkStatus is still returned; callers check
-/// the flag).
+/// calling thread. A claimed chunk is skipped when `ctx->cancelled()`
+/// or when an earlier chunk has failed (OkStatus is still returned on
+/// cancellation; callers check the flag).
 ///
 /// When a tracer is current on the calling thread (see
 /// `obs::Tracer::CurrentOrNull`), every chunk runs under an `exec.chunk`
 /// span in a private fragment tracer sharing the caller's epoch; the
 /// fragments are merged under the innermost open span in chunk-index
-/// order on both the sequential and the parallel path, so the span
-/// *structure* is bit-identical at any thread count.
+/// order, so the span *structure* is bit-identical at any thread count.
 Status ParallelForChunks(ExecContext* ctx, size_t n, size_t grain,
                          const std::function<Status(size_t, size_t)>& body);
 

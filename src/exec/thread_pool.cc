@@ -1,5 +1,6 @@
 #include "exec/thread_pool.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -7,67 +8,57 @@
 
 namespace anonsafe {
 namespace exec {
-namespace {
 
-thread_local bool tls_on_pool_worker = false;
-
-}  // namespace
+size_t HostCores() {
+  // hardware_concurrency() reads the system each call, which costs
+  // microseconds; the answer does not change while the process runs.
+  static const size_t cores =
+      std::max<size_t>(1, std::thread::hardware_concurrency());
+  return cores;
+}
 
 ThreadPool::ThreadPool(size_t num_threads) {
   if (num_threads == 0) num_threads = 1;
-  queues_.reserve(num_threads);
-  for (size_t i = 0; i < num_threads; ++i) {
-    queues_.push_back(std::make_unique<Queue>());
-  }
-
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   depth_gauge_ = registry.GetGauge("anonsafe_exec_queue_depth",
                                    "Tasks submitted but not yet taken");
   tasks_counter_ = registry.GetCounter("anonsafe_exec_tasks_total",
                                        "Tasks executed by the pool");
-  steals_counter_ = registry.GetCounter(
-      "anonsafe_exec_steals_total", "Tasks stolen from a sibling deque");
   latency_hist_ = registry.GetHistogram("anonsafe_exec_task_seconds", {},
                                         "Task execution latency");
   if (obs::MetricsEnabled()) {
     registry
-        .GetGauge("anonsafe_exec_pool_threads", "Workers in the live pool")
+        .GetGauge("anonsafe_exec_pool_threads", "Workers in the process pool")
         ->Set(static_cast<double>(num_threads));
   }
 
   workers_.reserve(num_threads);
   for (size_t i = 0; i < num_threads; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
 ThreadPool::~ThreadPool() {
   {
-    std::lock_guard<std::mutex> lock(wake_mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     stop_ = true;
   }
   wake_cv_.notify_all();
   for (std::thread& worker : workers_) worker.join();
 }
 
-bool ThreadPool::OnWorkerThread() { return tls_on_pool_worker; }
-
-size_t ThreadPool::ApproxPendingTasks() const {
-  std::lock_guard<std::mutex> lock(const_cast<std::mutex&>(wake_mu_));
-  return pending_;
+ThreadPool& ThreadPool::Shared() {
+  static ThreadPool* pool =
+      new ThreadPool(HostCores() > 1 ? HostCores() - 1 : 1);
+  return *pool;
 }
 
 void ThreadPool::Submit(std::function<void()> task) {
-  size_t q = next_queue_.fetch_add(1, std::memory_order_relaxed) %
-             queues_.size();
-  {
-    std::lock_guard<std::mutex> lock(queues_[q]->mu);
-    queues_[q]->tasks.push_back(std::move(task));
-  }
   size_t depth;
   {
-    std::lock_guard<std::mutex> lock(wake_mu_);
-    depth = ++pending_;
+    std::lock_guard<std::mutex> lock(mu_);
+    tasks_.push_back(std::move(task));
+    depth = tasks_.size();
   }
   if (obs::MetricsEnabled()) {
     depth_gauge_->Set(static_cast<double>(depth));
@@ -75,76 +66,27 @@ void ThreadPool::Submit(std::function<void()> task) {
   wake_cv_.notify_one();
 }
 
-bool ThreadPool::Take(size_t self, std::function<void()>* out) {
-  const size_t n = queues_.size();
-  bool taken = false;
-  bool stolen = false;
-  // Own queue first (front: most recently pushed local work).
-  if (self < n) {
-    std::lock_guard<std::mutex> lock(queues_[self]->mu);
-    if (!queues_[self]->tasks.empty()) {
-      *out = std::move(queues_[self]->tasks.front());
-      queues_[self]->tasks.pop_front();
-      taken = true;
+void ThreadPool::WorkerLoop() {
+  for (;;) {
+    std::function<void()> task;
+    size_t depth;
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      wake_cv_.wait(lock, [this] { return stop_ || !tasks_.empty(); });
+      if (tasks_.empty()) return;  // stopped
+      task = std::move(tasks_.front());
+      tasks_.pop_front();
+      depth = tasks_.size();
     }
-  }
-  // Steal from the back of a sibling.
-  for (size_t off = 0; !taken && off < n; ++off) {
-    size_t victim = (self + 1 + off) % n;
-    if (victim == self) continue;
-    std::lock_guard<std::mutex> lock(queues_[victim]->mu);
-    if (!queues_[victim]->tasks.empty()) {
-      *out = std::move(queues_[victim]->tasks.back());
-      queues_[victim]->tasks.pop_back();
-      taken = true;
-      stolen = true;
+    if (!obs::MetricsEnabled()) {
+      task();
+      continue;
     }
-  }
-  if (!taken) return false;
-  size_t depth;
-  {
-    std::lock_guard<std::mutex> lock(wake_mu_);
-    depth = --pending_;
-  }
-  if (obs::MetricsEnabled()) {
     depth_gauge_->Set(static_cast<double>(depth));
-    if (stolen) steals_counter_->Increment();
-  }
-  return true;
-}
-
-void ThreadPool::Execute(std::function<void()> task) {
-  if (obs::MetricsEnabled()) {
     tasks_counter_->Increment();
     obs::Stopwatch watch;
     task();
     latency_hist_->Observe(watch.Seconds());
-    return;
-  }
-  task();
-}
-
-bool ThreadPool::TryRunOneTask() {
-  std::function<void()> task;
-  // Non-worker callers have no own deque: an index past the end sends
-  // Take straight to stealing. Workers helping mid-ParallelFor drain
-  // through their own WorkerLoop anyway.
-  if (!Take(queues_.size(), &task)) return false;
-  Execute(std::move(task));
-  return true;
-}
-
-void ThreadPool::WorkerLoop(size_t index) {
-  tls_on_pool_worker = true;
-  for (;;) {
-    std::function<void()> task;
-    if (Take(index, &task)) {
-      Execute(std::move(task));
-      continue;
-    }
-    std::unique_lock<std::mutex> lock(wake_mu_);
-    wake_cv_.wait(lock, [this] { return stop_ || pending_ > 0; });
-    if (stop_) return;
   }
 }
 

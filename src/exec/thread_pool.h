@@ -1,12 +1,10 @@
 #ifndef ANONSAFE_EXEC_THREAD_POOL_H_
 #define ANONSAFE_EXEC_THREAD_POOL_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -20,84 +18,61 @@ class Histogram;
 
 namespace exec {
 
-/// \brief Work-stealing thread pool.
+/// \brief The host's hardware threads (at least 1), read once per
+/// process.
+size_t HostCores();
+
+/// \brief FIFO thread pool: one queue, a fixed set of workers.
 ///
-/// Each worker owns a deque: it pops its own tasks LIFO from the front
-/// and, when empty, steals FIFO from the back of a sibling's deque —
-/// the classic arrangement that keeps hot caches for local work while
-/// spreading load under imbalance. `Submit` distributes tasks round-robin
-/// across the deques; any thread (including non-workers) can additionally
-/// drain tasks through `TryRunOneTask`, which is how `ParallelFor`
-/// callers lend a hand instead of blocking.
+/// The library runs one pool, `Shared()`; `ParallelForChunks` submits
+/// its helpers there. Tests may build their own.
 ///
 /// Observability (active only while `obs::MetricsEnabled()`):
-///   anonsafe_exec_pool_threads     gauge    workers in the live pool
+///   anonsafe_exec_pool_threads     gauge    workers in the process pool
 ///   anonsafe_exec_queue_depth      gauge    tasks submitted but not taken
 ///   anonsafe_exec_tasks_total      counter  tasks executed
-///   anonsafe_exec_steals_total     counter  tasks taken from a sibling
 ///   anonsafe_exec_task_seconds     histogram task execution latency
 ///
 /// The pool never rethrows from worker threads; callers that need
 /// exception propagation capture them inside the submitted closures
-/// (as `ParallelFor` does).
+/// (as `ParallelForChunks` does).
 class ThreadPool {
  public:
   /// \brief Spawns `num_threads` workers (at least 1).
   explicit ThreadPool(size_t num_threads);
 
-  /// \brief Drains nothing: outstanding tasks must have been awaited by
-  /// their submitters (ParallelFor always does). Stops and joins workers.
+  /// \brief Runs the tasks still queued, then stops and joins the
+  /// workers.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
+
+  /// \brief The process's pool: `HostCores() - 1` workers (at least 1),
+  /// started on first use and never stopped, so that no idle worker
+  /// races static destructors at exit.
+  static ThreadPool& Shared();
 
   size_t num_threads() const { return workers_.size(); }
 
   /// \brief Enqueues a task. Thread-safe.
   void Submit(std::function<void()> task);
 
-  /// \brief Runs one pending task on the calling thread if any is
-  /// available (own queue for workers, stealing otherwise). Returns
-  /// false when every deque is empty.
-  bool TryRunOneTask();
-
-  /// \brief True when the calling thread is one of this process's pool
-  /// workers (any pool). Used to run nested parallel regions inline
-  /// rather than deadlocking on a saturated pool.
-  static bool OnWorkerThread();
-
-  /// \brief Tasks submitted but not yet taken by any thread.
-  size_t ApproxPendingTasks() const;
-
  private:
-  struct Queue {
-    std::mutex mu;
-    std::deque<std::function<void()>> tasks;
-  };
+  void WorkerLoop();
 
-  void WorkerLoop(size_t index);
-  /// Pops from own front (`self` < num_threads) or steals from a
-  /// sibling's back. Returns false when nothing was found.
-  bool Take(size_t self, std::function<void()>* out);
-  void Execute(std::function<void()> task);
-
-  std::vector<std::unique_ptr<Queue>> queues_;
-  std::vector<std::thread> workers_;
-
-  std::mutex wake_mu_;
+  std::mutex mu_;
   std::condition_variable wake_cv_;
-  bool stop_ = false;
-  size_t pending_ = 0;  // guarded by wake_mu_
-
-  std::atomic<size_t> next_queue_{0};
+  std::deque<std::function<void()>> tasks_;  // guarded by mu_
+  bool stop_ = false;                        // guarded by mu_
 
   // Registry pointers are stable; resolved once at construction so the
   // hot path records without touching the registry lock.
   obs::Gauge* depth_gauge_ = nullptr;
   obs::Counter* tasks_counter_ = nullptr;
-  obs::Counter* steals_counter_ = nullptr;
   obs::Histogram* latency_hist_ = nullptr;
+
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace exec

@@ -48,7 +48,7 @@ Result<ConsistencyStructure> ConsistencyStructure::Build(
   // thread-local scratch pool — recipe runs rebuild this structure per
   // probe, so the allocation is recycled rather than repeated.
   exec::ScratchVec<ItemStabRange> stabs(n);
-  const size_t grain = ctx != nullptr ? ctx->ResolveGrain(2048) : n;
+  const size_t grain = ctx != nullptr ? 2048 : n;
   Status st = exec::ParallelForChunks(
       ctx, n, grain, [&](size_t begin, size_t end) {
         for (size_t i = begin; i < end; ++i) {

@@ -1,10 +1,8 @@
 #include "serve/registry.h"
 
-#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <string>
-#include <thread>
 
 #include "adversary/adversary.h"
 #include "estimator/estimator.h"
@@ -42,15 +40,6 @@ void Read(const json::Value& params, const char* name, T* out) {
   if (const json::Value* v = params.Find(name)) {
     *out = static_cast<T>(v->is_bool() ? v->AsBool() : v->AsDouble());
   }
-}
-
-/// Reads `threads` capped at the host's cores (0 still means all of
-/// them): every request builds a pool of that many OS threads, and the
-/// answers are byte-identical at any thread count.
-void ReadThreads(const json::Value& params, size_t* out) {
-  Read(params, "threads", out);
-  const size_t cores = std::thread::hardware_concurrency();
-  if (cores > 0) *out = std::min(*out, cores);
 }
 
 }  // namespace
@@ -149,7 +138,7 @@ Result<RequestParams> BindRequestParams(const json::Value& params) {
   RequestParams out;
   Read(params, "seed", &out.exec.seed);
   Read(params, "runs", &out.exec.runs);
-  ReadThreads(params, &out.exec.threads);
+  Read(params, "threads", &out.exec.threads);
   if (const json::Value* v = params.Find("deadline_ms")) {
     out.deadline_ms = static_cast<uint64_t>(v->AsDouble());
   }
@@ -177,7 +166,7 @@ Result<RiskReportOptions> BindAssessRisk(const json::Value& params) {
   }
   Read(params, "seed", &recipe.exec.seed);
   Read(params, "runs", &recipe.exec.runs);
-  ReadThreads(params, &recipe.exec.threads);
+  Read(params, "threads", &recipe.exec.threads);
   return out;
 }
 
@@ -188,7 +177,7 @@ Result<DefenseRequest> BindRecommendDefense(const json::Value& params) {
   Read(params, "ryser_cutoff", &out.optimizer.planner.ryser_cutoff);
   Read(params, "prefer_sampler", &out.optimizer.planner.prefer_sampler);
   Read(params, "seed", &out.exec.seed);
-  ReadThreads(params, &out.exec.threads);
+  Read(params, "threads", &out.exec.threads);
   return out;
 }
 

@@ -68,7 +68,6 @@ const ParamTables& VerbParams();
 
 /// \name Binders: each checks `params` against its table, then reads the
 /// params present into the verb's options; absent ones keep the defaults.
-/// `threads` is capped at the host's cores (0 still means all of them).
 /// @{
 struct RequestParams {
   exec::ExecOptions exec;

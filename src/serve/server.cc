@@ -99,12 +99,6 @@ Server::Server(const ServerOptions& options)
       quotas_(options_.tenant_rate, options_.tenant_burst) {
   if (options_.enable_metrics) obs::SetMetricsEnabled(true);
   BuildRegistry();
-  // Plain threads, not an exec::ThreadPool: ParallelForChunks detects
-  // pool workers and falls back to sequential execution to avoid
-  // deadlocking nested fan-outs, so running verbs on a pool would
-  // silently serialize every request's intra-request parallelism (the
-  // batch verb, the alpha sweep). Runner threads are not pool workers,
-  // so each request's own fan-out engages normally.
   runners_.reserve(options_.workers);
   for (size_t i = 0; i < options_.workers; ++i) {
     runners_.emplace_back([this] { RunnerLoop(); });

@@ -103,13 +103,14 @@ struct ServerOptions {
 /// (`metrics`, `debug`, `server_info`) answer inline; compute verbs
 /// pass per-tenant quota and admission control (running ≤ workers,
 /// waiting ≤ queue_capacity with fair-share draining across tenants,
-/// else `queue_full`) and then execute on dedicated runner threads —
-/// deliberately *not* exec-pool workers, so a request's own
-/// `ParallelForChunks` fan-outs (the batch verb, the alpha sweep) still
-/// go parallel. A deadline watchdog cancels the request's ExecContext
-/// cooperatively when its deadline passes. `shutdown` stops admission
-/// and drains: every admitted request completes and its response is
-/// handed to its callback before the shutdown response is produced.
+/// else `queue_full`) and then execute on dedicated runner threads; a
+/// request's own `ParallelForChunks` fan-outs (the batch verb, the alpha
+/// sweep) borrow helpers from the process's exec pool, up to the
+/// request's `threads`. A deadline watchdog cancels the request's
+/// ExecContext cooperatively when its deadline passes. `shutdown` stops
+/// admission and drains: every admitted request completes and its
+/// response is handed to its callback before the shutdown response is
+/// produced.
 class Server {
  public:
   /// \brief Receives the finished response line (no trailing newline).

@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <sys/syscall.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <mutex>
 #include <numeric>
 #include <set>
 #include <stdexcept>
@@ -36,30 +41,10 @@ TEST(ThreadPoolTest, ExecutesEverySubmittedTask) {
   for (int i = 0; i < kTasks; ++i) {
     pool.Submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
   }
-  // The caller lends a hand, then waits for the workers to finish.
-  while (pool.TryRunOneTask()) {
-  }
   while (count.load() < kTasks) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   EXPECT_EQ(count.load(), kTasks);
-  EXPECT_EQ(pool.ApproxPendingTasks(), 0u);
-}
-
-TEST(ThreadPoolTest, OnWorkerThreadDistinguishesCallers) {
-  EXPECT_FALSE(ThreadPool::OnWorkerThread());
-  ThreadPool pool(2);
-  std::atomic<bool> saw_worker{false};
-  std::atomic<bool> done{false};
-  pool.Submit([&] {
-    saw_worker.store(ThreadPool::OnWorkerThread());
-    done.store(true);
-  });
-  while (!done.load()) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_TRUE(saw_worker.load());
-  EXPECT_FALSE(ThreadPool::OnWorkerThread());
 }
 
 // ------------------------------------------------------ ParallelForChunks
@@ -226,6 +211,90 @@ TEST(ParallelForTest, CancellationSkipsRemainingChunks) {
   EXPECT_EQ(executed, 1);
 }
 
+// No context starts a thread: serve builds one context per request, and
+// the chunks of every context's regions run on their callers and the
+// process pool's workers only. Kernel thread ids are not reused as soon
+// as `std::thread::id`s may be.
+TEST(ParallelForTest, ContextsStartNoThreads) {
+  std::mutex mu;
+  std::set<long> tids;
+  for (int i = 0; i < 20; ++i) {
+    ExecOptions options;
+    options.threads = 4;
+    ExecContext ctx(options);
+    Status st = ParallelForChunks(&ctx, 64, 1, [&](size_t, size_t) -> Status {
+      // Long enough that every thread the region can use runs a chunk.
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+      const long tid = syscall(SYS_gettid);
+      std::lock_guard<std::mutex> lock(mu);
+      tids.insert(tid);
+      return Status::OK();
+    });
+    ASSERT_TRUE(st.ok());
+  }
+  EXPECT_LE(tids.size(), std::max(1u, std::thread::hardware_concurrency()));
+}
+
+// Two callers run regions at once on the one pool: each caller runs only
+// chunks of its own region, every chunk runs once, and both sums equal
+// the null-context sum.
+TEST(ParallelForTest, ConcurrentRegionsShareThePool) {
+  constexpr size_t kChunks = 256;
+  constexpr size_t kGrain = 4;
+  std::vector<double> values;
+  Rng rng(13);
+  for (size_t i = 0; i < kChunks * kGrain; ++i) {
+    values.push_back(rng.UniformDouble() - 0.5);
+  }
+  auto chunk_sum = [&](size_t b, size_t e) {
+    double s = 0.0;
+    for (size_t i = b; i < e; ++i) s += values[i];
+    return s;
+  };
+  std::atomic<int> ready{0};
+  std::thread::id callers[2];
+  std::vector<std::thread::id> runners[2];
+  std::vector<std::atomic<int>> hits[2];
+  double sums[2] = {0.0, 0.0};
+  auto run = [&](int r) {
+    callers[r] = std::this_thread::get_id();
+    runners[r].resize(kChunks);
+    hits[r] = std::vector<std::atomic<int>>(kChunks);
+    ExecOptions options;
+    options.threads = 0;
+    ExecContext ctx(options);
+    ready.fetch_add(1);
+    while (ready.load() < 2) std::this_thread::yield();
+    Result<double> sum = ParallelSumChunks(
+        &ctx, values.size(), kGrain,
+        [&, r](size_t b, size_t e) -> Result<double> {
+          runners[r][b / kGrain] = std::this_thread::get_id();
+          hits[r][b / kGrain].fetch_add(1);
+          std::this_thread::sleep_for(std::chrono::microseconds(20));
+          return chunk_sum(b, e);
+        });
+    ASSERT_TRUE(sum.ok());
+    sums[r] = *sum;
+  };
+  std::thread first(run, 0);
+  std::thread second(run, 1);
+  first.join();
+  second.join();
+
+  Result<double> expected = ParallelSumChunks(
+      nullptr, values.size(), kGrain,
+      [&](size_t b, size_t e) -> Result<double> { return chunk_sum(b, e); });
+  ASSERT_TRUE(expected.ok());
+  for (int r = 0; r < 2; ++r) {
+    EXPECT_EQ(sums[r], *expected) << "region " << r;
+    for (size_t c = 0; c < kChunks; ++c) {
+      EXPECT_EQ(hits[r][c].load(), 1) << "region " << r << ", chunk " << c;
+      EXPECT_NE(runners[r][c], callers[1 - r])
+          << "region " << r << ", chunk " << c << " ran on the other caller";
+    }
+  }
+}
+
 // ----------------------------------------------------- Reductions & seeds
 
 TEST(PairwiseSumTest, MatchesSequentialSum) {
@@ -303,8 +372,6 @@ TEST(ExecContextTest, ResolvesThreadsAndGrain) {
   seq.threads = 1;
   ExecContext a(seq);
   EXPECT_EQ(a.num_threads(), 1u);
-  EXPECT_EQ(a.pool(), nullptr);
-  EXPECT_EQ(a.ResolveGrain(128), 128u);
 
   ExecOptions all;
   all.threads = 0;  // hardware concurrency
@@ -313,12 +380,24 @@ TEST(ExecContextTest, ResolvesThreadsAndGrain) {
 
   ExecOptions pinned;
   pinned.threads = 3;
-  pinned.grain = 7;
   ExecContext c(pinned);
-  EXPECT_EQ(c.num_threads(), 3u);
-  ASSERT_NE(c.pool(), nullptr);
-  EXPECT_EQ(c.pool()->num_threads(), 3u);
-  EXPECT_EQ(c.ResolveGrain(128), 7u);
+  const size_t cores = std::max(1u, std::thread::hardware_concurrency());
+  EXPECT_EQ(c.num_threads(), std::min<size_t>(3, cores));
+}
+
+// `threads` 0 and every count above the host's cores resolve to the
+// host's cores. Building a context starts no thread, so asking for 1024
+// is harmless.
+TEST(ExecContextTest, CapsThreadsAtTheHostCores) {
+  const size_t cores = std::max(1u, std::thread::hardware_concurrency());
+  for (size_t asked : {size_t{0}, size_t{1}, size_t{3}, cores, cores + 1,
+                       size_t{1024}}) {
+    SCOPED_TRACE("threads " + std::to_string(asked));
+    ExecOptions options;
+    options.threads = asked;
+    ExecContext ctx(options);
+    EXPECT_EQ(ctx.num_threads(), asked == 0 ? cores : std::min(asked, cores));
+  }
 }
 
 TEST(NumChunksTest, DependsOnlyOnSizeAndGrain) {

@@ -12,7 +12,6 @@
 #include <map>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "serve/registry.h"
@@ -278,28 +277,6 @@ TEST(ParamParityTest, EveryTableEntryWorksOnBothSurfaces) {
                                 "\":" + sample->second.second))));
       }
     }
-  }
-}
-
-// Every binder of `threads` caps it at the host's cores, and 0 (all
-// cores) and smaller counts pass through, so no request can make the
-// server spawn more OS threads than it has cores. Checked on the
-// binders alone: no pool of the asked size is built.
-TEST(ParamParityTest, BindersCapThreadsAtTheHostCores) {
-  const size_t cores = std::thread::hardware_concurrency();
-  for (size_t asked : {size_t{0}, size_t{1}, cores, cores + 1, size_t{1024}}) {
-    SCOPED_TRACE("threads " + std::to_string(asked));
-    const size_t want = cores == 0 ? asked : std::min(asked, cores);
-    Result<json::Value> params =
-        json::Value::Parse("{\"threads\":" + std::to_string(asked) + "}");
-    ASSERT_TRUE(params.ok());
-    Result<RequestParams> request = BindRequestParams(*params);
-    Result<RiskReportOptions> assess = BindAssessRisk(*params);
-    Result<DefenseRequest> defense = BindRecommendDefense(*params);
-    ASSERT_TRUE(request.ok() && assess.ok() && defense.ok());
-    EXPECT_EQ(request->exec.threads, want);
-    EXPECT_EQ(assess->recipe.exec.threads, want);
-    EXPECT_EQ(defense->exec.threads, want);
   }
 }
 

@@ -406,7 +406,7 @@ TEST(ServeTest, AdversaryReportsBitIdenticalToCli) {
   // report provenance. For every registered adversary the serve report
   // document must be byte-identical to `report --json --adversary=...`.
   const std::string path = WriteDatasetFile();
-  for (const std::string spec :
+  for (const std::string& spec :
        {std::string("interval"), std::string("probabilistic:span=1,sigma=0.5"),
         std::string("exact_support:k=2")}) {
     CliInvocation cli;
