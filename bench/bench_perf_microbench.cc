@@ -9,7 +9,8 @@
 //   * sampler sweeps and propagation are the costs of the simulated
 //     estimator and of Figure 7;
 //   * Figure 8 starts from the owner's transaction database:
-//     BM_LoadDataset times serve's cold ingest of one FIMI stand-in;
+//     BM_LoadDataset times serve's cold ingest of one FIMI stand-in,
+//     and BM_ParseFimi the FIMI parser on rows too sparse for its bitmap;
 //   * Fig. 7's propagation generalizes to the matching cover (§5.2):
 //     BM_MatchingCover times the pruning every planner call starts with.
 
@@ -315,6 +316,41 @@ void BM_LoadDataset(benchmark::State& state) {
                           static_cast<int64_t>(line.size()));
 }
 BENCHMARK(BM_LoadDataset);
+
+void BM_ParseFimi(benchmark::State& state) {
+  // ParseFimi on sparse rows: after one line of 1024 labels, 20k rows of
+  // 3 labels drawn from 2^16, each pairing one new label with two seen
+  // at least 768 ids earlier. Every such row spans at least 4 words per
+  // label, so each is sorted rather than set in the row bitmap. Labels
+  // below 2^16 stay in the parser's flat label table, so the time is the
+  // parse and the sort, not hash map probes.
+  constexpr uint64_t kHeader = 1024;
+  constexpr uint64_t kRows = 20000;
+  auto label = [](uint64_t id) { return id * 7919 % 65521; };
+  Rng rng(5);
+  std::string text;
+  for (uint64_t id = 0; id < kHeader; ++id) {
+    text += std::to_string(label(id)) + (id + 1 < kHeader ? " " : "\n");
+  }
+  for (uint64_t r = 0; r < kRows; ++r) {
+    const uint64_t fresh = kHeader + r;
+    std::vector<uint64_t> row = {fresh,
+                                 rng.UniformUint64(fresh - 767),
+                                 rng.UniformUint64(fresh - 767)};
+    rng.Shuffle(&row);
+    for (size_t i = 0; i < row.size(); ++i) {
+      text += std::to_string(label(row[i]));
+      text += i + 1 < row.size() ? " " : "\n";
+    }
+  }
+  for (auto _ : state) {
+    auto parsed = ParseFimi(text);
+    benchmark::DoNotOptimize(parsed->database.num_transactions());
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(text.size()));
+}
+BENCHMARK(BM_ParseFimi);
 
 void BM_Propagation(benchmark::State& state) {
   // Worst-case staircase: every pass forces one item (Figure 6(a) at n).

@@ -5,8 +5,9 @@
 # n=20/22/24, explicit CSR graph build + Hopcroft-Karp, the matching
 # cover on that graph at n=256/4096 and on a staircase that prunes
 # almost every edge, the AssessRisk δ-bisection macro-bench, serve's
-# cold load_dataset ingest of a CONNECT ×0.05 stand-in, and eight sweeps
-# of the MCMC matching walk at n=8192), emits BENCH_kernels.json at the
+# cold load_dataset ingest of a CONNECT ×0.05 stand-in, the FIMI parser
+# on rows too sparse for its row bitmap, and eight sweeps of the MCMC
+# matching walk at n=8192), emits BENCH_kernels.json at the
 # repo root, and compares each kernel's cpu time against the checked-in
 # baseline in bench/perf_baseline.json with a ±15% gate:
 #
@@ -18,6 +19,7 @@
 # on the pre-optimization tree (vector<vector> adjacency, unmasked
 # Ryser, per-call allocation, per-probe re-stabbing; for BM_LoadDataset,
 # the line-at-a-time stream FIMI parser with its copies of the content;
+# for BM_ParseFimi, the in-place parser that sorted every row;
 # for the BM_MatchingCover kernels, the cover that copied each DFS
 # frame's successors and rebuilt the kept edges through FromAdjacency).
 # BENCH_kernels.json reports speedup_vs_pre_opt = pre_opt / current for
@@ -97,7 +99,7 @@ if ! command -v python3 >/dev/null 2>&1; then
 fi
 
 section_kernels() {
-FILTER='BM_Permanent/(20|22|24)$|BM_PermanentBatch/12$|BM_SamplerProbe/8192$|BM_SamplerSweep/8192$|BM_GraphBuildHK/4096$|BM_MatchingCover/(256|4096)$|BM_MatchingCoverStaircase/4096$|BM_AssessRiskBisection/8192$|BM_LoadDataset$'
+FILTER='BM_Permanent/(20|22|24)$|BM_PermanentBatch/12$|BM_SamplerProbe/8192$|BM_SamplerSweep/8192$|BM_GraphBuildHK/4096$|BM_MatchingCover/(256|4096)$|BM_MatchingCoverStaircase/4096$|BM_AssessRiskBisection/8192$|BM_LoadDataset$|BM_ParseFimi$'
 
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT

@@ -1,16 +1,38 @@
 #include "data/fimi_io.h"
 
 #include <algorithm>
-#include <cstring>
+#include <array>
+#include <bit>
 #include <fstream>
 #include <unordered_map>
 
 namespace anonsafe {
 namespace {
 
-bool IsSeparator(char c) {
-  return c == ' ' || c == '\t' || c == '\v' || c == '\f' || c == '\r';
+/// Byte classes of the FIMI grammar; a token ends at a class of
+/// `kSeparator` or above.
+enum ByteClass : uint8_t { kOther, kDigit, kSign, kSeparator, kNewline };
+
+constexpr std::array<uint8_t, 256> MakeByteClasses() {
+  std::array<uint8_t, 256> table{};
+  for (int c = '0'; c <= '9'; ++c) table[c] = kDigit;
+  table['+'] = table['-'] = kSign;
+  for (int c : {' ', '\t', '\v', '\f', '\r'}) table[c] = kSeparator;
+  table['\n'] = kNewline;
+  return table;
 }
+
+constexpr std::array<uint8_t, 256> kByteClass = MakeByteClasses();
+
+uint8_t ClassOf(char c) { return kByteClass[static_cast<unsigned char>(c)]; }
+
+/// A row is ordered through the bitmap when its id span, in 64-bit
+/// words, is below this many words per label; otherwise it is sorted.
+/// It caps the bitmap work at a few words per label.
+constexpr size_t kMaxWordsPerLabel = 4;
+
+/// Every token of up to this many digits fits in int64 unchecked.
+constexpr size_t kUncheckedDigits = 18;
 
 Status LineError(const char* what, size_t line_no) {
   return Status::InvalidArgument(std::string(what) + " at line " +
@@ -54,33 +76,70 @@ class LabelIds {
   std::vector<int64_t> labels_;
 };
 
-/// Reads the token starting at `*p` (not a separator) up to the next
-/// separator or `eol`, and advances `*p` past it.
-Status ReadLabel(const char** p, const char* eol, size_t line_no,
-                 int64_t* label) {
-  const char* q = *p;
-  const bool negative = *q == '-';
-  if (*q == '-' || *q == '+') ++q;
-  const char* digits = q;
-  // The magnitude must fit in int64: at most 2^63 - 1, or 2^63 after '-'.
+/// True when the digits [first, last) of a token, negated when
+/// `negative`, fit in int64: at most 2^63 - 1, or 2^63 after '-'.
+bool FitsInt64(const char* first, const char* last, bool negative) {
   const uint64_t limit = (uint64_t{1} << 63) - (negative ? 0 : 1);
   uint64_t value = 0;
-  for (; q < eol && *q >= '0' && *q <= '9'; ++q) {
-    const auto digit = static_cast<uint64_t>(*q - '0');
-    if (value > (limit - digit) / 10) {
-      return LineError("malformed token", line_no);
-    }
+  for (; first < last; ++first) {
+    const auto digit = static_cast<uint64_t>(*first - '0');
+    if (value > (limit - digit) / 10) return false;
     value = value * 10 + digit;
   }
-  if (q == digits || (q < eol && !IsSeparator(*q))) {
-    return LineError("malformed token", line_no);
+  return true;
+}
+
+/// Reads the token starting at `*p` (not a separator) up to the next
+/// separator, newline or `end`, and advances `*p` past it. Returns null,
+/// or the error's text when the token is outside the grammar.
+const char* ReadLabel(const char** p, const char* end, int64_t* label) {
+  const char* q = *p;
+  const bool negative = *q == '-';
+  if (ClassOf(*q) == kSign) ++q;
+  const char* digits = q;
+  uint64_t value = 0;
+  for (; q < end && ClassOf(*q) == kDigit; ++q) {
+    value = value * 10 + static_cast<uint64_t>(*q - '0');
   }
-  if (negative && value != 0) {
-    return LineError("negative item label", line_no);
+  const auto num_digits = static_cast<size_t>(q - digits);
+  if (num_digits == 0 || (q < end && ClassOf(*q) < kSeparator) ||
+      (num_digits > kUncheckedDigits && !FitsInt64(digits, q, negative))) {
+    return "malformed token";
   }
+  if (negative && value != 0) return "negative item label";
   *label = static_cast<int64_t>(value);
   *p = q;
-  return Status::OK();
+  return nullptr;
+}
+
+/// Returns the row's ids, which lie in [lo, hi], sorted and without
+/// duplicates. A row whose id span is narrow for its length is set in
+/// `bits` (all zero between calls) and read back in order; any other row
+/// is sorted.
+Transaction OrderRow(Transaction* row, ItemId lo, ItemId hi,
+                     std::vector<uint64_t>* bits) {
+  const size_t base = lo / 64;
+  const size_t words = hi / 64 - base + 1;
+  if (words >= kMaxWordsPerLabel * row->size()) {
+    std::sort(row->begin(), row->end());
+    row->erase(std::unique(row->begin(), row->end()), row->end());
+    return Transaction(row->begin(), row->end());
+  }
+  if (bits->size() < words) bits->resize(words);
+  uint64_t* w = bits->data();
+  for (ItemId id : *row) w[id / 64 - base] |= uint64_t{1} << (id % 64);
+  size_t count = 0;
+  for (size_t i = 0; i < words; ++i) count += std::popcount(w[i]);
+  Transaction out(count);
+  ItemId* o = out.data();
+  for (size_t i = 0; i < words; ++i) {
+    const auto first = static_cast<ItemId>((base + i) * 64);
+    for (uint64_t word = w[i]; word != 0; word &= word - 1) {
+      *o++ = first + static_cast<ItemId>(std::countr_zero(word));
+    }
+    w[i] = 0;
+  }
+  return out;
 }
 
 }  // namespace
@@ -91,27 +150,34 @@ Result<LabeledDatabase> ParseFimi(std::string_view text) {
   LabelIds ids(text.size());
   std::vector<Transaction> rows;
   Transaction row;
+  std::vector<uint64_t> bits;
+  ItemId lo = kInvalidItem;
+  ItemId hi = 0;
   const char* p = text.data();
   const char* const end = p + text.size();
-  for (size_t line_no = 1; p < end; ++line_no) {
-    const char* eol = static_cast<const char*>(
-        std::memchr(p, '\n', static_cast<size_t>(end - p)));
-    if (eol == nullptr) eol = end;
-    row.clear();
-    while (true) {
-      while (p < eol && IsSeparator(*p)) ++p;
-      if (p == eol) break;
-      int64_t label = 0;
-      ANONSAFE_RETURN_IF_ERROR(ReadLabel(&p, eol, line_no, &label));
-      row.push_back(ids.Intern(label));
+  size_t line_no = 1;
+  while (true) {
+    while (p < end && ClassOf(*p) == kSeparator) ++p;
+    if (p == end || *p == '\n') {
+      if (!row.empty()) {
+        rows.push_back(OrderRow(&row, lo, hi, &bits));
+        row.clear();
+        lo = kInvalidItem;
+        hi = 0;
+      }
+      if (p == end) break;
+      ++p;
+      ++line_no;
+      continue;
     }
-    if (!row.empty()) {
-      std::sort(row.begin(), row.end());
-      row.erase(std::unique(row.begin(), row.end()), row.end());
-      rows.emplace_back(row.begin(), row.end());
+    int64_t label = 0;
+    if (const char* error = ReadLabel(&p, end, &label)) {
+      return LineError(error, line_no);
     }
-    if (eol == end) break;
-    p = eol + 1;
+    const ItemId id = ids.Intern(label);
+    lo = std::min(lo, id);
+    hi = std::max(hi, id);
+    row.push_back(id);
   }
 
   LabeledDatabase out;

@@ -1,6 +1,9 @@
 #include "serve/dataset_cache.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <cstring>
 #include <iterator>
 #include <utility>
 
@@ -12,12 +15,82 @@ namespace serve {
 DatasetCache::DatasetCache(size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity) {}
 
-std::string DatasetCache::HashContent(const std::string& content) {
-  uint64_t h = 0xcbf29ce484222325ull;
-  for (unsigned char c : content) {
-    h ^= c;
-    h *= 0x100000001b3ull;
+namespace {
+
+constexpr uint64_t kPrime1 = 0x9E3779B185EBCA87ull;
+constexpr uint64_t kPrime2 = 0xC2B2AE3D27D4EB4Full;
+constexpr uint64_t kPrime3 = 0x165667B19E3779F9ull;
+constexpr uint64_t kPrime4 = 0x85EBCA77C2B2AE63ull;
+constexpr uint64_t kPrime5 = 0x27D4EB2F165667C5ull;
+
+// XXH64 reads its input as little-endian words.
+static_assert(std::endian::native == std::endian::little);
+
+uint64_t Read64(const unsigned char* p) {
+  uint64_t v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+uint32_t Read32(const unsigned char* p) {
+  uint32_t v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+uint64_t Round(uint64_t acc, uint64_t lane) {
+  return std::rotl(acc + lane * kPrime2, 31) * kPrime1;
+}
+
+uint64_t MergeRound(uint64_t h, uint64_t acc) {
+  return (h ^ Round(0, acc)) * kPrime1 + kPrime4;
+}
+
+/// XXH64 with seed 0 (the xxHash specification, little-endian reads).
+uint64_t Xxh64(const unsigned char* p, size_t len) {
+  const unsigned char* const end = p + len;
+  uint64_t h;
+  if (len >= 32) {
+    uint64_t v1 = kPrime1 + kPrime2;
+    uint64_t v2 = kPrime2;
+    uint64_t v3 = 0;
+    uint64_t v4 = 0 - kPrime1;
+    for (; end - p >= 32; p += 32) {
+      v1 = Round(v1, Read64(p));
+      v2 = Round(v2, Read64(p + 8));
+      v3 = Round(v3, Read64(p + 16));
+      v4 = Round(v4, Read64(p + 24));
+    }
+    h = std::rotl(v1, 1) + std::rotl(v2, 7) + std::rotl(v3, 12) +
+        std::rotl(v4, 18);
+    h = MergeRound(MergeRound(MergeRound(MergeRound(h, v1), v2), v3), v4);
+  } else {
+    h = kPrime5;
   }
+  h += len;
+  for (; end - p >= 8; p += 8) {
+    h = std::rotl(h ^ Round(0, Read64(p)), 27) * kPrime1 + kPrime4;
+  }
+  if (end - p >= 4) {
+    h = std::rotl(h ^ (Read32(p) * kPrime1), 23) * kPrime2 + kPrime3;
+    p += 4;
+  }
+  for (; p < end; ++p) {
+    h = std::rotl(h ^ (*p * kPrime5), 11) * kPrime1;
+  }
+  h ^= h >> 33;
+  h *= kPrime2;
+  h ^= h >> 29;
+  h *= kPrime3;
+  h ^= h >> 32;
+  return h;
+}
+
+}  // namespace
+
+std::string DatasetCache::HashContent(const std::string& content) {
+  uint64_t h = Xxh64(reinterpret_cast<const unsigned char*>(content.data()),
+                     content.size());
   static const char* kHex = "0123456789abcdef";
   std::string out(16, '0');
   for (int i = 15; i >= 0; --i) {
@@ -49,6 +122,10 @@ Result<DatasetCache::LoadOutcome> DatasetCache::LoadFromContent(
   auto entry = std::make_shared<CachedDataset>(
       CachedDataset{key, std::move(data), MakeRecipeArtifacts()});
 
+  // Victims are destroyed after `lock` is released: the cache may hold
+  // a victim's last reference, and freeing a dataset must not stall the
+  // lookups and loads waiting on `mu_`.
+  std::list<Entry> evicted;
   std::lock_guard<std::mutex> lock(mu_);
   for (auto it = entries_.begin(); it != entries_.end(); ++it) {
     if (it->dataset->key == key) {
@@ -61,7 +138,8 @@ Result<DatasetCache::LoadOutcome> DatasetCache::LoadFromContent(
     // recently used one.
     auto used = std::find_if(entries_.rbegin(), entries_.rend(),
                              [](const Entry& e) { return e.used; });
-    entries_.erase(used != entries_.rend() ? std::prev(used.base())
+    evicted.splice(evicted.end(), entries_,
+                   used != entries_.rend() ? std::prev(used.base())
                                            : std::prev(entries_.end()));
     obs::CountIf("anonsafe_serve_dataset_cache_evictions_total");
   }

@@ -62,8 +62,9 @@ class DatasetCache {
   size_t size() const;
   size_t capacity() const { return capacity_; }
 
-  /// \brief FNV-1a 64-bit hash of the content, in fixed-width hex — the
-  /// cache key and protocol dataset handle.
+  /// \brief XXH64 (seed 0) of the content in 16 lowercase hex digits —
+  /// the cache key and protocol dataset handle. A pure function of the
+  /// bytes, so a client can recompute it; not collision-resistant.
   static std::string HashContent(const std::string& content);
 
  private:

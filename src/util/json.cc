@@ -1,9 +1,12 @@
 #include "util/json.h"
 
+#include <bit>
 #include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <utility>
 
 namespace anonsafe {
@@ -166,6 +169,9 @@ std::string Value::Dump() const {
 
 namespace {
 
+// The parser's word-wide scan reads the first byte as the lowest.
+static_assert(std::endian::native == std::endian::little);
+
 /// Recursive-descent parser over a bounded view of the input.
 class Parser {
  public:
@@ -269,18 +275,53 @@ class Parser {
     }
   }
 
+  /// Returns the offset of the first quote, backslash or byte below 0x20
+  /// at or after `from`, or the input's size when there is none. Scans
+  /// eight bytes at a time: each has-zero test flags the high bit of its
+  /// matching bytes, and its lowest flag is exact (a borrow moves only
+  /// upward), so the lowest flag of the three is the first match.
+  size_t RunEnd(size_t from) const {
+    constexpr uint64_t kOnes = 0x0101010101010101ull;
+    const char* const s = text_.data();
+    for (; from + 8 <= text_.size(); from += 8) {
+      uint64_t w;
+      std::memcpy(&w, s + from, sizeof(w));
+      const uint64_t quote = w ^ (kOnes * '"');
+      const uint64_t backslash = w ^ (kOnes * '\\');
+      const uint64_t flags = (((quote - kOnes) & ~quote) |
+                              ((backslash - kOnes) & ~backslash) |
+                              ((w - kOnes * 0x20) & ~w)) &
+                             (kOnes * 0x80);
+      if (flags != 0) return from + std::countr_zero(flags) / 8;
+    }
+    for (; from < text_.size(); ++from) {
+      const auto c = static_cast<unsigned char>(s[from]);
+      if (c == '"' || c == '\\' || c < 0x20) break;
+    }
+    return from;
+  }
+
+  /// The decoded length of the string whose body starts at `pos_`, or an
+  /// upper bound when it holds a \u escape: its raw length, less one
+  /// byte per escape.
+  size_t DecodedLengthBound() const {
+    size_t escapes = 0;
+    size_t end = RunEnd(pos_);
+    while (end + 1 < text_.size() && text_[end] == '\\') {
+      ++escapes;
+      end = RunEnd(end + 2);
+    }
+    return end - pos_ - escapes;
+  }
+
   Result<std::string> ParseString() {
     ++pos_;  // opening quote
     std::string out;
+    out.reserve(DecodedLengthBound());
     while (true) {
       // Copy the run of plain bytes up to the next quote, backslash or
       // control character with one append.
-      size_t run_end = pos_;
-      while (run_end < text_.size()) {
-        unsigned char c = static_cast<unsigned char>(text_[run_end]);
-        if (c == '"' || c == '\\' || c < 0x20) break;
-        ++run_end;
-      }
+      const size_t run_end = RunEnd(pos_);
       out.append(text_, pos_, run_end - pos_);
       pos_ = run_end;
       if (pos_ >= text_.size()) return Fail("unterminated string");

@@ -538,6 +538,89 @@ TEST(FimiOracleTest, LabelsAboveTheDenseCapKeepFirstAppearanceIds) {
   ExpectSameLabeledDatabase(*got, *want);
 }
 
+std::string FimiLine(const std::vector<int64_t>& labels) {
+  std::string line;
+  for (size_t i = 0; i < labels.size(); ++i) {
+    line += std::to_string(labels[i]);
+    line += i + 1 < labels.size() ? " " : "\n";
+  }
+  return line;
+}
+
+// ParseFimi sets a row's ids in a bitmap when their span, in 64-bit
+// words, is below 4 words per label, and sorts the row otherwise. Rows
+// on both sides of the rule and at it, each kind alone and all mixed in
+// one file, must load as the oracle loads them.
+TEST(FimiOracleTest, RowsOnBothSidesOfTheBitmapRuleMatchTheStreamParser) {
+  Rng rng(29);
+  // `ids` gives labels 0..4095 the ids 0..4095; `sparse_ids` adds a line
+  // that gives 10^6 labels above them the ids from 4096, scrambled.
+  constexpr int64_t kWords = 64;
+  constexpr int64_t kSparse = 1000000;
+  std::vector<int64_t> intro(kWords * 64);
+  for (int64_t i = 0; i < kWords * 64; ++i) intro[i] = i;
+  std::vector<int64_t> sparse_labels(kSparse);
+  for (int64_t i = 0; i < kSparse; ++i) {
+    sparse_labels[i] = kWords * 64 + i * 7919 % 1000003;
+  }
+  const std::string ids = FimiLine(intro);
+  const std::string sparse_ids = ids + FimiLine(sparse_labels);
+  auto pick = [&](int64_t bound) {
+    return static_cast<int64_t>(rng.UniformUint64(bound));
+  };
+
+  // Dense rows of 1-60 labels over 200 labels, repeats included: every
+  // one is set in the bitmap, and most span several words.
+  std::vector<std::string> dense;
+  for (int r = 0; r < 400; ++r) {
+    std::vector<int64_t> row(1 + pick(60));
+    for (int64_t& label : row) label = pick(200);
+    dense.push_back(FimiLine(row));
+  }
+  // Rows of 2-3 labels over the 10^6 sparse labels, one repeated in
+  // every third row: spans of thousands of words, so they are sorted.
+  std::vector<std::string> sparse;
+  for (int r = 0; r < 3000; ++r) {
+    std::vector<int64_t> row(2 + pick(2));
+    for (int64_t& label : row) label = sparse_labels[pick(kSparse)];
+    if (r % 3 == 0) row.push_back(row[pick(row.size())]);
+    sparse.push_back(FimiLine(row));
+  }
+  // Rows of n = 2-15 labels whose ids span 4n - 1 words (the bitmap),
+  // exactly 4n words and 4n + 1 words (the sort), repeats included.
+  std::vector<std::string> boundary;
+  for (int64_t n = 2; n <= 15; ++n) {
+    for (int64_t span : {4 * n - 1, 4 * n, 4 * n + 1}) {
+      for (int copy = 0; copy < 4; ++copy) {
+        const int64_t first = pick(kWords - span + 1) * 64;
+        const int64_t last = first + (span - 1) * 64;
+        std::vector<int64_t> row = {first + pick(64), last + pick(64)};
+        while (static_cast<int64_t>(row.size()) < n) {
+          row.push_back(copy % 2 == 0 ? row[pick(row.size())]
+                                      : row[0] + pick(row[1] - row[0] + 1));
+        }
+        rng.Shuffle(&row);
+        boundary.push_back(FimiLine(row));
+      }
+    }
+  }
+
+  std::vector<std::string> mixed;
+  for (const auto* kind : {&dense, &sparse, &boundary}) {
+    mixed.insert(mixed.end(), kind->begin(), kind->end());
+  }
+  rng.Shuffle(&mixed);
+  for (const auto* kind : {&dense, &sparse, &boundary, &mixed}) {
+    std::string text = kind == &dense || kind == &boundary ? ids : sparse_ids;
+    for (const std::string& line : *kind) text += line;
+    auto got = ParseFimi(text);
+    auto want = ReferenceParse(text);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    ExpectSameLabeledDatabase(*got, *want);
+  }
+}
+
 uint64_t SplitMix64(uint64_t* state) {
   uint64_t z = (*state += 0x9e3779b97f4a7c15ull);
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;

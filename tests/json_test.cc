@@ -101,6 +101,31 @@ TEST(JsonTest, StringRunsRoundTripAtEscapeBoundaries) {
   auto big = Value::Parse(envelope_shape);
   ASSERT_TRUE(big.ok());
   EXPECT_EQ(big->AsString().size(), (envelope_shape.size() - 2) / 85 * 84);
+  // Its decoded length is reserved once, so no doubling slack is kept.
+  EXPECT_LT(big->AsString().capacity(), big->AsString().size() + 64);
+
+  // The run scan reads eight bytes at a time: a quote, an escape and a
+  // raw control byte at every offset 0-16, amid bytes it must pass (0x20,
+  // 0x7F and UTF-8 bytes of 0x80 and above), end the run exactly there.
+  std::string pad;
+  while (pad.size() < 40) pad += " \x7F\xC3\xA9\xE2\x82\xAC";
+  for (size_t k = 0; k <= 16; ++k) {
+    SCOPED_TRACE(testing::Message() << "offset " << k);
+    const std::string head = pad.substr(0, k);
+    const std::string tail = pad.substr(k);
+    auto quoted = Value::Parse("[\"" + head + "\",\"" + tail + "\"]");
+    ASSERT_TRUE(quoted.ok()) << quoted.status().ToString();
+    ASSERT_EQ(quoted->items().size(), 2u);
+    EXPECT_EQ(quoted->items()[0].AsString(), head);
+    EXPECT_EQ(quoted->items()[1].AsString(), tail);
+    auto escaped = Value::Parse("\"" + head + "\\\"" + tail + "\"");
+    ASSERT_TRUE(escaped.ok()) << escaped.status().ToString();
+    EXPECT_EQ(escaped->AsString(), head + "\"" + tail);
+    const std::string control = "\"" + head + "\x01" + tail + "\"";
+    EXPECT_EQ(Value::Parse(control).status().message(),
+              "JSON parse error at byte " + std::to_string(k + 1) +
+                  ": raw control character in string");
+  }
 
   // A \uD83D\uDE00 surrogate pair between runs decodes to U+1F600; Dump
   // writes the code point back as raw UTF-8.

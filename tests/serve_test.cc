@@ -14,6 +14,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/similarity.h"
@@ -495,6 +496,30 @@ TEST(DatasetCacheTest, EvictsThePlainLruEntryWhenNoneIsUsed) {
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.Find(b->dataset->key), nullptr);
   EXPECT_NE(cache.Find(a->dataset->key), nullptr);
+}
+
+// The handle is XXH64 at seed 0 in 16 lowercase hex digits: the
+// published vectors, then prefixes of one FIMI text whose lengths end in
+// each tail (1-3, 4-7 and 8-31 bytes) and run one or more 32-byte
+// stripes, taken from the reference library (xxHash 0.8.1).
+TEST(DatasetCacheTest, HashContentIsXxh64) {
+  EXPECT_EQ(DatasetCache::HashContent(""), "ef46db3751d8e999");
+  EXPECT_EQ(DatasetCache::HashContent("a"), "d24ec4f1a98c6e5b");
+  EXPECT_EQ(DatasetCache::HashContent("abc"), "44bc2cf5ad770999");
+  std::string text;
+  for (int i = 0; i < 20; ++i) text += "0 1 2 3 4 5 6 7 8 9\n";
+  const std::vector<std::pair<size_t, std::string>> prefixes = {
+      {1, "633457081244afec"},   {3, "9e5e9d7b654002cb"},
+      {4, "e4835eff9ff3e1da"},   {7, "0392d8f82d960756"},
+      {8, "8b502d83c00541a7"},   {12, "c4c3ef14f013a357"},
+      {31, "2e1a5f3a27b1b7c8"},  {32, "d22cc3b8f228bf76"},
+      {63, "bcc4c85a0874bea3"},  {100, "a1c1d71cb523dcf7"},
+      {300, "393b18872fc1ef50"},
+  };
+  for (const auto& [length, want] : prefixes) {
+    EXPECT_EQ(DatasetCache::HashContent(text.substr(0, length)), want)
+        << "prefix of " << length << " bytes";
+  }
 }
 
 // A client that loads a dataset and stalls before its first request
