@@ -4,8 +4,11 @@
 # and runs them: JSON (json_test), FIMI (data_test), belief files
 # (belief_io_test), risk report documents (risk_report_json_test), the
 # serve protocol envelopes and params (serve_test, serve_v2_test), the
-# golden pipeline bytes (golden_report_test), and the matching cover
-# against its oracle on randomized graphs (pruning_test). Undefined
+# golden pipeline bytes (golden_report_test), the matching cover
+# against its oracle on randomized graphs (pruning_test), and the one
+# matching enumerator with its consistency policies against a
+# brute-force oracle (permanent_test, powerset_test,
+# itemset_belief_test, sampler_test). Undefined
 # behaviour aborts (-fno-sanitize-recover=undefined) and the standard
 # library checks its own preconditions (-D_GLIBCXX_ASSERTIONS), so any
 # finding fails the run.
@@ -31,7 +34,8 @@ if ! c++ -fsanitize=address "$probe_dir/probe.cc" -o "$probe_dir/probe" \
 fi
 
 TESTS=(json_test data_test belief_io_test risk_report_json_test serve_test
-       serve_v2_test golden_report_test pruning_test)
+       serve_v2_test golden_report_test pruning_test permanent_test
+       powerset_test itemset_belief_test sampler_test)
 
 set -e
 cmake -B build-asan -S . -DANONSAFE_SANITIZE=ON \

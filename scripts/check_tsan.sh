@@ -11,7 +11,8 @@
 # LargeMatrices cases are filtered out under TSan), and the adversary
 # registry suite (registry singletons under concurrent lookup, plus the
 # recipes the determinism suite drives through every adversary at
-# multiple thread counts).
+# multiple thread counts), and the itemset belief suite (its constraint
+# index read from two threads at once).
 #
 # Usage:
 #   scripts/check_tsan.sh
@@ -39,12 +40,13 @@ cmake -B build-tsan -S . -DANONSAFE_TSAN=ON \
 cmake --build build-tsan --target exec_test determinism_test sampler_test \
       estimator_test obs_test obs_log_test trace_merge_test serve_test \
       serve_v2_test kernel_differential_test optimizer_test \
-      adversary_test -j "$(nproc)"
+      adversary_test itemset_belief_test -j "$(nproc)"
 
 status=0
 for t in exec_test determinism_test sampler_test estimator_test \
          obs_test obs_log_test trace_merge_test serve_test serve_v2_test \
-         kernel_differential_test optimizer_test adversary_test; do
+         kernel_differential_test optimizer_test adversary_test \
+         itemset_belief_test; do
   echo "== TSan: $t =="
   # The n>=20 cross-ISA matrices take minutes under TSan's ~10x
   # slowdown and add no concurrency coverage beyond the smaller cases
@@ -62,4 +64,4 @@ if [[ "$status" -ne 0 ]]; then
   echo "check_tsan: FAIL (data race or test failure under TSan)" >&2
   exit 1
 fi
-echo "check_tsan: OK (exec_test, determinism_test, sampler_test, estimator_test, obs_test, obs_log_test, trace_merge_test, serve_test, serve_v2_test, kernel_differential_test, optimizer_test, adversary_test race-free)"
+echo "check_tsan: OK (exec_test, determinism_test, sampler_test, estimator_test, obs_test, obs_log_test, trace_merge_test, serve_test, serve_v2_test, kernel_differential_test, optimizer_test, adversary_test, itemset_belief_test race-free)"

@@ -146,8 +146,8 @@ std::shared_ptr<RecipeArtifacts> MakeRecipeArtifacts();
 /// tables give identical results.
 ///
 /// `ctx` (optional) supplies an external execution context: the caller
-/// keeps ownership and may `RequestCancel()` it from another thread
-/// (deadline watchdogs, shutdown); the recipe then stops between phases
+/// keeps ownership and may give it a deadline or `RequestCancel()` it
+/// from another thread; once cancelled, the recipe stops between phases
 /// and returns Cancelled. Null means a private context is built from
 /// `options.exec` — values are identical either way. `artifacts`
 /// (optional) caches work across repeated calls on the same database;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <string>
 #include <utility>
@@ -282,6 +281,18 @@ Status EvalPermanentBlock(const BipartiteGraph& pruned,
   return Status::OK();
 }
 
+/// A block's local crack map: entry la is the local item that carries
+/// local anon la's global id, so anon la cracks when matched to it
+/// (kInvalidItem when that item lies in another block).
+std::vector<ItemId> LocalCrackItems(const PlannedBlock& block) {
+  std::vector<ItemId> crack_item_of_anon(block.anons.size(), kInvalidItem);
+  for (size_t lx = 0; lx < block.items.size(); ++lx) {
+    const size_t la = LocalIndex(block.anons, block.items[lx]);
+    if (la != kNoBlock) crack_item_of_anon[la] = static_cast<ItemId>(lx);
+  }
+  return crack_item_of_anon;
+}
+
 /// Per-block MCMC fallback: the matching walk over the block graph's
 /// perfect matchings, from a Hopcroft–Karp seed. Its chains split off
 /// SplitSeed(seed, block index), so the estimate is deterministic and
@@ -298,13 +309,7 @@ Status EvalSamplerBlock(const BipartiteGraph& pruned,
         "planner block has no perfect matching after pruning");
   }
 
-  // Local crack pairs: anon la cracks when matched to the item carrying
-  // the same global id.
-  std::vector<ItemId> crack_item_of_anon(k, kInvalidItem);
-  for (size_t lx = 0; lx < k; ++lx) {
-    const size_t la = LocalIndex(block.anons, block.items[lx]);
-    if (la != kNoBlock) crack_item_of_anon[la] = static_cast<ItemId>(lx);
-  }
+  const std::vector<ItemId> crack_item_of_anon = LocalCrackItems(block);
   std::vector<uint64_t> crack_counts(k, 0);
   SampleMatchingChains(
       GraphEdges{&local}, matching.item_of_anon, so,
@@ -322,59 +327,6 @@ Status EvalSamplerBlock(const BipartiteGraph& pruned,
         static_cast<double>(so.num_samples);
   }
   return Status::OK();
-}
-
-/// Enumerates one block's perfect matchings, tallying crack counts.
-/// Returns (matchings, histogram-by-crack-count).
-Result<std::pair<uint64_t, std::vector<uint64_t>>> EnumerateBlock(
-    const BipartiteGraph& pruned, const PlannedBlock& block,
-    uint64_t max_matchings) {
-  const size_t k = block.items.size();
-  // Order anons by ascending degree so the search fails early.
-  std::vector<size_t> order(k);
-  for (size_t i = 0; i < k; ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    const size_t da = pruned.anon_degree(block.anons[a]);
-    const size_t db = pruned.anon_degree(block.anons[b]);
-    return da != db ? da < db : a < b;
-  });
-  std::vector<std::vector<size_t>> adjacency(k);
-  std::vector<size_t> crack_item(k, kNoBlock);
-  for (size_t d = 0; d < k; ++d) {
-    const size_t la = order[d];
-    for (ItemId x : pruned.items_of_anon(block.anons[la])) {
-      const size_t lx = LocalIndex(block.items, x);
-      adjacency[d].push_back(lx);
-      if (block.items[lx] == block.anons[la]) crack_item[d] = lx;
-    }
-  }
-
-  uint64_t count = 0;
-  std::vector<uint64_t> histogram(k + 1, 0);
-  std::vector<bool> used(k, false);
-  std::function<Status(size_t, size_t)> visit = [&](size_t depth,
-                                                    size_t cracks) -> Status {
-    if (depth == k) {
-      if (++count > max_matchings) {
-        return Status::OutOfRange(
-            "planner block exceeds max_matchings = " +
-            std::to_string(max_matchings));
-      }
-      ++histogram[cracks];
-      return Status::OK();
-    }
-    for (size_t lx : adjacency[depth]) {
-      if (used[lx]) continue;
-      used[lx] = true;
-      Status status =
-          visit(depth + 1, cracks + (crack_item[depth] == lx ? 1 : 0));
-      used[lx] = false;
-      if (!status.ok()) return status;
-    }
-    return Status::OK();
-  };
-  ANONSAFE_RETURN_IF_ERROR(visit(0, 0));
-  return std::make_pair(count, std::move(histogram));
 }
 
 uint64_t SaturatingMul(uint64_t a, uint64_t b) {
@@ -588,18 +540,20 @@ Result<CrackDistribution> PlannedCrackDistribution(
   out.probability = {1.0};
   out.num_matchings = 1;
   for (const PlannedBlock& block : plan.blocks) {
+    ANONSAFE_ASSIGN_OR_RETURN(BipartiteGraph local,
+                              BlockGraph(plan.pruned, block));
+    const std::vector<ItemId> crack_item_of_anon = LocalCrackItems(block);
     ANONSAFE_ASSIGN_OR_RETURN(
-        auto enumerated, EnumerateBlock(plan.pruned, block, max_matchings));
-    const uint64_t block_matchings = enumerated.first;
-    const std::vector<uint64_t>& histogram = enumerated.second;
+        CrackDistribution enumerated,
+        EnumerateMatchings(
+            GraphEdges{&local},
+            [&](ItemId lx, ItemId la) { return crack_item_of_anon[la] == lx; },
+            max_matchings));
+    const uint64_t block_matchings = enumerated.num_matchings;
+    const std::vector<double>& block_probability = enumerated.probability;
     if (block_matchings == 0) {
       return Status::FailedPrecondition(
           "planner block has no perfect matching after pruning");
-    }
-    std::vector<double> block_probability(histogram.size(), 0.0);
-    for (size_t c = 0; c < histogram.size(); ++c) {
-      block_probability[c] = static_cast<double>(histogram[c]) /
-                             static_cast<double>(block_matchings);
     }
     // Convolve: cracks add across independent blocks.
     std::vector<double> convolved(

@@ -2,6 +2,7 @@
 #define ANONSAFE_EXEC_EXEC_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -50,9 +51,9 @@ double PairwiseSum(const double* values, size_t n);
 double PairwiseSum(const std::vector<double>& values);
 
 /// \brief Per-invocation execution state: the seed, the resolved thread
-/// count, a cooperative cancellation flag and the request's trace. It
-/// owns no thread: parallel regions borrow helpers from
-/// `ThreadPool::Shared()`. Passed by pointer through the hot paths;
+/// count, a cooperative cancellation flag, an optional deadline and the
+/// request's trace. It owns no thread: parallel regions borrow helpers
+/// from `ThreadPool::Shared()`. Passed by pointer through the hot paths;
 /// `nullptr` means sequential execution with the same chunking and
 /// reduction order, so a null context and a 1-thread context are
 /// bit-identical.
@@ -78,7 +79,17 @@ class ExecContext {
   /// are skipped. Callers observe `cancelled()` after the parallel call
   /// returns.
   void RequestCancel() { cancel_.store(true, std::memory_order_relaxed); }
-  bool cancelled() const { return cancel_.load(std::memory_order_relaxed); }
+  /// \brief Cancels once `deadline` has passed: from then on
+  /// `cancelled()` reads true, with no thread watching the clock. Set it
+  /// before the context is shared with other threads.
+  void set_deadline(std::chrono::steady_clock::time_point deadline) {
+    deadline_ = deadline;
+  }
+  bool cancelled() const {
+    return cancel_.load(std::memory_order_relaxed) ||
+           (deadline_ != kNoDeadline &&
+            std::chrono::steady_clock::now() >= deadline_);
+  }
 
   /// \name Request trace attachment
   /// The (optional, non-owned) trace context of the request this
@@ -92,9 +103,13 @@ class ExecContext {
   /// @}
 
  private:
+  static constexpr std::chrono::steady_clock::time_point kNoDeadline =
+      std::chrono::steady_clock::time_point::max();
+
   ExecOptions options_;
   size_t num_threads_;
   std::atomic<bool> cancel_{false};
+  std::chrono::steady_clock::time_point deadline_ = kNoDeadline;
   obs::TraceContext* trace_ = nullptr;
 };
 

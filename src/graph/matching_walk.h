@@ -1,13 +1,18 @@
 #ifndef ANONSAFE_GRAPH_MATCHING_WALK_H_
 #define ANONSAFE_GRAPH_MATCHING_WALK_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "data/types.h"
 #include "exec/exec.h"
 #include "exec/scratch.h"
+#include "graph/bipartite_graph.h"
 #include "graph/matching_sampler.h"
+#include "graph/permanent.h"
+#include "util/result.h"
 #include "util/rng.h"
 #include "util/status.h"
 
@@ -20,12 +25,15 @@ namespace anonsafe {
 /// single-edge transfers and replacements of a matched item by an
 /// unmatched one. A move is accepted iff the result stays consistent, so
 /// the stationary distribution is uniform over the reachable matchings.
-/// The `Edges` policy decides consistency:
+/// The `Edges` policy decides consistency, for this walk and for
+/// `EnumerateMatchings` alike:
 ///  - `HasEdge(anon, item)`: the test every newly matched pair passes;
 ///  - `Matchable(item)`: whether a replacement may pick an unmatched item;
 ///  - `Accepts(anon_of_item, moved)`: a check of the tentatively moved
 ///    state, `moved` being the items whose anonymized item changed; the
-///    walk reverts the move when it fails.
+///    walk reverts the move when it fails. The enumerator asks it of
+///    partial assignments, so a check whose items are not all assigned
+///    yet must pass.
 /// The policy is a template parameter, so no move pays an indirect call.
 template <typename Edges>
 class MatchingWalk {
@@ -208,6 +216,72 @@ void SampleMatchingChains(const Edges& edges,
         return Status::OK();
       });
   (void)st;  // the body cannot fail
+}
+
+/// \brief Exact crack distribution over the perfect matchings of
+/// `edges.graph` that the `Edges` policy accepts (the direct method of
+/// Section 4.1, by backtracking).
+///
+/// Items are assigned in ascending outdegree, ties broken by id; each
+/// tries the unused anonymized items of `anons_of_item(x)` in turn, and
+/// a tentative assignment stands iff `edges.Accepts(anon_of_item, {x})`,
+/// the items not yet assigned holding kInvalidItem. A full matching adds
+/// one crack per pair with `is_crack(x, a)`. The tallies are exact
+/// counts, so the result does not depend on the visiting order. Aborts
+/// with OutOfRange once more than `max_matchings` matchings are found:
+/// tiny graphs only.
+template <typename Edges, typename IsCrack>
+Result<CrackDistribution> EnumerateMatchings(const Edges& edges,
+                                             const IsCrack& is_crack,
+                                             uint64_t max_matchings) {
+  const BipartiteGraph& graph = *edges.graph;
+  const size_t n = graph.num_items();
+  std::vector<ItemId> order(n);
+  for (ItemId x = 0; x < n; ++x) order[x] = x;
+  std::stable_sort(order.begin(), order.end(), [&](ItemId p, ItemId q) {
+    return graph.item_outdegree(p) < graph.item_outdegree(q);
+  });
+  std::vector<ItemId> anon_of_item(n, kInvalidItem);
+  std::vector<uint8_t> anon_used(n, 0);
+  std::vector<uint64_t> tally(n + 1, 0);
+  uint64_t num_matchings = 0;
+  auto visit = [&](auto& self, size_t depth, size_t cracks) -> Status {
+    if (depth == n) {
+      if (++num_matchings > max_matchings) {
+        return Status::OutOfRange(
+            "more than " + std::to_string(max_matchings) +
+            " perfect matchings; enumeration aborted");
+      }
+      ++tally[cracks];
+      return Status::OK();
+    }
+    const ItemId x = order[depth];
+    for (ItemId a : graph.anons_of_item(x)) {
+      if (anon_used[a]) continue;
+      anon_of_item[x] = a;
+      if (edges.Accepts(anon_of_item, {x})) {
+        anon_used[a] = 1;
+        ANONSAFE_RETURN_IF_ERROR(
+            self(self, depth + 1, cracks + (is_crack(x, a) ? 1 : 0)));
+        anon_used[a] = 0;
+      }
+      anon_of_item[x] = kInvalidItem;
+    }
+    return Status::OK();
+  };
+  ANONSAFE_RETURN_IF_ERROR(visit(visit, 0, 0));
+
+  CrackDistribution out;
+  out.num_matchings = num_matchings;
+  out.probability.assign(n + 1, 0.0);
+  if (num_matchings > 0) {
+    for (size_t c = 0; c <= n; ++c) {
+      out.probability[c] = static_cast<double>(tally[c]) /
+                           static_cast<double>(num_matchings);
+      out.expected += static_cast<double>(c) * out.probability[c];
+    }
+  }
+  return out;
 }
 
 }  // namespace anonsafe

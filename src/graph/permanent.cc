@@ -7,6 +7,7 @@
 
 #include "exec/exec.h"
 #include "exec/scratch.h"
+#include "graph/matching_walk.h"
 #include "graph/simd_kernels.h"
 #include "obs/metrics.h"
 #include "obs/scoped_timer.h"
@@ -248,80 +249,12 @@ Result<double> ExactExpectedCracksByPermanent(const BipartiteGraph& graph,
   return expected;
 }
 
-namespace {
-
-class MatchingEnumerator {
- public:
-  MatchingEnumerator(const BipartiteGraph& graph, uint64_t max_matchings)
-      : graph_(graph),
-        n_(graph.num_items()),
-        max_matchings_(max_matchings),
-        item_used_(n_, false),
-        crack_tally_(n_ + 1, 0.0) {}
-
-  Status Run() {
-    // Order anonymized items by ascending degree: fail-first pruning.
-    order_.resize(n_);
-    for (size_t a = 0; a < n_; ++a) order_[a] = static_cast<ItemId>(a);
-    std::sort(order_.begin(), order_.end(), [&](ItemId a, ItemId b) {
-      return graph_.anon_degree(a) < graph_.anon_degree(b);
-    });
-    return Recurse(0, 0);
-  }
-
-  CrackDistribution Finish() {
-    CrackDistribution out;
-    out.num_matchings = num_matchings_;
-    out.probability.assign(n_ + 1, 0.0);
-    if (num_matchings_ > 0) {
-      double total = static_cast<double>(num_matchings_);
-      for (size_t c = 0; c <= n_; ++c) {
-        out.probability[c] = crack_tally_[c] / total;
-        out.expected += static_cast<double>(c) * out.probability[c];
-      }
-    }
-    return out;
-  }
-
- private:
-  Status Recurse(size_t depth, size_t cracks) {
-    if (depth == n_) {
-      if (++num_matchings_ > max_matchings_) {
-        return Status::OutOfRange(
-            "more than " + std::to_string(max_matchings_) +
-            " perfect matchings; enumeration aborted");
-      }
-      crack_tally_[cracks] += 1.0;
-      return Status::OK();
-    }
-    ItemId a = order_[depth];
-    for (ItemId x : graph_.items_of_anon(a)) {
-      if (item_used_[x]) continue;
-      item_used_[x] = true;
-      Status st = Recurse(depth + 1, cracks + (x == a ? 1 : 0));
-      item_used_[x] = false;
-      ANONSAFE_RETURN_IF_ERROR(st);
-    }
-    return Status::OK();
-  }
-
-  const BipartiteGraph& graph_;
-  const size_t n_;
-  const uint64_t max_matchings_;
-  std::vector<ItemId> order_;
-  std::vector<bool> item_used_;
-  std::vector<double> crack_tally_;
-  uint64_t num_matchings_ = 0;
-};
-
-}  // namespace
-
 Result<CrackDistribution> EnumerateCrackDistribution(
     const BipartiteGraph& graph, uint64_t max_matchings) {
   ANONSAFE_SCOPED_TIMER("graph.crack_distribution");
-  MatchingEnumerator enumerator(graph, max_matchings);
-  ANONSAFE_RETURN_IF_ERROR(enumerator.Run());
-  return enumerator.Finish();
+  return EnumerateMatchings(
+      GraphEdges{&graph}, [](ItemId x, ItemId a) { return x == a; },
+      max_matchings);
 }
 
 }  // namespace anonsafe

@@ -88,7 +88,8 @@ struct CrackDistribution {
 };
 
 /// \brief Enumerates every perfect matching of `graph`, tallying crack
-/// counts (fixed points). Aborts with OutOfRange once more than
+/// counts (fixed points): `EnumerateMatchings` (graph/matching_walk.h)
+/// over the graph's edges. Aborts with OutOfRange once more than
 /// `max_matchings` matchings are seen — use only on tiny graphs.
 Result<CrackDistribution> EnumerateCrackDistribution(
     const BipartiteGraph& graph, uint64_t max_matchings = 20'000'000);

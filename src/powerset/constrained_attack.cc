@@ -21,16 +21,18 @@ Status CheckDomains(const BipartiteGraph& graph,
   return Status::OK();
 }
 
-/// Frequency of the anonymized image of `constraint.items` under a total
-/// assignment.
+/// Whether the frequency of the anonymized image of `constraint.items`
+/// lies in its interval; `unassigned` when a member has no anonymized
+/// item yet.
 bool EvaluateConstraint(const ItemsetConstraint& constraint,
                         const SupportOracle& observed,
-                        const std::vector<ItemId>& anon_of_item) {
+                        const std::vector<ItemId>& anon_of_item,
+                        bool unassigned = false) {
   Itemset image;
   image.reserve(constraint.items.size());
   for (ItemId y : constraint.items) {
     ItemId a = anon_of_item[y];
-    if (a == kInvalidItem) return false;
+    if (a == kInvalidItem) return unassigned;
     image.push_back(a);
   }
   std::sort(image.begin(), image.end());
@@ -48,118 +50,13 @@ bool SatisfiesItemsetConstraints(const ItemsetBeliefFunction& belief,
   return true;
 }
 
-// ----------------------------------------------------------- Enumeration
-
-namespace {
-
-class ItemsetConstrainedEnumerator {
- public:
-  ItemsetConstrainedEnumerator(const BipartiteGraph& graph,
-                               const SupportOracle& observed,
-                               const ItemsetBeliefFunction& belief,
-                               uint64_t max_matchings)
-      : graph_(graph),
-        observed_(observed),
-        belief_(belief),
-        n_(graph.num_items()),
-        max_matchings_(max_matchings),
-        anon_used_(n_, false),
-        anon_of_item_(n_, kInvalidItem),
-        crack_tally_(n_ + 1, 0.0) {
-    // Assign items in ascending-candidate order; a constraint is checked
-    // at the depth where its last member gets assigned.
-    order_.resize(n_);
-    for (size_t x = 0; x < n_; ++x) order_[x] = static_cast<ItemId>(x);
-    std::sort(order_.begin(), order_.end(), [&](ItemId p, ItemId q) {
-      return graph_.item_outdegree(p) < graph_.item_outdegree(q);
-    });
-    std::vector<size_t> depth_of_item(n_);
-    for (size_t d = 0; d < n_; ++d) depth_of_item[order_[d]] = d;
-    completes_at_.resize(n_);
-    const auto& constraints = belief_.constraints();
-    for (size_t c = 0; c < constraints.size(); ++c) {
-      size_t deepest = 0;
-      for (ItemId y : constraints[c].items) {
-        deepest = std::max(deepest, depth_of_item[y]);
-      }
-      completes_at_[deepest].push_back(c);
-    }
-  }
-
-  Status Run() { return Recurse(0, 0); }
-
-  CrackDistribution Finish() {
-    CrackDistribution out;
-    out.num_matchings = num_matchings_;
-    out.probability.assign(n_ + 1, 0.0);
-    if (num_matchings_ > 0) {
-      double total = static_cast<double>(num_matchings_);
-      for (size_t c = 0; c <= n_; ++c) {
-        out.probability[c] = crack_tally_[c] / total;
-        out.expected += static_cast<double>(c) * out.probability[c];
-      }
-    }
-    return out;
-  }
-
- private:
-  Status Recurse(size_t depth, size_t cracks) {
-    if (depth == n_) {
-      if (++num_matchings_ > max_matchings_) {
-        return Status::OutOfRange("constrained enumeration over budget");
-      }
-      crack_tally_[cracks] += 1.0;
-      return Status::OK();
-    }
-    ItemId x = order_[depth];
-    for (ItemId a : graph_.anons_of_item(x)) {
-      if (anon_used_[a]) continue;
-      anon_of_item_[x] = a;
-      bool consistent = true;
-      for (size_t c : completes_at_[depth]) {
-        if (!EvaluateConstraint(belief_.constraints()[c], observed_,
-                                anon_of_item_)) {
-          consistent = false;
-          break;
-        }
-      }
-      if (consistent) {
-        anon_used_[a] = true;
-        Status st = Recurse(depth + 1, cracks + (a == x ? 1 : 0));
-        anon_used_[a] = false;
-        if (!st.ok()) {
-          anon_of_item_[x] = kInvalidItem;
-          return st;
-        }
-      }
-      anon_of_item_[x] = kInvalidItem;
-    }
-    return Status::OK();
-  }
-
-  const BipartiteGraph& graph_;
-  const SupportOracle& observed_;
-  const ItemsetBeliefFunction& belief_;
-  const size_t n_;
-  const uint64_t max_matchings_;
-  std::vector<ItemId> order_;
-  std::vector<std::vector<size_t>> completes_at_;
-  std::vector<bool> anon_used_;
-  std::vector<ItemId> anon_of_item_;
-  std::vector<double> crack_tally_;
-  uint64_t num_matchings_ = 0;
-};
-
-}  // namespace
-
 Result<CrackDistribution> EnumerateItemsetConstrainedDistribution(
     const BipartiteGraph& graph, const SupportOracle& observed,
     const ItemsetBeliefFunction& belief, uint64_t max_matchings) {
   ANONSAFE_RETURN_IF_ERROR(CheckDomains(graph, belief, observed));
-  ItemsetConstrainedEnumerator enumerator(graph, observed, belief,
-                                          max_matchings);
-  ANONSAFE_RETURN_IF_ERROR(enumerator.Run());
-  return enumerator.Finish();
+  return EnumerateMatchings(
+      ItemsetConstrainedEdges{{&graph}, &belief, &observed},
+      [](ItemId x, ItemId a) { return x == a; }, max_matchings);
 }
 
 // --------------------------------------------------------------- Sampler
@@ -240,7 +137,7 @@ bool ItemsetConstrainedEdges::Accepts(
   for (ItemId x : moved) {
     for (size_t c : belief->ConstraintsOf(x)) {
       if (!EvaluateConstraint(belief->constraints()[c], *observed,
-                              anon_of_item)) {
+                              anon_of_item, /*unassigned=*/true)) {
         return false;
       }
     }

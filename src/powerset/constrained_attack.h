@@ -23,17 +23,17 @@ bool SatisfiesItemsetConstraints(const ItemsetBeliefFunction& belief,
                                  const std::vector<ItemId>& anon_of_item);
 
 /// \brief Exact crack distribution over mappings consistent with the
-/// item-level graph AND every itemset constraint, by backtracking
-/// enumeration (constraints are checked as soon as their last member is
-/// assigned). Tiny instances only.
+/// item-level graph AND every itemset constraint: `EnumerateMatchings`
+/// over `ItemsetConstrainedEdges`, which checks a constraint as soon as
+/// its last member is assigned. Tiny instances only.
 Result<CrackDistribution> EnumerateItemsetConstrainedDistribution(
     const BipartiteGraph& graph, const SupportOracle& observed,
     const ItemsetBeliefFunction& belief,
     uint64_t max_matchings = 5'000'000);
 
-/// \brief The constrained sampler's consistency: the item-level edges
-/// of `graph`, and on every moved state the itemset constraints of
-/// `belief` that contain a moved item.
+/// \brief The consistency of itemset knowledge: the item-level edges of
+/// `graph`, and on every moved state the itemset constraints of `belief`
+/// that contain a moved item and have every member assigned.
 struct ItemsetConstrainedEdges : GraphEdges {
   const ItemsetBeliefFunction* belief;
   const SupportOracle* observed;
@@ -65,8 +65,7 @@ class ConstrainedMatchingSampler {
 
   /// \brief Draws `options.num_samples` crack counts (fixed points). Chain
   /// c runs on the stream SplitSeed(exec.seed, c). The chains run in order
-  /// on the caller: the support oracle and the belief's constraint index
-  /// fill their caches without a lock.
+  /// on the caller: the support oracle fills its memo without a lock.
   std::vector<size_t> SampleCrackCounts() const;
 
  private:

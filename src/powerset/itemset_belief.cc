@@ -24,17 +24,10 @@ Status ItemsetBeliefFunction::Constrain(Itemset items,
   }
   size_t index = constraints_.size();
   constraints_.push_back({std::move(items), interval});
-  if (by_item_.size() < num_items_) by_item_.resize(num_items_);
   for (ItemId x : constraints_.back().items) {
     by_item_[x].push_back(index);
   }
   return Status::OK();
-}
-
-const std::vector<size_t>& ItemsetBeliefFunction::ConstraintsOf(
-    ItemId x) const {
-  if (by_item_.size() < num_items_) by_item_.resize(num_items_);
-  return by_item_[x];
 }
 
 Result<double> ItemsetBeliefFunction::ComplianceFraction(

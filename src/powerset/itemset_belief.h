@@ -30,7 +30,7 @@ struct ItemsetConstraint {
 class ItemsetBeliefFunction {
  public:
   explicit ItemsetBeliefFunction(size_t num_items)
-      : num_items_(num_items) {}
+      : num_items_(num_items), by_item_(num_items) {}
 
   size_t num_items() const { return num_items_; }
   size_t num_constraints() const { return constraints_.size(); }
@@ -45,7 +45,9 @@ class ItemsetBeliefFunction {
 
   /// \brief Constraints that involve item `x` (indices into
   /// `constraints()`).
-  const std::vector<size_t>& ConstraintsOf(ItemId x) const;
+  const std::vector<size_t>& ConstraintsOf(ItemId x) const {
+    return by_item_[x];
+  }
 
   /// \brief Fraction of constraints whose interval contains the true
   /// frequency (1.0 when there are none).
@@ -54,7 +56,7 @@ class ItemsetBeliefFunction {
  private:
   size_t num_items_;
   std::vector<ItemsetConstraint> constraints_;
-  mutable std::vector<std::vector<size_t>> by_item_;  // lazily sized
+  std::vector<std::vector<size_t>> by_item_;  // one list per item
 };
 
 /// \brief Builds a compliant itemset belief from mined patterns: the

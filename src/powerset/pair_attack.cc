@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <deque>
-#include <string>
+#include <initializer_list>
 #include <vector>
+
+#include "graph/matching_walk.h"
 
 namespace anonsafe {
 namespace {
@@ -18,6 +20,41 @@ Status CheckDomains(const BipartiteGraph& graph,
   }
   return Status::OK();
 }
+
+/// Constraint adjacency: for each item, its constrained partners.
+std::vector<std::vector<ItemId>> PairPartners(
+    const PairBeliefFunction& pair_belief) {
+  std::vector<std::vector<ItemId>> partners(pair_belief.num_items());
+  for (const ItemPair& pair : pair_belief.ConstrainedPairs()) {
+    partners[pair.a].push_back(pair.b);
+    partners[pair.b].push_back(pair.a);
+  }
+  return partners;
+}
+
+/// Pair constraints as a consistency policy: each moved item's assigned
+/// constrained partners must co-occur, under the assignment, at a
+/// frequency inside the pair's belief interval.
+struct PairConstrainedEdges : GraphEdges {
+  const PairSupportMatrix* observed_pairs;
+  const PairBeliefFunction* pair_belief;
+  const std::vector<std::vector<ItemId>>* partners;
+
+  bool Accepts(const std::vector<ItemId>& anon_of_item,
+               std::initializer_list<ItemId> moved) const {
+    for (ItemId x : moved) {
+      for (ItemId y : (*partners)[x]) {
+        const ItemId b = anon_of_item[y];
+        if (b != kInvalidItem &&
+            !pair_belief->interval(x, y).Contains(
+                observed_pairs->frequency(anon_of_item[x], b))) {
+          return false;
+        }
+      }
+    }
+    return true;
+  }
+};
 
 }  // namespace
 
@@ -34,12 +71,7 @@ Result<PairPrunedGraph> PruneWithPairBeliefs(
     domain[x].assign(row.begin(), row.end());
   }
 
-  // Constraint adjacency: for each item, its constrained partners.
-  std::vector<std::vector<ItemId>> partners(n);
-  for (const ItemPair& pair : pair_belief.ConstrainedPairs()) {
-    partners[pair.a].push_back(pair.b);
-    partners[pair.b].push_back(pair.a);
-  }
+  const std::vector<std::vector<ItemId>> partners = PairPartners(pair_belief);
 
   PairPrunedGraph out;
 
@@ -96,112 +128,14 @@ Result<PairPrunedGraph> PruneWithPairBeliefs(
   return out;
 }
 
-namespace {
-
-class ConstrainedEnumerator {
- public:
-  ConstrainedEnumerator(const BipartiteGraph& graph,
-                        const PairSupportMatrix& observed_pairs,
-                        const PairBeliefFunction& pair_belief,
-                        uint64_t max_matchings)
-      : graph_(graph),
-        pairs_(observed_pairs),
-        belief_(pair_belief),
-        n_(graph.num_items()),
-        max_matchings_(max_matchings),
-        anon_used_(n_, false),
-        assigned_anon_(n_, kInvalidItem),
-        crack_tally_(n_ + 1, 0.0) {
-    // Assign items (right side) in ascending candidate-count order and
-    // precompute, for each item, its already-assigned constrained
-    // partners at that depth.
-    order_.resize(n_);
-    for (size_t x = 0; x < n_; ++x) order_[x] = static_cast<ItemId>(x);
-    std::sort(order_.begin(), order_.end(), [&](ItemId p, ItemId q) {
-      return graph_.item_outdegree(p) < graph_.item_outdegree(q);
-    });
-    std::vector<size_t> depth_of_item(n_);
-    for (size_t d = 0; d < n_; ++d) depth_of_item[order_[d]] = d;
-    earlier_partners_.resize(n_);
-    for (const ItemPair& pair : belief_.ConstrainedPairs()) {
-      ItemId first = pair.a, second = pair.b;
-      if (depth_of_item[first] > depth_of_item[second]) {
-        std::swap(first, second);
-      }
-      earlier_partners_[second].push_back(first);
-    }
-  }
-
-  Status Run() { return Recurse(0, 0); }
-
-  CrackDistribution Finish() {
-    CrackDistribution out;
-    out.num_matchings = num_matchings_;
-    out.probability.assign(n_ + 1, 0.0);
-    if (num_matchings_ > 0) {
-      double total = static_cast<double>(num_matchings_);
-      for (size_t c = 0; c <= n_; ++c) {
-        out.probability[c] = crack_tally_[c] / total;
-        out.expected += static_cast<double>(c) * out.probability[c];
-      }
-    }
-    return out;
-  }
-
- private:
-  Status Recurse(size_t depth, size_t cracks) {
-    if (depth == n_) {
-      if (++num_matchings_ > max_matchings_) {
-        return Status::OutOfRange("constrained enumeration over budget");
-      }
-      crack_tally_[cracks] += 1.0;
-      return Status::OK();
-    }
-    ItemId x = order_[depth];
-    for (ItemId a : graph_.anons_of_item(x)) {
-      if (anon_used_[a]) continue;
-      bool consistent = true;
-      for (ItemId y : earlier_partners_[x]) {
-        ItemId b = assigned_anon_[y];
-        if (!belief_.interval(x, y).Contains(pairs_.frequency(a, b))) {
-          consistent = false;
-          break;
-        }
-      }
-      if (!consistent) continue;
-      anon_used_[a] = true;
-      assigned_anon_[x] = a;
-      Status st = Recurse(depth + 1, cracks + (a == x ? 1 : 0));
-      assigned_anon_[x] = kInvalidItem;
-      anon_used_[a] = false;
-      ANONSAFE_RETURN_IF_ERROR(st);
-    }
-    return Status::OK();
-  }
-
-  const BipartiteGraph& graph_;
-  const PairSupportMatrix& pairs_;
-  const PairBeliefFunction& belief_;
-  const size_t n_;
-  const uint64_t max_matchings_;
-  std::vector<ItemId> order_;
-  std::vector<std::vector<ItemId>> earlier_partners_;
-  std::vector<bool> anon_used_;
-  std::vector<ItemId> assigned_anon_;
-  std::vector<double> crack_tally_;
-  uint64_t num_matchings_ = 0;
-};
-
-}  // namespace
-
 Result<CrackDistribution> EnumerateConstrainedCrackDistribution(
     const BipartiteGraph& graph, const PairSupportMatrix& observed_pairs,
     const PairBeliefFunction& pair_belief, uint64_t max_matchings) {
   ANONSAFE_RETURN_IF_ERROR(CheckDomains(graph, observed_pairs, pair_belief));
-  ConstrainedEnumerator enumerator(graph, observed_pairs, pair_belief,
-                                   max_matchings);
-  ANONSAFE_RETURN_IF_ERROR(enumerator.Run());
-  return enumerator.Finish();
+  const std::vector<std::vector<ItemId>> partners = PairPartners(pair_belief);
+  return EnumerateMatchings(
+      PairConstrainedEdges{{&graph}, &observed_pairs, &pair_belief, &partners},
+      [](ItemId x, ItemId a) { return x == a; }, max_matchings);
 }
 
 }  // namespace anonsafe

@@ -38,8 +38,8 @@ Result<PairPrunedGraph> PruneWithPairBeliefs(
     const PairBeliefFunction& pair_belief);
 
 /// \brief Exact crack distribution over mappings consistent with BOTH the
-/// item-level graph and all pair constraints, by constrained enumeration.
-/// Tiny instances only (backtracking with per-assignment checks).
+/// item-level graph and all pair constraints: `EnumerateMatchings` with a
+/// pair check on every assignment. Tiny instances only.
 Result<CrackDistribution> EnumerateConstrainedCrackDistribution(
     const BipartiteGraph& graph, const PairSupportMatrix& observed_pairs,
     const PairBeliefFunction& pair_belief,

@@ -103,7 +103,6 @@ Server::Server(const ServerOptions& options)
   for (size_t i = 0; i < options_.workers; ++i) {
     runners_.emplace_back([this] { RunnerLoop(); });
   }
-  watchdog_ = std::thread([this] { WatchdogLoop(); });
 }
 
 Server::~Server() {
@@ -121,12 +120,6 @@ Server::~Server() {
   }
   ready_cv_.notify_all();
   for (std::thread& t : runners_) t.join();
-  {
-    std::lock_guard<std::mutex> lock(watchdog_mu_);
-    watchdog_stop_ = true;
-  }
-  watchdog_cv_.notify_all();
-  watchdog_.join();
 }
 
 bool Server::draining() const {
@@ -329,11 +322,9 @@ json::Value Server::RunWithContext(Job* job) {
 
     const uint64_t deadline_ms =
         bound->deadline_ms.value_or(options_.default_deadline_ms);
-    uint64_t deadline_serial = 0;
     if (deadline_ms > 0) {
-      deadline_serial = RegisterDeadline(
-          &ctx, std::chrono::steady_clock::now() +
-                    std::chrono::milliseconds(deadline_ms));
+      ctx.set_deadline(std::chrono::steady_clock::now() +
+                       std::chrono::milliseconds(deadline_ms));
     }
     obs::Stopwatch exec_watch;
     {
@@ -341,7 +332,9 @@ json::Value Server::RunWithContext(Job* job) {
       outcome = job->spec->handler(request, &ctx);
     }
     record->exec_ms = exec_watch.Seconds() * 1e3;
-    if (deadline_ms > 0) UnregisterDeadline(deadline_serial);
+    if (outcome.status().IsCancelled()) {
+      obs::CountIf("anonsafe_serve_deadline_cancels_total");
+    }
   }
 
   // Provenance for the access log / flight recorder: the dataset key
@@ -919,53 +912,6 @@ json::Value Server::HandleServerInfo() {
   result.Set("tenant_quota", std::move(quota));
   result.Set("simd_isa", json::Value(internal::Kernels().name));
   return result;
-}
-
-uint64_t Server::RegisterDeadline(
-    exec::ExecContext* ctx, std::chrono::steady_clock::time_point deadline) {
-  std::lock_guard<std::mutex> lock(watchdog_mu_);
-  const uint64_t serial = ++next_serial_;
-  deadlines_.push_back(DeadlineEntry{serial, ctx, deadline});
-  watchdog_cv_.notify_all();
-  return serial;
-}
-
-void Server::UnregisterDeadline(uint64_t serial) {
-  std::lock_guard<std::mutex> lock(watchdog_mu_);
-  for (size_t i = 0; i < deadlines_.size(); ++i) {
-    if (deadlines_[i].serial == serial) {
-      deadlines_[i] = deadlines_.back();
-      deadlines_.pop_back();
-      break;
-    }
-  }
-}
-
-void Server::WatchdogLoop() {
-  std::unique_lock<std::mutex> lock(watchdog_mu_);
-  while (!watchdog_stop_) {
-    if (deadlines_.empty()) {
-      watchdog_cv_.wait(
-          lock, [&] { return watchdog_stop_ || !deadlines_.empty(); });
-      continue;
-    }
-    auto earliest = deadlines_[0].deadline;
-    for (const DeadlineEntry& e : deadlines_) {
-      if (e.deadline < earliest) earliest = e.deadline;
-    }
-    watchdog_cv_.wait_until(lock, earliest);  // re-checks below either way
-    const auto now = std::chrono::steady_clock::now();
-    for (size_t i = 0; i < deadlines_.size();) {
-      if (deadlines_[i].deadline <= now) {
-        deadlines_[i].ctx->RequestCancel();
-        obs::CountIf("anonsafe_serve_deadline_cancels_total");
-        deadlines_[i] = deadlines_.back();
-        deadlines_.pop_back();
-      } else {
-        ++i;
-      }
-    }
-  }
 }
 
 }  // namespace serve

@@ -106,8 +106,8 @@ struct ServerOptions {
 /// else `queue_full`) and then execute on dedicated runner threads; a
 /// request's own `ParallelForChunks` fan-outs (the batch verb, the alpha
 /// sweep) borrow helpers from the process's exec pool, up to the
-/// request's `threads`. A deadline watchdog cancels the request's
-/// ExecContext cooperatively when its deadline passes. `shutdown` stops
+/// request's `threads`. A request's deadline rides on its ExecContext,
+/// which reads as cancelled once it has passed. `shutdown` stops
 /// admission and drains: every admitted request completes and its
 /// response is handed to its callback before the shutdown response is
 /// produced.
@@ -167,12 +167,6 @@ class Server {
     std::chrono::steady_clock::time_point admitted_at{};
   };
 
-  struct DeadlineEntry {
-    uint64_t serial;
-    exec::ExecContext* ctx;
-    std::chrono::steady_clock::time_point deadline;
-  };
-
   void BuildRegistry();
 
   /// Admission + scheduling for compute verbs; consumes the job.
@@ -217,10 +211,6 @@ class Server {
   json::Value HandleDebug();
   json::Value HandleServerInfo();
 
-  uint64_t RegisterDeadline(exec::ExecContext* ctx,
-                            std::chrono::steady_clock::time_point deadline);
-  void UnregisterDeadline(uint64_t serial);
-  void WatchdogLoop();
   void UpdateAdmissionGauges();  // callers hold mu_
 
   const ServerOptions options_;
@@ -245,13 +235,6 @@ class Server {
   bool draining_ = false;
   bool runners_stop_ = false;
   std::vector<std::thread> runners_;
-
-  std::mutex watchdog_mu_;
-  std::condition_variable watchdog_cv_;
-  std::vector<DeadlineEntry> deadlines_;
-  uint64_t next_serial_ = 0;
-  bool watchdog_stop_ = false;
-  std::thread watchdog_;
 };
 
 }  // namespace serve

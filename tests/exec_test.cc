@@ -211,6 +211,38 @@ TEST(ParallelForTest, CancellationSkipsRemainingChunks) {
   EXPECT_EQ(executed, 1);
 }
 
+TEST(ParallelForTest, DeadlineSkipsChunksClaimedAfterIt) {
+  ExecOptions options;
+  options.threads = 1;
+  int executed = 0;
+
+  // A deadline already past: no chunk of the region runs.
+  ExecContext past(options);
+  past.set_deadline(std::chrono::steady_clock::now());
+  ASSERT_TRUE(ParallelForChunks(&past, 10, 1, [&](size_t, size_t) -> Status {
+                ++executed;
+                return Status::OK();
+              }).ok());
+  EXPECT_TRUE(past.cancelled());
+  EXPECT_EQ(executed, 0);
+
+  // A deadline reached while the first chunk runs: every chunk claimed
+  // after it is skipped.
+  ExecContext mid(options);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(100);
+  mid.set_deadline(deadline);
+  EXPECT_FALSE(mid.cancelled());
+  ASSERT_TRUE(ParallelForChunks(&mid, 10, 1, [&](size_t, size_t) -> Status {
+                ++executed;
+                std::this_thread::sleep_until(deadline +
+                                              std::chrono::milliseconds(1));
+                return Status::OK();
+              }).ok());
+  EXPECT_TRUE(mid.cancelled());
+  EXPECT_EQ(executed, 1);
+}
+
 // No context starts a thread: serve builds one context per request, and
 // the chunks of every context's regions run on their callers and the
 // process pool's workers only. Kernel thread ids are not reused as soon

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "belief/builders.h"
 #include "data/frequency.h"
 #include "datagen/quest.h"
@@ -79,6 +82,24 @@ TEST(ItemsetBeliefTest, ConstrainValidates) {
   EXPECT_EQ(belief.num_constraints(), 1u);
   EXPECT_EQ(belief.ConstraintsOf(3).size(), 1u);
   EXPECT_TRUE(belief.ConstraintsOf(0).empty());
+}
+
+TEST(ItemsetBeliefTest, ConstraintIndexIsReadableFromTwoThreads) {
+  // The index is sized at construction, so a first lookup on a belief
+  // with no constraint writes nothing and two threads may make it at
+  // once (ThreadSanitizer flags a lazily sized index here).
+  ItemsetBeliefFunction belief(64);
+  std::vector<size_t> seen(2, 1);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < 2; ++t) {
+    threads.emplace_back([&belief, &seen, t] {
+      size_t total = 0;
+      for (ItemId x = 0; x < 64; ++x) total += belief.ConstraintsOf(x).size();
+      seen[t] = total;
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(seen, std::vector<size_t>(2, 0));
 }
 
 TEST(ItemsetBeliefTest, ComplianceFraction) {

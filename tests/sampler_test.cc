@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
+#include <string>
 #include <vector>
 
 #include "belief/builders.h"
@@ -16,6 +19,8 @@
 #include "mining/miner.h"
 #include "powerset/constrained_attack.h"
 #include "powerset/itemset_belief.h"
+#include "powerset/pair_attack.h"
+#include "powerset/pair_belief.h"
 #include "powerset/support_oracle.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -328,6 +333,165 @@ TEST(SamplerTest, DistributionMatchesEnumerationOnTinyGraph) {
   }
   tv /= 2.0;
   EXPECT_LT(tv, 0.04) << "total variation distance too large";
+}
+
+// ------------------------------------------------- Enumeration oracle
+
+/// The crack distribution of `graph` by a loop over all n! assignments:
+/// one counts when every item takes an anonymized item adjacent to it and
+/// `holds(anon_of_item)`.
+template <typename Holds>
+CrackDistribution BruteForceDistribution(const BipartiteGraph& graph,
+                                         const Holds& holds) {
+  const size_t n = graph.num_items();
+  std::vector<ItemId> anon_of_item(n);
+  std::iota(anon_of_item.begin(), anon_of_item.end(), ItemId{0});
+  std::vector<uint64_t> tally(n + 1, 0);
+  CrackDistribution out;
+  do {
+    bool consistent = true;
+    size_t cracks = 0;
+    for (ItemId x = 0; x < n && consistent; ++x) {
+      consistent = graph.HasEdge(anon_of_item[x], x);
+      cracks += anon_of_item[x] == x ? 1 : 0;
+    }
+    if (!consistent || !holds(anon_of_item)) continue;
+    ++out.num_matchings;
+    ++tally[cracks];
+  } while (std::next_permutation(anon_of_item.begin(), anon_of_item.end()));
+  out.probability.assign(n + 1, 0.0);
+  for (size_t c = 0; c <= n && out.num_matchings > 0; ++c) {
+    out.probability[c] = static_cast<double>(tally[c]) /
+                         static_cast<double>(out.num_matchings);
+    out.expected += static_cast<double>(c) * out.probability[c];
+  }
+  return out;
+}
+
+void ExpectSameDistribution(const Result<CrackDistribution>& got,
+                            const CrackDistribution& want, double tolerance,
+                            const std::string& what) {
+  ASSERT_TRUE(got.ok()) << what << ": " << got.status().ToString();
+  EXPECT_EQ(got->num_matchings, want.num_matchings) << what;
+  ASSERT_EQ(got->probability.size(), want.probability.size()) << what;
+  for (size_t c = 0; c < want.probability.size(); ++c) {
+    EXPECT_NEAR(got->probability[c], want.probability[c], tolerance)
+        << what << ", " << c << " cracks";
+  }
+  EXPECT_NEAR(got->expected, want.expected, tolerance) << what;
+}
+
+TEST(EnumerationOracleTest, EveryPolicyMatchesBruteForce) {
+  // Quest tables of 6-7 items. Each gets compliant item beliefs at two
+  // widths and one shifted onto a random permutation's frequencies (a
+  // perfect matching that need not use identity edges), and on each
+  // graph every exact path is held against all n! assignments.
+  size_t without_identity = 0;  // graphs missing an identity edge
+  size_t pairs_binding = 0;     // pair beliefs that removed a matching
+  size_t itemsets_binding = 0;  // itemset beliefs that removed one
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    QuestParams params;
+    params.num_items = 6 + seed % 2;
+    params.num_transactions = 50;
+    params.avg_txn_size = 3.0;
+    params.seed = seed;
+    auto db = GenerateQuestDatabase(params);
+    ASSERT_TRUE(db.ok());
+    auto table = FrequencyTable::Compute(*db);
+    ASSERT_TRUE(table.ok());
+    const FrequencyGroups groups = FrequencyGroups::Build(*table);
+    auto oracle = SupportOracle::Build(*db);
+    ASSERT_TRUE(oracle.ok());
+    auto pairs = PairSupportMatrix::Compute(*db);
+    ASSERT_TRUE(pairs.ok());
+    const size_t n = params.num_items;
+    Rng rng(seed);
+
+    std::vector<BeliefFunction> beliefs;
+    for (double delta : {0.02, 0.08}) {
+      auto compliant = MakeCompliantIntervalBelief(*table, delta);
+      ASSERT_TRUE(compliant.ok());
+      beliefs.push_back(*std::move(compliant));
+    }
+    std::vector<ItemId> shift(n);
+    std::iota(shift.begin(), shift.end(), ItemId{0});
+    rng.Shuffle(&shift);
+    std::vector<BeliefInterval> shifted(n);
+    for (ItemId x = 0; x < n; ++x) {
+      const double f = table->frequency(shift[x]);
+      shifted[x] = {std::max(0.0, f - 0.03), std::min(1.0, f + 0.03)};
+    }
+    auto shifted_belief = BeliefFunction::Create(std::move(shifted));
+    ASSERT_TRUE(shifted_belief.ok());
+    beliefs.push_back(*std::move(shifted_belief));
+
+    for (size_t b = 0; b < beliefs.size(); ++b) {
+      const std::string what =
+          "seed " + std::to_string(seed) + ", belief " + std::to_string(b);
+      auto graph = BipartiteGraph::Build(groups, beliefs[b]);
+      ASSERT_TRUE(graph.ok());
+      const CrackDistribution plain = BruteForceDistribution(
+          *graph, [](const std::vector<ItemId>&) { return true; });
+      ASSERT_GT(plain.num_matchings, 0u) << what;  // identity or shift
+      ExpectSameDistribution(EnumerateCrackDistribution(*graph), plain, 0.0,
+                             what + ", plain");
+      ExpectSameDistribution(PlannedCrackDistribution(groups, beliefs[b]),
+                             plain, 1e-12, what + ", planned");
+      bool identity = true;
+      for (ItemId x = 0; x < n; ++x) identity &= graph->HasEdge(x, x);
+      if (!identity) ++without_identity;
+
+      auto pair_belief = MakeRandomPairBelief(*pairs, 3, 0.02, 1, &rng);
+      ASSERT_TRUE(pair_belief.ok());
+      const std::vector<ItemPair> constrained = pair_belief->ConstrainedPairs();
+      const CrackDistribution pair_oracle = BruteForceDistribution(
+          *graph, [&](const std::vector<ItemId>& anon_of_item) {
+            for (const ItemPair& p : constrained) {
+              if (!pair_belief->interval(p.a, p.b).Contains(pairs->frequency(
+                      anon_of_item[p.a], anon_of_item[p.b]))) {
+                return false;
+              }
+            }
+            return true;
+          });
+      ExpectSameDistribution(
+          EnumerateConstrainedCrackDistribution(*graph, *pairs, *pair_belief),
+          pair_oracle, 0.0, what + ", pairs");
+      if (pair_oracle.num_matchings < plain.num_matchings) ++pairs_binding;
+
+      // Two random triples: the first on its true frequency, the second
+      // off it on every other belief.
+      ItemsetBeliefFunction itemsets(n);
+      for (int t = 0; t < 2; ++t) {
+        std::vector<ItemId> items(n);
+        std::iota(items.begin(), items.end(), ItemId{0});
+        rng.Shuffle(&items);
+        items.resize(3);
+        std::sort(items.begin(), items.end());
+        const double f = oracle->Frequency(items);
+        BeliefInterval iv{std::max(0.0, f - 0.02), std::min(1.0, f + 0.02)};
+        if (t == 1 && (seed + b) % 2 == 1) {
+          iv = f + 0.15 <= 1.0 ? BeliefInterval{f + 0.05, f + 0.15}
+                               : BeliefInterval{f - 0.15, f - 0.05};
+        }
+        ASSERT_TRUE(itemsets.Constrain(std::move(items), iv).ok());
+      }
+      const CrackDistribution itemset_oracle = BruteForceDistribution(
+          *graph, [&](const std::vector<ItemId>& anon_of_item) {
+            return SatisfiesItemsetConstraints(itemsets, *oracle,
+                                               anon_of_item);
+          });
+      ExpectSameDistribution(
+          EnumerateItemsetConstrainedDistribution(*graph, *oracle, itemsets),
+          itemset_oracle, 0.0, what + ", itemsets");
+      if (itemset_oracle.num_matchings < plain.num_matchings) {
+        ++itemsets_binding;
+      }
+    }
+  }
+  EXPECT_GT(without_identity, 0u);
+  EXPECT_GT(pairs_binding, 0u);
+  EXPECT_GT(itemsets_binding, 0u);
 }
 
 class GreedySeedTest : public ::testing::TestWithParam<uint64_t> {};
