@@ -12,7 +12,9 @@
 //     BM_LoadDataset times serve's cold ingest of one FIMI stand-in,
 //     and BM_ParseFimi the FIMI parser on rows too sparse for its bitmap;
 //   * Fig. 7's propagation generalizes to the matching cover (§5.2):
-//     BM_MatchingCover times the pruning every planner call starts with.
+//     BM_MatchingCover times it on the explicit graph, and
+//     BM_PlanAndEstimate a whole planner call, whose cover runs on the
+//     group quotient of §5.
 
 #include <benchmark/benchmark.h>
 
@@ -32,6 +34,7 @@
 #include "data/frequency.h"
 #include "datagen/benchmark_profiles.h"
 #include "datagen/profile.h"
+#include "estimator/planner.h"
 #include "graph/bipartite_graph.h"
 #include "graph/consistency.h"
 #include "graph/edge_pruning.h"
@@ -268,6 +271,28 @@ void BM_MatchingCoverStaircase(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MatchingCoverStaircase)->Arg(1 << 12);
+
+void BM_PlanAndEstimate(benchmark::State& state) {
+  // One planner call at δ_med, as the defense sweep scores a release:
+  // Arg 0 is a one-group release of 130 items (a k-anonymity full merge;
+  // 16,900 explicit edges, one quotient pair), Arg 1 the baseline of a
+  // CONNECT ×0.05 stand-in.
+  FrequencyTable table =
+      *FrequencyTable::FromSupports(std::vector<SupportCount>(130, 500), 3000);
+  if (state.range(0) == 1) {
+    Rng rng(3);
+    table = *FrequencyTable::Compute(
+        *MakeBenchmarkDatabase(Benchmark::kConnect, &rng, 0.05));
+  }
+  FrequencyGroups groups = FrequencyGroups::Build(table);
+  BeliefFunction belief =
+      *MakeCompliantIntervalBelief(table, groups.MedianGap());
+  for (auto _ : state) {
+    auto estimate = PlanAndEstimate(groups, belief);
+    benchmark::DoNotOptimize(estimate->expected_cracks);
+  }
+}
+BENCHMARK(BM_PlanAndEstimate)->Arg(0)->Arg(1);
 
 void BM_AssessRiskBisection(benchmark::State& state) {
   // Macro-bench of the recipe's δ-bisection: a tolerance low enough that

@@ -6,8 +6,9 @@
 # cover on that graph at n=256/4096 and on a staircase that prunes
 # almost every edge, the AssessRisk δ-bisection macro-bench, serve's
 # cold load_dataset ingest of a CONNECT ×0.05 stand-in, the FIMI parser
-# on rows too sparse for its row bitmap, and eight sweeps of the MCMC
-# matching walk at n=8192), emits BENCH_kernels.json at the
+# on rows too sparse for its row bitmap, eight sweeps of the MCMC
+# matching walk at n=8192, and one estimator-planner call on a one-group
+# release and on a CONNECT ×0.05 baseline), emits BENCH_kernels.json at the
 # repo root, and compares each kernel's cpu time against the checked-in
 # baseline in bench/perf_baseline.json with a ±15% gate:
 #
@@ -21,7 +22,9 @@
 # the line-at-a-time stream FIMI parser with its copies of the content;
 # for BM_ParseFimi, the in-place parser that sorted every row;
 # for the BM_MatchingCover kernels, the cover that copied each DFS
-# frame's successors and rebuilt the kept edges through FromAdjacency).
+# frame's successors and rebuilt the kept edges through FromAdjacency;
+# for BM_PlanAndEstimate, the planner that built and covered the explicit
+# consistency graph).
 # BENCH_kernels.json reports speedup_vs_pre_opt = pre_opt / current for
 # each kernel.
 #
@@ -99,7 +102,7 @@ if ! command -v python3 >/dev/null 2>&1; then
 fi
 
 section_kernels() {
-FILTER='BM_Permanent/(20|22|24)$|BM_PermanentBatch/12$|BM_SamplerProbe/8192$|BM_SamplerSweep/8192$|BM_GraphBuildHK/4096$|BM_MatchingCover/(256|4096)$|BM_MatchingCoverStaircase/4096$|BM_AssessRiskBisection/8192$|BM_LoadDataset$|BM_ParseFimi$'
+FILTER='BM_Permanent/(20|22|24)$|BM_PermanentBatch/12$|BM_SamplerProbe/8192$|BM_SamplerSweep/8192$|BM_GraphBuildHK/4096$|BM_MatchingCover/(256|4096)$|BM_MatchingCoverStaircase/4096$|BM_AssessRiskBisection/8192$|BM_LoadDataset$|BM_ParseFimi$|BM_PlanAndEstimate/(0|1)$'
 
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT

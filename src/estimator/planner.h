@@ -38,7 +38,9 @@ struct PlannerOptions {
   /// deterministic and independent of evaluation order.
   SamplerOptions block_sampler;
 
-  /// Edge cap forwarded to the consistency-graph build.
+  /// Edge cap on a materialized block graph: a sampler block's (checked
+  /// at planning), or any block's under `PlannedCrackDistribution`.
+  /// Planning itself runs on the group quotient and materializes no edge.
   size_t max_edges = BipartiteGraph::kDefaultMaxEdges;
 
   /// Refuse to approximate: planning fails with OutOfRange when any
@@ -54,8 +56,9 @@ Status ValidatePlannerOptions(const PlannerOptions& options);
 /// `anons`/`items` hold ascending *global* ids; blocks are ordered by
 /// their smallest item id. For the closed-form methods (singleton,
 /// complete-bipartite, chain) `contrib` carries the per-item crack
-/// probabilities P(M(x) = x), aligned with `items`, computed at plan
-/// time; the heavy methods fill contributions at evaluation time.
+/// probabilities P(M(x) = x), aligned with `items`, and for the
+/// O-estimate the refined 1/O_x; both are computed at plan time. The
+/// permanent and sampler methods fill contributions at evaluation time.
 struct PlannedBlock {
   BlockMethod method = BlockMethod::kOEstimate;
   bool exact = true;
@@ -63,36 +66,50 @@ struct PlannedBlock {
   size_t num_edges = 0;
   std::vector<ItemId> anons;
   std::vector<ItemId> items;
-  std::vector<double> contrib;  ///< closed-form methods only
+  std::vector<double> contrib;  ///< closed forms and O-estimate only
 };
 
-/// \brief The full block plan over the pruned consistency graph.
+/// \brief The full block plan. The pruned graph is held on a quotient:
+/// the original items of one item class have the same pruned neighbours,
+/// and so do the anonymized items of one anon class. The pruned graph has
+/// the edge (a, x) iff the pair (anon_class[a], item_class[x]) is kept;
+/// block b's kept pairs are `pairs[pair_offsets[b] .. pair_offsets[b+1])`,
+/// ascending. `PlanBlocks`' classes are the frequency groups and the
+/// belief groups, so a plan holds no edge.
 struct BlockPlan {
-  explicit BlockPlan(BipartiteGraph pruned_graph)
-      : pruned(std::move(pruned_graph)) {}
-
-  BipartiteGraph pruned;  ///< the matching-cover graph (all kept edges)
   std::vector<PlannedBlock> blocks;
   size_t pruned_edges = 0;  ///< edges the matching cover removed
+  std::vector<uint32_t> item_class;  ///< per original item
+  std::vector<uint32_t> anon_class;  ///< per anonymized item
+  std::vector<std::pair<uint32_t, uint32_t>> pairs;  ///< (anon, item) class
+  std::vector<size_t> pair_offsets;  ///< blocks.size() + 1 entries
 };
 
-/// \brief The block as a graph of its own: local anonymized item `la` and
-/// local item `lx` stand for `block.anons[la]` and `block.items[lx]` of
-/// `pruned`. The planner's sampler blocks walk over it.
-Result<BipartiteGraph> BlockGraph(const BipartiteGraph& pruned,
-                                  const PlannedBlock& block);
+/// \brief Block b as a graph of its own: local anonymized item `la` and
+/// local item `lx` stand for `anons[la]` and `items[lx]` of the block.
+/// The planner's sampler blocks walk over it. OutOfRange when the block
+/// has more than `max_edges` edges.
+Result<BipartiteGraph> BlockGraph(
+    const BlockPlan& plan, size_t b,
+    size_t max_edges = BipartiteGraph::kDefaultMaxEdges);
 
-/// \brief Prunes `graph` with the matching cover, splits it into
-/// connected blocks, and classifies each block (singleton →
-/// complete-bipartite → chain → Ryser permanent → O-estimate/sampler, in
-/// cost order) without evaluating anything heavy. This is what the
-/// `anonsafe plan` verb prints.
+/// \brief Splits the consistency graph of `observed` under `belief` into
+/// the connected blocks of its matching cover, and classifies each block
+/// (singleton → complete-bipartite → chain → Ryser permanent →
+/// O-estimate/sampler, in cost order) without evaluating anything heavy.
+/// This is what the `anonsafe plan` verb prints.
 ///
-/// Fails with FailedPrecondition when the graph has no perfect matching
-/// and with OutOfRange when `require_exact` is set but some block
-/// exceeds the Ryser cutoff.
-Result<BlockPlan> PlanBlocks(const BipartiteGraph& graph,
-                             const FrequencyGroups& observed,
+/// The cover runs on the group quotient (docs/ESTIMATORS.md): a maximum
+/// b-matching of belief groups to frequency groups, greedily by range
+/// end, and a Tarjan over its residual digraph. Its cost does not depend
+/// on the number of edges.
+///
+/// Fails with InvalidArgument on a domain mismatch, with
+/// FailedPrecondition when the graph has no perfect matching, and with
+/// OutOfRange when `require_exact` is set but some block exceeds the
+/// Ryser cutoff or when a sampler block has more than `max_edges` edges.
+Result<BlockPlan> PlanBlocks(const FrequencyGroups& observed,
+                             const BeliefFunction& belief,
                              const PlannerOptions& options = {});
 
 /// \brief Evaluates a plan: blocks run in parallel on the exec pool,
@@ -105,7 +122,7 @@ Result<CrackEstimate> EstimatePlanned(const BlockPlan& plan,
                                       const PlannerOptions& options = {},
                                       exec::ExecContext* ctx = nullptr);
 
-/// \brief Build + plan + evaluate in one call (the `auto` estimator).
+/// \brief Plan + evaluate in one call (the `auto` estimator).
 Result<CrackEstimate> PlanAndEstimate(const FrequencyGroups& observed,
                                       const BeliefFunction& belief,
                                       const PlannerOptions& options = {},
@@ -122,6 +139,11 @@ Result<CrackEstimate> PlanAndEstimate(const FrequencyGroups& observed,
 Result<CrackDistribution> PlannedCrackDistribution(
     const FrequencyGroups& observed, const BeliefFunction& belief,
     uint64_t max_matchings = 20'000'000, const PlannerOptions& options = {});
+
+/// \brief The same distribution over the blocks of `plan`.
+Result<CrackDistribution> PlannedCrackDistribution(
+    const BlockPlan& plan, uint64_t max_matchings,
+    const PlannerOptions& options = {});
 
 }  // namespace anonsafe
 

@@ -12,8 +12,8 @@
 namespace anonsafe {
 namespace serve {
 
-DatasetCache::DatasetCache(size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity) {}
+DatasetCache::DatasetCache(size_t capacity, HashFn hash)
+    : capacity_(capacity == 0 ? 1 : capacity), hash_(hash) {}
 
 namespace {
 
@@ -86,6 +86,18 @@ uint64_t Xxh64(const unsigned char* p, size_t len) {
   return h;
 }
 
+/// OK when `db` is the resident entry's database; else the collision
+/// of two contents under one handle.
+Status CheckSameDatabase(const CachedDataset& resident, const Database& db) {
+  const Database& held = resident.data.database();
+  if (held.num_items() == db.num_items() &&
+      held.transactions() == db.transactions()) {
+    return Status::OK();
+  }
+  return Status::FailedPrecondition("dataset handle " + resident.key +
+                                    " is resident with different content");
+}
+
 }  // namespace
 
 std::string DatasetCache::HashContent(const std::string& content) {
@@ -102,21 +114,31 @@ std::string DatasetCache::HashContent(const std::string& content) {
 
 Result<DatasetCache::LoadOutcome> DatasetCache::LoadFromContent(
     const std::string& content) {
-  const std::string key = HashContent(content);
+  const std::string key = hash_(content);
+  std::shared_ptr<const CachedDataset> resident;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-      if (it->dataset->key == key) {
-        obs::CountIf("anonsafe_serve_dataset_cache_hits_total");
-        return LoadOutcome{Touch(it, /*used=*/false), /*hit=*/true};
-      }
-    }
+    auto it = FindEntry(key);
+    if (it != entries_.end()) resident = it->dataset;
   }
   // Parse outside the lock: a slow load must not stall lookups of
-  // resident datasets. Two racing loads of the same content both parse;
-  // the second insert finds the key resident and discards its copy.
-  obs::CountIf("anonsafe_serve_dataset_cache_misses_total");
+  // resident datasets. A key match parses too: the handle is a 64-bit
+  // hash that crafted content can collide with, so a match is a hit only
+  // when the content parses to the resident database.
   ANONSAFE_ASSIGN_OR_RETURN(LabeledDatabase parsed, ParseFimi(content));
+  if (resident != nullptr) {
+    ANONSAFE_RETURN_IF_ERROR(CheckSameDatabase(*resident, parsed.database));
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = FindEntry(key);
+    if (it != entries_.end() && it->dataset == resident) {
+      obs::CountIf("anonsafe_serve_dataset_cache_hits_total");
+      return LoadOutcome{Touch(it, /*used=*/false), /*hit=*/true};
+    }
+    // Evicted since the lookup: load it afresh.
+  }
+  // Two racing loads of the same content both parse; the second insert
+  // finds the key resident and discards its copy.
+  obs::CountIf("anonsafe_serve_dataset_cache_misses_total");
   ANONSAFE_ASSIGN_OR_RETURN(CountedDatabase data,
                             CountedDatabase::Count(std::move(parsed.database)));
   auto entry = std::make_shared<CachedDataset>(
@@ -127,10 +149,10 @@ Result<DatasetCache::LoadOutcome> DatasetCache::LoadFromContent(
   // lookups and loads waiting on `mu_`.
   std::list<Entry> evicted;
   std::lock_guard<std::mutex> lock(mu_);
-  for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-    if (it->dataset->key == key) {
-      return LoadOutcome{Touch(it, /*used=*/false), /*hit=*/true};
-    }
+  if (auto it = FindEntry(key); it != entries_.end()) {
+    ANONSAFE_RETURN_IF_ERROR(
+        CheckSameDatabase(*it->dataset, entry->data.database()));
+    return LoadOutcome{Touch(it, /*used=*/false), /*hit=*/true};
   }
   entries_.push_front(Entry{std::move(entry)});
   while (entries_.size() > capacity_) {
@@ -149,14 +171,19 @@ Result<DatasetCache::LoadOutcome> DatasetCache::LoadFromContent(
 std::shared_ptr<const CachedDataset> DatasetCache::Find(
     const std::string& key) {
   std::lock_guard<std::mutex> lock(mu_);
-  for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-    if (it->dataset->key == key) {
-      obs::CountIf("anonsafe_serve_dataset_cache_hits_total");
-      return Touch(it, /*used=*/true);
-    }
+  if (auto it = FindEntry(key); it != entries_.end()) {
+    obs::CountIf("anonsafe_serve_dataset_cache_hits_total");
+    return Touch(it, /*used=*/true);
   }
   obs::CountIf("anonsafe_serve_dataset_cache_misses_total");
   return nullptr;
+}
+
+std::list<DatasetCache::Entry>::iterator DatasetCache::FindEntry(
+    const std::string& key) {
+  return std::find_if(entries_.begin(), entries_.end(), [&](const Entry& e) {
+    return e.dataset->key == key;
+  });
 }
 
 std::shared_ptr<const CachedDataset> DatasetCache::Touch(

@@ -43,15 +43,22 @@ struct CachedDataset {
 /// a dataset before it loads the next, at most N entries are unused.
 class DatasetCache {
  public:
-  explicit DatasetCache(size_t capacity = 8);
+  /// Maps content to its handle: `HashContent`, or in a test a hash
+  /// under which distinct contents collide.
+  using HashFn = std::string (*)(const std::string& content);
+
+  explicit DatasetCache(size_t capacity = 8, HashFn hash = &HashContent);
 
   struct LoadOutcome {
     std::shared_ptr<const CachedDataset> dataset;
     bool hit = false;  ///< true when the content was already resident
   };
 
-  /// \brief Parses FIMI `content` (or returns the resident entry for the
-  /// same bytes). InvalidArgument on malformed content.
+  /// \brief Parses FIMI `content` and returns the resident entry under its
+  /// handle when that entry holds the same database (a hit), else a new
+  /// entry. InvalidArgument on malformed content; FailedPrecondition,
+  /// naming the handle, when the resident entry under it holds a
+  /// different database (a hash collision), which stays resident.
   Result<LoadOutcome> LoadFromContent(const std::string& content);
 
   /// \brief Looks up a previously returned key; null when absent
@@ -78,7 +85,11 @@ class DatasetCache {
   std::shared_ptr<const CachedDataset> Touch(std::list<Entry>::iterator it,
                                              bool used);
 
+  /// The entry under `key`, or end(). The caller holds `mu_`.
+  std::list<Entry>::iterator FindEntry(const std::string& key);
+
   const size_t capacity_;
+  const HashFn hash_;
   mutable std::mutex mu_;
   // Front = most recently used. Linear scan: the cache holds a handful
   // of parsed datasets, not thousands.

@@ -228,11 +228,8 @@ Status RunPlan(const CliInvocation& cli, std::ostream& out) {
   ANONSAFE_ASSIGN_OR_RETURN(adversary::AdversaryModel model,
                             adv.Bind(table, groups, delta,
                                      recipe.adversary_params));
-  ANONSAFE_ASSIGN_OR_RETURN(
-      BipartiteGraph graph,
-      BipartiteGraph::Build(groups, model.belief, options.max_edges));
   ANONSAFE_ASSIGN_OR_RETURN(BlockPlan plan,
-                            PlanBlocks(graph, groups, options));
+                            PlanBlocks(groups, model.belief, options));
 
   // Inspect the plan without evaluating anything heavy: the whole point
   // of the verb is to preview what `--estimator=auto` would run.

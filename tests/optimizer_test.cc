@@ -492,25 +492,32 @@ TEST(OptimizerTest, CancellationPropagates) {
 }
 
 // The baseline is scored in the planning region, where nothing else can
-// fail, so a sweep whose baseline fails returns the baseline's own
-// error at any thread count. Here the explicit graph exceeds the
-// planner's edge budget by one.
+// fail, so a sweep whose baseline fails returns the baseline's own error
+// at any thread count. Here the baseline's largest sampler block graph
+// exceeds the planner's edge budget by one.
 TEST(OptimizerTest, BaselineFailureIsTheSweepsError) {
-  const Database db = FixtureDb();
+  const Database db = SharedReleaseDb();
   auto table = FrequencyTable::Compute(db);
   ASSERT_TRUE(table.ok());
   FrequencyGroups groups = FrequencyGroups::Build(*table);
   auto belief = MakeCompliantIntervalBelief(*table, groups.MedianGap());
   ASSERT_TRUE(belief.ok());
-  auto graph = BipartiteGraph::Build(groups, *belief);
-  ASSERT_TRUE(graph.ok());
-  const size_t edges = graph->num_edges();
   OptimizerOptions options;
+  options.planner.prefer_sampler = true;
+  options.planner.ryser_cutoff = 2;
+  auto plan = PlanBlocks(groups, *belief, options.planner);
+  ASSERT_TRUE(plan.ok());
+  size_t edges = 0;
+  for (const PlannedBlock& block : plan->blocks) {
+    if (block.method == BlockMethod::kSampler) {
+      edges = std::max(edges, block.num_edges);
+    }
+  }
+  ASSERT_GT(edges, 0u);
   options.planner.max_edges = edges - 1;
-  const std::string want =
-      "OutOfRange: explicit graph would have " + std::to_string(edges) +
-      " edges, budget is " + std::to_string(edges - 1) +
-      "; use ConsistencyStructure for large instances";
+  const std::string want = "OutOfRange: block graph would have " +
+                           std::to_string(edges) + " edges, budget is " +
+                           std::to_string(edges - 1);
   EXPECT_EQ(RescoreRelease(*table, exec::SplitSeed(7, 1), options.planner)
                 .status()
                 .ToString(),

@@ -153,16 +153,14 @@ TEST(SamplerTest, SamplesStayConsistentMatchings) {
   block_intervals[11] = {0.3, 0.3};
   auto block_belief = BeliefFunction::Create(std::move(block_intervals));
   ASSERT_TRUE(block_belief.ok());
-  auto graph = BipartiteGraph::Build(block_groups, *block_belief);
-  ASSERT_TRUE(graph.ok());
   PlannerOptions planner;
   planner.ryser_cutoff = 4;
   planner.prefer_sampler = true;
-  auto plan = PlanBlocks(*graph, block_groups, planner);
+  auto plan = PlanBlocks(block_groups, *block_belief, planner);
   ASSERT_TRUE(plan.ok());
   ASSERT_EQ(plan->blocks.size(), 1u);
   ASSERT_EQ(plan->blocks[0].method, BlockMethod::kSampler);
-  auto block = BlockGraph(plan->pruned, plan->blocks[0]);
+  auto block = BlockGraph(*plan, 0);
   ASSERT_TRUE(block.ok());
   Matching block_seed = HopcroftKarp(*block);
   ASSERT_TRUE(block_seed.IsPerfect());
@@ -437,6 +435,14 @@ TEST(EnumerationOracleTest, EveryPolicyMatchesBruteForce) {
                              what + ", plain");
       ExpectSameDistribution(PlannedCrackDistribution(groups, beliefs[b]),
                              plain, 1e-12, what + ", planned");
+      PlannerOptions exact_planner;
+      exact_planner.ryser_cutoff = kMaxPermanentN;
+      exact_planner.require_exact = true;
+      auto estimate = PlanAndEstimate(groups, beliefs[b], exact_planner);
+      ASSERT_TRUE(estimate.ok()) << what << ": " << estimate.status();
+      EXPECT_TRUE(estimate->exact) << what;
+      EXPECT_NEAR(estimate->expected_cracks, plain.expected, 1e-12)
+          << what << ", planned estimate";
       bool identity = true;
       for (ItemId x = 0; x < n; ++x) identity &= graph->HasEdge(x, x);
       if (!identity) ++without_identity;

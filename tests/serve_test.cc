@@ -498,6 +498,31 @@ TEST(DatasetCacheTest, EvictsThePlainLruEntryWhenNoneIsUsed) {
   EXPECT_NE(cache.Find(a->dataset->key), nullptr);
 }
 
+// Under a hash that maps every content to one handle, a second load
+// of different content is refused, naming the handle, and the first
+// dataset stays resident under it; the first content loads again as a
+// hit.
+TEST(DatasetCacheTest, CollidingContentIsRefused) {
+  DatasetCache cache(2, [](const std::string&) {
+    return std::string("00000000000000ff");
+  });
+  auto a = cache.LoadFromContent("0 1\n");
+  ASSERT_TRUE(a.ok());
+  auto b = cache.LoadFromContent("0 1 2\n");
+  ASSERT_FALSE(b.ok());
+  EXPECT_EQ(b.status().ToString(),
+            "FailedPrecondition: dataset handle 00000000000000ff is "
+            "resident with different content");
+  EXPECT_EQ(cache.size(), 1u);
+  auto found = cache.Find("00000000000000ff");
+  ASSERT_NE(found, nullptr);
+  EXPECT_EQ(found, a->dataset);
+  auto again = cache.LoadFromContent("0 1\n");
+  ASSERT_TRUE(again.ok());
+  EXPECT_TRUE(again->hit);
+  EXPECT_EQ(again->dataset, a->dataset);
+}
+
 // The handle is XXH64 at seed 0 in 16 lowercase hex digits: the
 // published vectors, then prefixes of one FIMI text whose lengths end in
 // each tail (1-3, 4-7 and 8-31 bytes) and run one or more 32-byte
